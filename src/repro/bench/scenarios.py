@@ -587,15 +587,26 @@ def _grouped_c2pc(smoke: bool = False) -> ScenarioResult:
     )
 
 
-# -- sharded-coordinator pair scenarios --------------------------------------
+# -- coordinator-topology pair scenarios -------------------------------------
 #
-# The same dense PrAny storm routed through one central coordinator site
-# (``tm``) vs hash-sharded across every site (``repro.mdbs.placement``).
-# Both twins run on :class:`~repro.net.network.ServiceTimeNetwork` — the
+# One dense PrAny storm under each coordinator topology
+# (``repro.mdbs.topology``), as two pairs:
+#
+# * sharding: every transaction routed through the central ``tm`` site
+#   vs hash-sharded across every site (``repro.mdbs.placement``);
+# * replication: the ``tm`` coordinator alone vs replicated over a
+#   3-acceptor Paxos group (``repro.replication``). Every transaction
+#   pays a quorum registration before its PREPAREs and a quorum
+#   acceptance before its decision is stable — extra messages, extra
+#   forces (at the acceptors) and higher decision latency — in exchange
+#   for the nonblocking guarantee the explorer's leader-crash scenarios
+#   demonstrate.
+#
+# All four run on :class:`~repro.net.network.ServiceTimeNetwork` — the
 # plain network has no receiver-side queuing, so a single coordinator
-# never contends and the comparison would be vacuous. The RNG stream is
-# placement-independent (see ``generate_transactions``), so the twins
-# run byte-identical workloads; only where decisions are made differs.
+# never contends, quorum round trips cost nothing, and the comparisons
+# would be vacuous. The RNG stream is placement-independent (see
+# ``generate_transactions``), so twins run byte-identical workloads.
 
 
 def _latency_percentiles(values: list[float]) -> dict[str, float]:
@@ -613,18 +624,19 @@ def _latency_percentiles(values: list[float]) -> dict[str, float]:
     return {"p50": round(q(0.50), 3), "p95": round(q(0.95), 3), "p99": round(q(0.99), 3)}
 
 
-def _coordinator_storm(sharded: bool, smoke: bool) -> ScenarioResult:
-    """Dense PrAny storm, central vs sharded coordinator placement.
+def _topology_storm(
+    topology, drain: float, smoke: bool, describe
+) -> ScenarioResult:
+    """Dense PrAny storm over ``topology``.
 
     ``events`` is the transaction count — the shared unit of logical
-    work — so the pair's events/sec stay comparable. The interesting
+    work — so a pair's events/sec stay comparable. The interesting
     numbers are in ``detail``: decision latency percentiles in *virtual*
     time (decide-trace time minus submit time), which expose the central
-    coordinator's receive queue, and the peak number of concurrently
-    open transactions, which confirms the storm is dense enough
-    (pipeline depth >= 8) for that queue to matter.
+    coordinator's receive queue or the two quorum round trips, plus
+    what ``describe(mdbs, transactions, decided_at)`` adds for the pair.
+    ``drain`` is the virtual time granted after the last arrival.
     """
-    from repro.mdbs.placement import HashPlacement
     from repro.protocols.base import TimeoutConfig
     from repro.workloads.generator import (
         WorkloadSpec,
@@ -653,7 +665,7 @@ def _coordinator_storm(sharded: bool, smoke: bool) -> ScenarioResult:
         coordinator="dynamic",
         seed=BENCH_SEED,
         timeouts=timeouts,
-        sharded=sharded,
+        topology=topology,
         service_time=0.5,
     )
     spec = WorkloadSpec(
@@ -665,34 +677,22 @@ def _coordinator_storm(sharded: bool, smoke: bool) -> ScenarioResult:
         hot_keys=0,
         seed=BENCH_SEED,
     )
-    sites = sorted(mix.site_protocols())
     transactions = generate_transactions(
-        spec, sites, placement=HashPlacement() if sharded else None
+        spec, sorted(mix.site_protocols()), placement=topology.placement
     )
     for txn in transactions:
         mdbs.submit(txn)
-    mdbs.run(until=spec.inter_arrival * n_transactions + 5_000.0)
+    mdbs.run(until=spec.inter_arrival * n_transactions + drain)
     mdbs.finalize()
     reports = mdbs.check()
-    submit_at = {txn.txn_id: txn.submit_at for txn in transactions}
     decided_at: dict[str, float] = {}
     for event in mdbs.sim.trace.select(category="protocol", name="decide"):
         decided_at.setdefault(event.details["txn"], event.time)
     latencies = [
-        decided_at[txn_id] - at
-        for txn_id, at in submit_at.items()
-        if txn_id in decided_at
+        decided_at[txn.txn_id] - txn.submit_at
+        for txn in transactions
+        if txn.txn_id in decided_at
     ]
-    # Peak concurrently-open transactions: sweep submit/decide endpoints.
-    endpoints = sorted(
-        [(at, 1) for txn_id, at in submit_at.items() if txn_id in decided_at]
-        + [(decided_at[txn_id], -1) for txn_id in submit_at if txn_id in decided_at]
-    )
-    depth = peak_depth = 0
-    for _, delta in endpoints:
-        depth += delta
-        peak_depth = max(peak_depth, depth)
-    coordinators = sorted({txn.coordinator for txn in transactions})
     return ScenarioResult(
         events=n_transactions,
         trace_events=len(mdbs.sim.trace),
@@ -701,6 +701,34 @@ def _coordinator_storm(sharded: bool, smoke: bool) -> ScenarioResult:
             reports.all_hold and len(decided_at) == n_transactions
         ),
         detail={
+            **describe(mdbs, transactions, decided_at),
+            "transactions": n_transactions,
+            "decided": len(decided_at),
+            "decision_latency_vt": _latency_percentiles(latencies),
+            "service_time": 0.5,
+            "kernel_steps": mdbs.sim.steps_executed,
+        },
+    )
+
+
+def _coordinator_storm(topology, smoke: bool) -> ScenarioResult:
+    """One half of the sharding pair. ``detail`` adds the peak number of
+    concurrently open transactions, which confirms the storm is dense
+    enough (pipeline depth >= 8) for the central queue to matter."""
+    sharded = topology.coordinator_per_site
+
+    def describe(mdbs, transactions, decided_at) -> dict:
+        # Peak concurrently-open transactions: sweep submit/decide endpoints.
+        decided = [txn for txn in transactions if txn.txn_id in decided_at]
+        endpoints = sorted(
+            [(txn.submit_at, 1) for txn in decided]
+            + [(decided_at[txn.txn_id], -1) for txn in decided]
+        )
+        depth = peak_depth = 0
+        for _, delta in endpoints:
+            depth += delta
+            peak_depth = max(peak_depth, depth)
+        return {
             "counterpart": (
                 "commit-storm-single-prany"
                 if sharded
@@ -708,15 +736,11 @@ def _coordinator_storm(sharded: bool, smoke: bool) -> ScenarioResult:
             ),
             "sharded": sharded,
             "placement": "hash" if sharded else "tm",
-            "coordinators": coordinators,
-            "transactions": n_transactions,
-            "decided": len(decided_at),
-            "decision_latency_vt": _latency_percentiles(latencies),
+            "coordinators": sorted({txn.coordinator for txn in transactions}),
             "peak_open_transactions": peak_depth,
-            "service_time": 0.5,
-            "kernel_steps": mdbs.sim.steps_executed,
-        },
-    )
+        }
+
+    return _topology_storm(topology, 5_000.0, smoke, describe)
 
 
 @register(
@@ -725,7 +749,9 @@ def _coordinator_storm(sharded: bool, smoke: bool) -> ScenarioResult:
     tags=("system", "protocol", "sharding"),
 )
 def _single_coordinator_storm(smoke: bool = False) -> ScenarioResult:
-    return _coordinator_storm(sharded=False, smoke=smoke)
+    from repro.mdbs.topology import Topology
+
+    return _coordinator_storm(Topology.single(), smoke)
 
 
 @register(
@@ -734,133 +760,60 @@ def _single_coordinator_storm(smoke: bool = False) -> ScenarioResult:
     tags=("system", "protocol", "sharding"),
 )
 def _sharded_coordinator_storm(smoke: bool = False) -> ScenarioResult:
-    return _coordinator_storm(sharded=True, smoke=smoke)
+    from repro.mdbs.topology import Topology
+
+    return _coordinator_storm(Topology.sharded(), smoke)
 
 
-# -- replicated-coordinator pair scenarios -----------------------------------
-#
-# The same dense PrAny storm with the tm coordinator alone vs replicated
-# over a 3-acceptor Paxos group (``repro.replication``). Both twins run
-# on :class:`~repro.net.network.ServiceTimeNetwork` so the quorum round
-# trips cost simulated time. The pair prices replication honestly:
-# every transaction pays a quorum registration before its PREPAREs and
-# a quorum acceptance before its decision is stable, which shows up as
-# extra messages, extra forces (at the acceptors) and higher decision
-# latency percentiles — in exchange for the nonblocking guarantee the
-# explorer's leader-crash scenarios demonstrate.
+def _replication_storm(acceptors: int, smoke: bool) -> ScenarioResult:
+    """One half of the replication pair (``acceptors`` = 0: the plain
+    twin). ``detail`` adds the acceptor-side force count (every
+    promise/accept is forced before its reply leaves)."""
+    import dataclasses
 
+    from repro.mdbs.topology import Topology
+    from repro.replication import ReplicationConfig
 
-def _replication_storm(replicated: int, smoke: bool) -> ScenarioResult:
-    """Dense PrAny storm, plain vs Paxos-replicated tm coordinator.
-
-    ``events`` is the transaction count — the shared unit of logical
-    work. ``detail`` carries what replication costs: decision latency
-    percentiles in virtual time (now including two quorum round trips),
-    the acceptor-side force count (every promise/accept is forced
-    before its reply leaves), and the message total (quorum fan-out).
-    """
-    from repro.protocols.base import TimeoutConfig
-    from repro.workloads.generator import (
-        WorkloadSpec,
-        build_mdbs,
-        generate_transactions,
-    )
-    from repro.workloads.mixes import three_way
-
-    mix = three_way(4)
-    n_transactions = 36 if smoke else 360
-    # Same rationale as the sharding pair: timers must never decide.
-    timeouts = TimeoutConfig(
-        vote_timeout=5_000.0,
-        resend_interval=5_000.0,
-        inquiry_timeout=5_000.0,
-        inquiry_retry=5_000.0,
-        active_timeout=20_000.0,
-    )
-    replication: "int | object" = 0
-    if replicated:
-        import dataclasses
-
-        from repro.replication import ReplicationConfig
-
+    topology = Topology.single()
+    if acceptors:
         # The liveness timers get the same treatment as the protocol
-        # timers above. The storm runs the acceptors past saturation
-        # (two 0.5-unit services per 0.5-unit arrival), so receive
-        # queues — including the leader's heartbeats — back up far
-        # beyond the 40-unit default; a mid-storm takeover would
-        # measure failover churn, not the quorum round trip.
-        replication = dataclasses.replace(
-            ReplicationConfig.for_group(replicated),
-            heartbeat_interval=1_000.0,
-            failover_timeout=50_000.0,
-            failover_stagger=5_000.0,
-            retry_interval=10_000.0,
+        # timers. The storm runs the acceptors past saturation (two
+        # 0.5-unit services per 0.5-unit arrival), so receive queues —
+        # including the leader's heartbeats — back up far beyond the
+        # 40-unit default; a mid-storm takeover would measure failover
+        # churn, not the quorum round trip.
+        topology = Topology.replicated(
+            dataclasses.replace(
+                ReplicationConfig.for_group(acceptors),
+                heartbeat_interval=1_000.0,
+                failover_timeout=50_000.0,
+                failover_stagger=5_000.0,
+                retry_interval=10_000.0,
+            )
         )
-    mdbs = build_mdbs(
-        mix,
-        coordinator="dynamic",
-        seed=BENCH_SEED,
-        timeouts=timeouts,
-        service_time=0.5,
-        replicated=replication,
-    )
-    spec = WorkloadSpec(
-        n_transactions=n_transactions,
-        abort_fraction=0.2,
-        participants_min=2,
-        participants_max=3,
-        inter_arrival=0.5,
-        hot_keys=0,
-        seed=BENCH_SEED,
-    )
-    transactions = generate_transactions(spec, sorted(mix.site_protocols()))
-    for txn in transactions:
-        mdbs.submit(txn)
+
+    def describe(mdbs, transactions, decided_at) -> dict:
+        return {
+            "counterpart": (
+                "commit-storm-plain-prany"
+                if acceptors
+                else "commit-storm-replicated-prany"
+            ),
+            "replicated": acceptors,
+            "acceptor_forces": sum(
+                site.log.force_count
+                for site_id, site in mdbs.sites.items()
+                if site_id.startswith("acc")
+            ),
+        }
+
     # Drain window: presumed-abort participants that voted Yes after
     # the No already decided only learn the outcome from their own
     # inquiry, one inquiry_timeout after PREPARE. Replication delays
     # PREPARE by the registration round trip (up to ~1.2k units deep
     # in the storm), so the window must cover storm + that delay +
     # inquiry_timeout or the run gets cut off mid-drain.
-    mdbs.run(until=spec.inter_arrival * n_transactions + 11_000.0)
-    mdbs.finalize()
-    reports = mdbs.check()
-    submit_at = {txn.txn_id: txn.submit_at for txn in transactions}
-    decided_at: dict[str, float] = {}
-    for event in mdbs.sim.trace.select(category="protocol", name="decide"):
-        decided_at.setdefault(event.details["txn"], event.time)
-    latencies = [
-        decided_at[txn_id] - at
-        for txn_id, at in submit_at.items()
-        if txn_id in decided_at
-    ]
-    acceptor_forces = sum(
-        site.log.force_count
-        for site_id, site in mdbs.sites.items()
-        if site_id.startswith("acc")
-    )
-    return ScenarioResult(
-        events=n_transactions,
-        trace_events=len(mdbs.sim.trace),
-        messages=mdbs.network.sent_count,
-        checks_passed=(
-            reports.all_hold and len(decided_at) == n_transactions
-        ),
-        detail={
-            "counterpart": (
-                "commit-storm-plain-prany"
-                if replicated
-                else "commit-storm-replicated-prany"
-            ),
-            "replicated": replicated,
-            "transactions": n_transactions,
-            "decided": len(decided_at),
-            "decision_latency_vt": _latency_percentiles(latencies),
-            "acceptor_forces": acceptor_forces,
-            "service_time": 0.5,
-            "kernel_steps": mdbs.sim.steps_executed,
-        },
-    )
+    return _topology_storm(topology, 11_000.0, smoke, describe)
 
 
 @register(
@@ -869,7 +822,7 @@ def _replication_storm(replicated: int, smoke: bool) -> ScenarioResult:
     tags=("system", "protocol", "replication"),
 )
 def _plain_coordinator_storm(smoke: bool = False) -> ScenarioResult:
-    return _replication_storm(replicated=0, smoke=smoke)
+    return _replication_storm(0, smoke)
 
 
 @register(
@@ -878,7 +831,7 @@ def _plain_coordinator_storm(smoke: bool = False) -> ScenarioResult:
     tags=("system", "protocol", "replication"),
 )
 def _replicated_coordinator_storm(smoke: bool = False) -> ScenarioResult:
-    return _replication_storm(replicated=3, smoke=smoke)
+    return _replication_storm(3, smoke)
 
 
 @register(

@@ -178,17 +178,12 @@ def _cmd_explore(args: argparse.Namespace) -> str:
         args.seeds if args.seeds is not None else range(0, 100)
     )
     budget = 30.0 if args.smoke and args.budget is None else args.budget
-    if args.sharded and args.replicated:
-        raise SystemExit(
-            "--sharded and --replicated are mutually exclusive topologies"
-        )
     config = GeneratorConfig(
         protocol=args.protocol,
         mix=args.mix,
         salt=args.salt,
         group_commit=args.group_commit,
-        sharded=args.sharded,
-        replicated=args.replicated,
+        topology=_topology_from_args(args),
     )
 
     def progress(done: int, violations: int) -> None:
@@ -381,14 +376,26 @@ def _cmd_bench(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_live(args: argparse.Namespace) -> str:
-    # Imported lazily: the live runtime pulls in asyncio server
-    # machinery that the simulated commands never need.
-    import asyncio
-    import tempfile
+def _topology_from_args(args: argparse.Namespace):
+    """The topology ``--sharded`` / ``--replicated N`` name (argparse
+    already refused the pair)."""
+    from repro.mdbs.topology import Topology
 
-    from repro.rt.cluster import LIVE_TIMEOUTS, RUN_MARGIN, LiveCluster
-    from repro.workloads.generator import WorkloadSpec, generate_transactions
+    try:
+        return Topology.from_flags(args.sharded, args.replicated)
+    except ReproError as exc:
+        raise SystemExit(f"--replicated {args.replicated}: {exc}")
+
+
+def _cluster_from_args(args: argparse.Namespace, command: str):
+    """What ``live`` and ``loadgen`` share: protocol → mix + coordinator
+    policy, topology, runtime class and constructor options.
+
+    Returns ``(mix, topology, pool, make_cluster, mode)``: ``pool`` is
+    how many sites one transaction may touch, ``make_cluster(data_dir)``
+    builds the (unstarted) cluster and ``mode`` describes it.
+    """
+    from repro.rt.cluster import LIVE_TIMEOUTS, LiveCluster
     from repro.workloads.mixes import homogeneous, three_way
 
     canonical = {"prn": "PrN", "pra": "PrA", "prc": "PrC"}
@@ -400,14 +407,48 @@ def _cmd_live(args: argparse.Namespace) -> str:
         mix, coordinator = homogeneous(fixed, args.participants), fixed
     else:
         raise SystemExit(
-            f"unknown live protocol {args.protocol!r}; "
+            f"unknown {command} protocol {args.protocol!r}; "
             f"expected prany, prn, pra or prc"
         )
+    topology = _topology_from_args(args)
+    try:
+        topology.validate(mix)
+    except ReproError as exc:
+        raise SystemExit(str(exc))
+    if args.multiprocess:
+        from repro.rt.proc import ProcessCluster as cluster_cls
+    else:
+        cluster_cls = LiveCluster
 
-    if args.sharded and args.replicated:
-        raise SystemExit(
-            "--sharded and --replicated are mutually exclusive topologies"
+    def make_cluster(data_dir):
+        return cluster_cls(
+            mix,
+            data_dir,
+            coordinator=coordinator,
+            seed=args.seed,
+            timeouts=LIVE_TIMEOUTS,
+            time_scale=args.time_scale,
+            fsync=not args.no_fsync,
+            topology=topology,
+            codec=args.codec,
         )
+
+    mode = "one OS process per site" if args.multiprocess else "in-process"
+    if topology.label:
+        mode += f", {topology.label}"
+    return mix, topology, topology.participant_pool(len(mix)), make_cluster, mode
+
+
+def _cmd_live(args: argparse.Namespace) -> str:
+    # Imported lazily: the live runtime pulls in asyncio server
+    # machinery that the simulated commands never need.
+    import asyncio
+    import tempfile
+
+    from repro.rt.cluster import RUN_MARGIN
+    from repro.workloads.generator import WorkloadSpec, generate_transactions
+
+    mix, topology, pool, make_cluster, mode = _cluster_from_args(args, "live")
 
     if args.bench:
         from repro.bench import (
@@ -509,14 +550,6 @@ def _cmd_live(args: argparse.Namespace) -> str:
         return "\n".join(lines)
 
     n_transactions = 6 if args.smoke else args.transactions
-    if args.sharded and args.participants < 2:
-        raise SystemExit(
-            "--sharded needs at least 2 participants: each transaction's "
-            "coordinator comes from the sites it does not touch"
-        )
-    # Sharded placement draws each coordinator from the non-participant
-    # sites, so one site must stay free of every transaction.
-    pool = args.participants - 1 if args.sharded else args.participants
     spec = WorkloadSpec(
         n_transactions=n_transactions,
         abort_fraction=args.abort_fraction,
@@ -527,24 +560,8 @@ def _cmd_live(args: argparse.Namespace) -> str:
         seed=args.seed,
     )
 
-    if args.multiprocess:
-        from repro.rt.proc import ProcessCluster as cluster_cls
-    else:
-        cluster_cls = LiveCluster
-
     async def go(data_dir: str) -> list[str]:
-        cluster = cluster_cls(
-            mix,
-            data_dir,
-            coordinator=coordinator,
-            seed=args.seed,
-            timeouts=LIVE_TIMEOUTS,
-            time_scale=args.time_scale,
-            fsync=not args.no_fsync,
-            sharded=args.sharded,
-            replicated=args.replicated,
-            codec=args.codec,
-        )
+        cluster = make_cluster(data_dir)
         await cluster.start()
         kill_notes: list[str] = []
         kill_tasks: list[asyncio.Task] = []
@@ -579,13 +596,8 @@ def _cmd_live(args: argparse.Namespace) -> str:
                     kill_tasks.append(loop.create_task(kill_and_restart()))
 
             cluster.sim.trace.subscribe(on_event)
-        placement = None
-        if args.sharded:
-            from repro.mdbs.placement import placement_for
-
-            placement = placement_for("hash")
         for txn in generate_transactions(
-            spec, sorted(mix.site_protocols()), placement=placement
+            spec, sorted(mix.site_protocols()), placement=topology.placement
         ):
             cluster.submit(txn)
         await cluster.run(
@@ -601,13 +613,6 @@ def _cmd_live(args: argparse.Namespace) -> str:
         outcomes = cluster.outcomes()
         reports = cluster.check()
 
-        mode = (
-            "one OS process per site" if args.multiprocess else "in-process"
-        )
-        if args.sharded:
-            mode += ", sharded coordinators"
-        if args.replicated:
-            mode += f", tm replicated over {args.replicated} acceptors"
         lines = [
             f"live run — {mix.name} over {len(mix)} participants "
             f"({mode}), {n_transactions} transactions, "
@@ -648,31 +653,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
     import asyncio
     import tempfile
 
-    from repro.rt.cluster import LIVE_TIMEOUTS, LiveCluster
-    from repro.workloads.mixes import homogeneous, three_way
     from repro.workloads.openloop import OpenLoopSpec, run_rate_sweep
 
-    canonical = {"prn": "PrN", "pra": "PrA", "prc": "PrC"}
-    protocol = args.protocol.lower()
-    if protocol == "prany":
-        mix, coordinator = three_way(args.participants), "dynamic"
-    elif protocol in canonical:
-        fixed = canonical[protocol]
-        mix, coordinator = homogeneous(fixed, args.participants), fixed
-    else:
-        raise SystemExit(
-            f"unknown loadgen protocol {args.protocol!r}; "
-            f"expected prany, prn, pra or prc"
-        )
-    if args.sharded and args.replicated:
-        raise SystemExit(
-            "--sharded and --replicated are mutually exclusive topologies"
-        )
-    if args.sharded and args.participants < 2:
-        raise SystemExit(
-            "--sharded needs at least 2 participants: each transaction's "
-            "coordinator comes from the sites it does not touch"
-        )
+    mix, topology, pool, make_cluster, mode = _cluster_from_args(
+        args, "loadgen"
+    )
     try:
         rates = sorted(float(rate) for rate in args.rates.split(","))
     except ValueError:
@@ -680,9 +665,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
     if args.smoke:
         rates = rates[:2]
 
-    # Sharded placement draws each coordinator from the non-participant
-    # sites, so one site must stay free of every transaction.
-    pool = args.participants - 1 if args.sharded else args.participants
     try:
         spec = OpenLoopSpec(
             rate=rates[0],
@@ -701,44 +683,21 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
     except ReproError as exc:
         raise SystemExit(str(exc))
 
-    if args.multiprocess:
-        from repro.rt.proc import ProcessCluster as cluster_cls
-    else:
-        cluster_cls = LiveCluster
-
-    placement = None
-    if args.sharded:
-        from repro.mdbs.placement import placement_for
-
-        placement = placement_for("hash")
-
     async def go(data_dir: str) -> dict:
         async def factory(rate: float):
-            cluster = cluster_cls(
-                mix,
-                Path(data_dir) / f"rate{rate:g}",
-                coordinator=coordinator,
-                seed=args.seed,
-                timeouts=LIVE_TIMEOUTS,
-                time_scale=args.time_scale,
-                fsync=not args.no_fsync,
-                sharded=args.sharded,
-                replicated=args.replicated,
-                codec=args.codec,
-            )
+            cluster = make_cluster(Path(data_dir) / f"rate{rate:g}")
             await cluster.start()
             return cluster
 
-        # run_rate_sweep's ``coordinator`` is the coordinator *site*
-        # (the default "tm"); ``coordinator`` here is the policy the
-        # cluster's engines run. Sharded topologies place per-txn.
+        # Transactions go to run_rate_sweep's default coordinator site
+        # ("tm") unless the topology places them per transaction.
         return await run_rate_sweep(
             factory,
             spec,
             rates,
             sorted(mix.site_protocols()),
             time_scale=args.time_scale,
-            placement=placement,
+            placement=topology.placement,
         )
 
     if args.data_dir is not None:
@@ -747,11 +706,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
         with tempfile.TemporaryDirectory() as tmp:
             sweep = asyncio.run(go(tmp))
 
-    mode = "one OS process per site" if args.multiprocess else "in-process"
-    if args.sharded:
-        mode += ", sharded coordinators"
-    if args.replicated:
-        mode += f", tm replicated over {args.replicated} acceptors"
     lines = [
         f"open-loop sweep — {mix.name} over {len(mix)} participants "
         f"({mode}, {args.codec} codec), {spec.n_transactions} txns/rate, "
@@ -799,6 +753,31 @@ def _cmd_all(args: argparse.Namespace) -> str:
     sections.append(_cmd_taxonomy(args))
     rule = "\n" + "=" * 72 + "\n"
     return rule.join(sections)
+
+
+def _add_topology_flags(
+    command: argparse.ArgumentParser,
+    sharded_note: str = "",
+    replicated_note: str = "",
+) -> None:
+    """``--sharded`` / ``--replicated N``: the serialised form of
+    :class:`repro.mdbs.topology.Topology`, one of which at most."""
+    group = command.add_mutually_exclusive_group()
+    group.add_argument(
+        "--sharded",
+        action="store_true",
+        help="shard the coordinator role across every site (hash "
+        "placement, no tm site)" + sharded_note,
+    )
+    group.add_argument(
+        "--replicated",
+        type=int,
+        default=0,
+        metavar="N",
+        help="replicate the tm coordinator over N Paxos acceptor sites "
+        "(acc0..acc{N-1}, own WALs, decisions stable at a quorum)"
+        + replicated_note,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -877,21 +856,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run scenarios on the group-commit engine (log-force "
         "coalescing + message batching)",
     )
-    explore.add_argument(
-        "--sharded",
-        action="store_true",
-        help="shard the coordinator role across every site (hash "
-        "placement, no tm site); coordinator crashes target each "
-        "transaction's actual owner",
-    )
-    explore.add_argument(
-        "--replicated",
-        type=int,
-        default=0,
-        metavar="N",
-        help="replicate the tm coordinator over N Paxos acceptors; the "
-        "adversary adds acceptor-crash and leader-crash-then-failover "
-        "victims (mutually exclusive with --sharded)",
+    _add_topology_flags(
+        explore,
+        sharded_note="; coordinator crashes target each transaction's "
+        "actual owner",
+        replicated_note="; the adversary adds acceptor-crash and "
+        "leader-crash-then-failover victims",
     )
     explore.add_argument(
         "--artifacts",
@@ -1014,22 +984,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip fsync on log forces (faster; tests only)",
     )
-    live.add_argument(
-        "--sharded",
-        action="store_true",
-        help="shard the coordinator role across every site (hash "
-        "placement, no tm site); with --bench, measure only the "
-        "single-vs-sharded scenario pair",
-    )
-    live.add_argument(
-        "--replicated",
-        type=int,
-        default=0,
-        metavar="N",
-        help="replicate the tm coordinator over N Paxos acceptor hosts "
-        "(acc0..acc{N-1}, own WALs, decisions stable at a quorum); with "
-        "--bench, measure only the plain-vs-replicated scenario pair "
-        "(mutually exclusive with --sharded)",
+    _add_topology_flags(
+        live,
+        sharded_note="; with --bench, measure only the single-vs-sharded "
+        "scenario pair",
+        replicated_note="; with --bench, measure only the "
+        "plain-vs-replicated scenario pair",
     )
     live.add_argument(
         "--codec",
@@ -1148,20 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run every site as its own supervised OS process",
     )
-    loadgen.add_argument(
-        "--sharded",
-        action="store_true",
-        help="shard the coordinator role across every site (hash "
-        "placement, no tm site)",
-    )
-    loadgen.add_argument(
-        "--replicated",
-        type=int,
-        default=0,
-        metavar="N",
-        help="replicate the tm coordinator over N Paxos acceptor hosts "
-        "(mutually exclusive with --sharded)",
-    )
+    _add_topology_flags(loadgen)
     loadgen.add_argument(
         "--data-dir",
         default=None,

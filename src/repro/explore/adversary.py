@@ -19,15 +19,15 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Optional
 
 from repro.errors import WorkloadError
+from repro.mdbs.topology import COORDINATOR_ID, Topology
+from repro.mdbs.transaction import GlobalTransaction
 from repro.workloads.failure_schedules import (
     acceptor_crash_points,
     coordinator_crash_points,
     participant_crash_points,
 )
+from repro.workloads.generator import WorkloadSpec, generate_transactions
 from repro.workloads.mixes import MIXES
-
-#: Site id of the coordinating transaction manager in every scenario.
-COORDINATOR_SITE = "tm"
 
 #: Message kinds a targeted omission may filter on (``None`` = any).
 _DROPPABLE_KINDS: tuple[Optional[str], ...] = (
@@ -50,13 +50,10 @@ _CRASH_POINTS = {
 }
 
 
-def participant_bounds(n_sites: int, sharded: bool) -> tuple[int, int]:
-    """Participant count range for a scenario workload.
-
-    Sharded placement picks each transaction's coordinator from the
-    sites it does *not* touch, so at least one site must stay free.
-    """
-    upper = max(1, n_sites - 1) if sharded else n_sites
+def participant_bounds(n_sites: int, topology: Topology) -> tuple[int, int]:
+    """Participant count range for a scenario workload over ``n_sites``
+    mix sites (see :meth:`Topology.participant_pool`)."""
+    upper = topology.participant_pool(n_sites)
     return min(2, upper), upper
 
 
@@ -171,13 +168,9 @@ class ScenarioSpec:
         group_commit: run on the group-commit engine (log-force
             coalescing + message batching, default configs) instead of
             the plain synchronous stack.
-        sharded: shard the coordinator role across every site (hash
-            placement, no ``tm`` site) instead of the central
-            single-coordinator topology.
-        replicated: run the ``tm`` coordinator over this many Paxos
-            acceptor sites (``acc0..``, see ``repro.replication``);
-            0 keeps the plain single coordinator. Mutually exclusive
-            with ``sharded``.
+        topology: where the coordinator engines live
+            (:class:`~repro.mdbs.topology.Topology`); serialised as the
+            ``sharded`` / ``replicated`` keys.
         actions: the adversary schedule.
     """
 
@@ -193,8 +186,7 @@ class ScenarioSpec:
     horizon: float = 400.0
     settle: float = 200.0
     group_commit: bool = False
-    sharded: bool = False
-    replicated: int = 0
+    topology: Topology = Topology()
     actions: tuple[AdversaryAction, ...] = ()
 
     def __post_init__(self) -> None:
@@ -205,12 +197,6 @@ class ScenarioSpec:
                 f"invalid latency range "
                 f"[{self.latency_low!r}, {self.latency_high!r}]"
             )
-        if self.sharded and self.replicated:
-            raise WorkloadError(
-                "sharded and replicated are mutually exclusive topologies"
-            )
-        if self.replicated < 0:
-            raise WorkloadError(f"replicated must be >= 0: {self.replicated!r}")
         for action in self.actions:
             if isinstance(action, CrashWhen) and action.point not in _CRASH_POINTS:
                 raise WorkloadError(f"unknown crash point {action.point!r}")
@@ -219,6 +205,25 @@ class ScenarioSpec:
     def txn_ids(self) -> tuple[str, ...]:
         """The workload's transaction ids (fixed by the generator)."""
         return tuple(f"t{i:04d}" for i in range(self.n_transactions))
+
+    def transactions(self) -> list[GlobalTransaction]:
+        """The scenario's workload stream (a pure function of the spec)."""
+        mix = MIXES[self.mix]
+        pmin, pmax = participant_bounds(len(mix), self.topology)
+        workload = WorkloadSpec(
+            n_transactions=self.n_transactions,
+            abort_fraction=self.abort_fraction,
+            participants_min=pmin,
+            participants_max=pmax,
+            inter_arrival=self.inter_arrival,
+            hot_keys=self.hot_keys,
+            seed=self.seed,
+        )
+        return generate_transactions(
+            workload,
+            sorted(mix.site_protocols()),
+            placement=self.topology.placement,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         payload = {
@@ -239,18 +244,18 @@ class ScenarioSpec:
             # Emitted only when set, so pinned pre-group-commit artifacts
             # stay byte-identical (and replay cleanly via from_dict).
             payload["group_commit"] = True
-        if self.sharded:
-            # Same rule: absent in every pre-sharding artifact.
-            payload["sharded"] = True
-        if self.replicated:
-            payload["replicated"] = self.replicated
+        # Same rule: absent in every pre-sharding/-replication artifact.
+        payload.update(self.topology.flags())
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ScenarioSpec":
         data = dict(payload)
         actions = tuple(action_from_dict(a) for a in data.pop("actions", []))
-        return cls(actions=actions, **data)
+        topology = Topology.from_flags(
+            data.pop("sharded", False), data.pop("replicated", 0)
+        )
+        return cls(actions=actions, topology=topology, **data)
 
     def with_actions(self, actions: tuple[AdversaryAction, ...]) -> "ScenarioSpec":
         return replace(self, actions=actions)
@@ -300,16 +305,15 @@ class GeneratorConfig:
             explore different schedules for the same seed range.
         group_commit: generate every scenario on the group-commit
             engine (log-force coalescing + message batching).
-        sharded: generate every scenario on the sharded-coordinator
-            topology. Coordinator-role crash points then target the
-            victim transaction's *actual* hash-placed coordinator
-            (resolved at generation time — placement is deterministic),
-            so coordinator kills land on every shard over a sweep.
-        replicated: generate every scenario with the ``tm`` coordinator
-            replicated over this many Paxos acceptors. The adversary's
-            victim pool then includes the acceptor sites, the
-            acceptor-role crash points become sampleable, and leader
-            kills exercise the failover path instead of blocking.
+        topology: generate every scenario on this topology. Sharded:
+            coordinator-role crash points target the victim
+            transaction's *actual* hash-placed coordinator (resolved at
+            generation time — placement is deterministic), so
+            coordinator kills land on every shard over a sweep.
+            Replicated: the adversary's victim pool includes the
+            acceptor sites, the acceptor-role crash points become
+            sampleable, and leader kills exercise the failover path
+            instead of blocking.
     """
 
     protocol: str = "prany"
@@ -318,18 +322,13 @@ class GeneratorConfig:
     max_transactions: int = 4
     salt: int = 0
     group_commit: bool = False
-    sharded: bool = False
-    replicated: int = 0
+    topology: Topology = Topology()
 
     def __post_init__(self) -> None:
         if self.mix is not None and self.mix not in MIXES:
             raise WorkloadError(f"unknown mix {self.mix!r}")
         if self.max_actions < 1 or self.max_transactions < 1:
             raise WorkloadError("max_actions and max_transactions must be >= 1")
-        if self.sharded and self.replicated:
-            raise WorkloadError(
-                "sharded and replicated are mutually exclusive topologies"
-            )
 
     @property
     def coordinator_choices(self) -> tuple[str, ...]:
@@ -359,43 +358,8 @@ class AdversaryGenerator:
         else:
             latency_low = latency_high = 1.0
 
-        sites = sorted(MIXES[mix_name].site_protocols())
-        txn_ids = tuple(f"t{i:04d}" for i in range(n_transactions))
         active_until = n_transactions * inter_arrival + 120.0
-        # Sharded topologies have no fixed coordinator site: resolve
-        # each transaction's hash-placed owner now (the workload stream
-        # is a pure function of the spec, so this matches the run
-        # exactly) and aim coordinator-role crashes at it. Uses the
-        # workload's own RNG, so the sampling stream here is untouched.
-        coordinator_of: dict[str, str] = {}
-        if cfg.sharded:
-            from repro.mdbs.placement import HashPlacement
-            from repro.workloads.generator import (
-                WorkloadSpec,
-                generate_transactions,
-            )
-
-            pmin, pmax = participant_bounds(len(sites), sharded=True)
-            workload = WorkloadSpec(
-                n_transactions=n_transactions,
-                abort_fraction=abort_fraction,
-                participants_min=pmin,
-                participants_max=pmax,
-                inter_arrival=inter_arrival,
-                hot_keys=hot_keys,
-                seed=seed,
-            )
-            coordinator_of = {
-                txn.txn_id: txn.coordinator
-                for txn in generate_transactions(
-                    workload, sites, placement=HashPlacement()
-                )
-            }
-        actions = tuple(
-            self._sample_action(rng, sites, txn_ids, active_until, coordinator_of)
-            for _ in range(rng.randint(1, cfg.max_actions))
-        )
-        return ScenarioSpec(
+        spec = ScenarioSpec(
             seed=seed,
             mix=mix_name,
             coordinator=coordinator,
@@ -408,25 +372,45 @@ class AdversaryGenerator:
             horizon=active_until + 180.0,
             settle=200.0,
             group_commit=cfg.group_commit,
-            sharded=cfg.sharded,
-            replicated=cfg.replicated,
-            actions=actions,
+            topology=cfg.topology,
         )
+        mix = MIXES[mix_name]
+        sites = sorted(mix.site_protocols())
+        # Victim/endpoint pool: every site of the layout (the mix sites,
+        # then tm and the acceptors where the topology has them).
+        every = [site.site_id for site in cfg.topology.sites(mix, coordinator)]
+        # Sharded topologies have no fixed coordinator site: resolve
+        # each transaction's hash-placed owner now (the workload stream
+        # is a pure function of the spec, so this matches the run
+        # exactly) and aim coordinator-role crashes at it. Uses the
+        # workload's own RNG, so the sampling stream here is untouched.
+        coordinator_of: dict[str, str] = {}
+        if cfg.topology.coordinator_per_site:
+            coordinator_of = {
+                txn.txn_id: txn.coordinator for txn in spec.transactions()
+            }
+        actions = tuple(
+            self._sample_action(
+                rng, sites, every, spec.txn_ids, active_until, coordinator_of
+            )
+            for _ in range(rng.randint(1, cfg.max_actions))
+        )
+        return spec.with_actions(actions)
 
     def _sample_action(
         self,
         rng: random.Random,
         sites: list[str],
+        every: list[str],
         txn_ids: tuple[str, ...],
         active_until: float,
-        coordinator_of: Optional[dict[str, str]] = None,
+        coordinator_of: dict[str, str],
     ) -> AdversaryAction:
-        sharded = self.config.sharded
-        acceptors = [f"acc{i}" for i in range(self.config.replicated)]
-        # Sharded topologies have no tm site; every site plays both
-        # roles, so victims/endpoints come from the site pool alone.
-        # Replicated topologies add the acceptor group to the pool.
-        every = sites if sharded else sites + [COORDINATOR_SITE] + acceptors
+        topology = self.config.topology
+        sharded = topology.coordinator_per_site
+        acceptors = (
+            list(topology.replication.acceptors) if topology.replication else []
+        )
         kind = rng.choices(
             ("crash_when", "crash_at", "partition", "drop_next", "loss"),
             weights=(40, 15, 15, 15, 15),
@@ -455,7 +439,7 @@ class AdversaryGenerator:
                 # or its predicate can never fire.
                 txn = rng.choice(txn_ids)
                 if crash_point.role == "coordinator":
-                    victim = (coordinator_of or {}).get(txn) or rng.choice(sites)
+                    victim = coordinator_of.get(txn) or rng.choice(sites)
                 else:
                     victim = rng.choice(sites)
                 return CrashWhen(
@@ -466,7 +450,7 @@ class AdversaryGenerator:
                     delay=rng.choice((0.0, 0.0, 0.5, 2.0)),
                 )
             victim = (
-                COORDINATOR_SITE
+                COORDINATOR_ID
                 if crash_point.role == "coordinator"
                 else rng.choice(sites)
             )

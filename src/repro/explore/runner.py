@@ -32,9 +32,7 @@ from repro.explore.adversary import (
     PartitionWindow,
     ScenarioSpec,
     _CRASH_POINTS,
-    participant_bounds,
 )
-from repro.mdbs.placement import HashPlacement
 from repro.explore.oracle import InvariantOracle, OracleVerdict
 from repro.mdbs.system import MDBS
 from repro.net.batching import NetBatchConfig
@@ -42,8 +40,7 @@ from repro.net.failures import CrashSchedule
 from repro.net.network import ConstantLatency, UniformLatency
 from repro.storage.group_commit import GroupCommitConfig
 from repro.sim.tracing import TraceRecorder
-from repro.workloads.generator import build_mdbs, generate_transactions
-from repro.workloads.generator import WorkloadSpec
+from repro.workloads.generator import build_mdbs
 from repro.workloads.mixes import MIXES
 
 #: How many repair-round/settle cycles a run gets after the horizon.
@@ -105,8 +102,7 @@ def build_scenario(spec: ScenarioSpec) -> MDBS:
         seed=spec.seed,
         group_commit=GroupCommitConfig() if spec.group_commit else None,
         net_batching=NetBatchConfig() if spec.group_commit else None,
-        sharded=spec.sharded,
-        replicated=spec.replicated,
+        topology=spec.topology,
     )
     if spec.latency_high > spec.latency_low:
         mdbs.network.set_latency(
@@ -115,21 +111,7 @@ def build_scenario(spec: ScenarioSpec) -> MDBS:
     else:
         mdbs.network.set_latency(ConstantLatency(spec.latency_low))
     _install_adversary(mdbs, spec)
-    pmin, pmax = participant_bounds(len(mix), spec.sharded)
-    workload = WorkloadSpec(
-        n_transactions=spec.n_transactions,
-        abort_fraction=spec.abort_fraction,
-        participants_min=pmin,
-        participants_max=pmax,
-        inter_arrival=spec.inter_arrival,
-        hot_keys=spec.hot_keys,
-        seed=spec.seed,
-    )
-    for txn in generate_transactions(
-        workload,
-        sorted(mix.site_protocols()),
-        placement=HashPlacement() if spec.sharded else None,
-    ):
+    for txn in spec.transactions():
         mdbs.submit(txn)
     return mdbs
 

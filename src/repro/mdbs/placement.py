@@ -52,47 +52,3 @@ class HashPlacement:
             )
         digest = hashlib.sha256(txn_id.encode("utf-8")).digest()
         return ordered[int.from_bytes(digest[:8], "big") % len(ordered)]
-
-
-class RoundRobinPlacement:
-    """Cycle through coordinators in sorted order of first sighting.
-
-    Stateful: deterministic for a fixed submission order, but two
-    processes placing different prefixes of the stream diverge. Use it
-    where one process owns placement for the whole stream (the workload
-    generator does) — not for independent re-derivation.
-    """
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def choose(self, txn_id: str, eligible: Sequence[str]) -> str:
-        ordered = sorted(eligible)
-        if not ordered:
-            raise WorkloadError(
-                f"transaction {txn_id!r} has no eligible coordinator"
-            )
-        site = ordered[self._next % len(ordered)]
-        self._next += 1
-        return site
-
-
-#: Placement policy names accepted by the CLI and the workload builders.
-PLACEMENTS = {
-    "hash": HashPlacement,
-    "round-robin": RoundRobinPlacement,
-}
-
-
-def placement_for(name: str) -> PlacementPolicy:
-    """Instantiate the placement policy registered under ``name``."""
-    try:
-        factory = PLACEMENTS[name]
-    except KeyError:
-        raise WorkloadError(
-            f"unknown placement policy {name!r}; "
-            f"known: {sorted(PLACEMENTS)}"
-        )
-    return factory()

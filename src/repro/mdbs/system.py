@@ -19,11 +19,12 @@ exposes the paper's correctness checks over the finished run:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.core.correctness import (
     AtomicityReport,
     OperationalReport,
+    SiteView,
     check_atomicity,
     check_operational_correctness,
 )
@@ -39,6 +40,7 @@ from repro.protocols.base import TimeoutConfig, participant_spec
 from repro.protocols.registry import selector_for
 from repro.replication import ReplicationConfig
 from repro.sim.kernel import Simulator
+from repro.sim.tracing import TraceRecorder
 from repro.storage.group_commit import GroupCommitConfig
 from repro.storage.pcp import CommitProtocolDirectory
 
@@ -50,6 +52,17 @@ class RunReports:
     atomicity: AtomicityReport
     safe_state: SafeStateReport
     operational: OperationalReport
+
+    @classmethod
+    def of(cls, trace: TraceRecorder, sites: Iterable[SiteView]) -> "RunReports":
+        """Run all three checkers over a run's trace and its sites
+        (whatever runtime produced them)."""
+        history = History.from_trace(trace)
+        return cls(
+            atomicity=check_atomicity(history, trace),
+            safe_state=check_safe_state(history),
+            operational=check_operational_correctness(sites, history, trace),
+        )
 
     @property
     def all_hold(self) -> bool:
@@ -316,14 +329,7 @@ class MDBS:
 
     def check(self) -> RunReports:
         """Run all three checkers over the current run state."""
-        history = self.history()
-        return RunReports(
-            atomicity=check_atomicity(history, self.sim.trace),
-            safe_state=check_safe_state(history),
-            operational=check_operational_correctness(
-                self.sites.values(), history, self.sim.trace
-            ),
-        )
+        return RunReports.of(self.sim.trace, self.sites.values())
 
     def __repr__(self) -> str:
         return (

@@ -16,7 +16,8 @@ TM, log and site code through the same four-member seam (``now`` /
   conformant with the simulated one (see ``tests/rt/``);
 * :mod:`~repro.rt.proc` — the same cluster with every site as its own
   supervised OS process (``SIGKILL`` crash injection, recovery-first
-  boot, heartbeat monitoring).
+  boot, heartbeat monitoring); both are
+  :class:`~repro.rt.cluster.ClusterDriver` subclasses.
 """
 
 from repro.rt.codec import (
@@ -29,8 +30,9 @@ from repro.rt.codec import (
 )
 from repro.rt.cluster import (
     LIVE_TIMEOUTS,
+    ClusterDriver,
     LiveCluster,
-    run_live_workload,
+    run_workload,
 )
 from repro.rt.host import SiteHost, build_site
 from repro.rt.proc import (
@@ -39,7 +41,6 @@ from repro.rt.proc import (
     ProcessControlError,
     SiteProcess,
     SiteProcessConfig,
-    run_multiprocess_workload,
 )
 from repro.rt.runtime import LiveRuntime, LiveTimer
 from repro.rt.store import FileBackedStore
@@ -53,8 +54,9 @@ __all__ = [
     "encode_message",
     "read_frame",
     "LIVE_TIMEOUTS",
+    "ClusterDriver",
     "LiveCluster",
-    "run_live_workload",
+    "run_workload",
     "SiteHost",
     "build_site",
     "KillSpec",
@@ -62,7 +64,6 @@ __all__ = [
     "ProcessControlError",
     "SiteProcess",
     "SiteProcessConfig",
-    "run_multiprocess_workload",
     "LiveRuntime",
     "LiveTimer",
     "FileBackedStore",

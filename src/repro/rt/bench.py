@@ -58,12 +58,15 @@ from __future__ import annotations
 import asyncio
 import tempfile
 import time
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Optional
 
 from repro.bench.report import Regression
 from repro.bench.runner import _quantile
 from repro.bench.scenarios import BENCH_SEED, Scenario, ScenarioResult
+from repro.mdbs.topology import Topology
 from repro.storage.group_commit import GroupCommitConfig
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.mixes import three_way
@@ -194,286 +197,126 @@ LIVE_OPTIMIZATION_HISTORY: list[dict[str, Any]] = [
 ]
 
 
-def run_live_scenario(smoke: bool = False) -> ScenarioResult:
-    """One PrAny commit workload over a live 3-participant cluster."""
-    from repro.rt.cluster import run_live_workload
+@dataclass(frozen=True)
+class ClosedBatch:
+    """One closed-batch scenario: a generated PrAny workload (abort
+    fraction 0.25, 2-3 participants, seed :data:`BENCH_SEED`) run to
+    quiescence over one cluster shape.
 
-    n_transactions = 8 if smoke else 24
-    spec = WorkloadSpec(
-        n_transactions=n_transactions,
-        abort_fraction=0.25,
-        participants_min=2,
-        participants_max=3,
-        inter_arrival=1.0,
-        hot_keys=0,
-        seed=BENCH_SEED,
-    )
+    Attributes:
+        transactions: workload size, ``(smoke, full)``.
+        multiprocess: one supervised OS process per site instead of
+            in-process hosts.
+        n_sites: participant sites in the three-way mix.
+        pipeline: concurrency cap of the open-loop driver; ``None``
+            paces arrivals one per virtual unit.
+        group_commit: WAL fsync coalescing window, if any.
+        topology: where the coordinators live.
+        describe: ``cluster -> dict`` of what this row adds to the
+            common ``detail`` keys.
+    """
 
-    async def go(data_dir: str):
-        return await run_live_workload(
-            three_way(3), "dynamic", spec, data_dir
+    transactions: tuple[int, int]
+    multiprocess: bool = False
+    n_sites: int = 3
+    pipeline: Optional[int] = None
+    group_commit: Optional[GroupCommitConfig] = None
+    topology: Topology = Topology()
+    describe: Callable[[Any], dict[str, Any]] = lambda cluster: {}
+
+    def run(self, smoke: bool = False) -> ScenarioResult:
+        """Run the row and fold the finished cluster into a scenario
+        result.
+
+        ``messages`` is the cluster-wide sent total of the sites' transport
+        counters (each child of a process cluster ships its own in its
+        ``summary`` reply), so rows are comparable on message volume across
+        runtimes.
+        """
+        from repro.rt.cluster import LiveCluster, run_workload
+        from repro.rt.proc import ProcessCluster
+
+        n_transactions = self.transactions[0 if smoke else 1]
+        spec = WorkloadSpec(
+            n_transactions=n_transactions,
+            abort_fraction=0.25,
+            participants_min=2,
+            participants_max=3,  # < 4 sites: a sharded owner always exists
+            inter_arrival=1.0,  # ignored by the pipelined (open-loop) driver
+            hot_keys=0,
+            seed=BENCH_SEED,
         )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cluster = asyncio.run(go(tmp))
-    outcomes = cluster.outcomes()
-    reports = cluster.check()
-    assert cluster.sim is not None
-    sent = sum(h.transport.sent_count for h in cluster.hosts.values())
-    dropped = sum(h.transport.dropped_count for h in cluster.hosts.values())
-    return ScenarioResult(
-        events=n_transactions,
-        trace_events=len(cluster.sim.trace),
-        messages=sent,
-        checks_passed=reports.all_hold and len(outcomes) == n_transactions,
-        detail={
+        with tempfile.TemporaryDirectory() as tmp:
+            cluster = asyncio.run(
+                run_workload(
+                    ProcessCluster if self.multiprocess else LiveCluster,
+                    three_way(self.n_sites),
+                    "dynamic",
+                    spec,
+                    tmp,
+                    pipeline=self.pipeline,
+                    group_commit=self.group_commit,
+                    topology=self.topology,
+                )
+            )
+        outcomes = cluster.outcomes()
+        reports = cluster.check()
+        counts = cluster.message_counts()
+        detail: dict[str, Any] = {
             "transactions": n_transactions,
             "decided": len(outcomes),
             "committed": sum(1 for d in outcomes.values() if d == "commit"),
-            "virtual_units": round(cluster.sim.now, 1),
-            "timers_fired": cluster.sim.steps_executed,
-            "messages_dropped": dropped,
-            "codec": "json",
-        },
-    )
-
-
-def run_live_throughput_scenario(smoke: bool = False) -> ScenarioResult:
-    """The optimized hot path: pipelined arrivals, group-commit WALs,
-    batched socket writes, fsync on."""
-    from repro.rt.cluster import run_live_workload
-
-    n_transactions = 16 if smoke else 128
-    spec = WorkloadSpec(
-        n_transactions=n_transactions,
-        abort_fraction=0.25,
-        participants_min=2,
-        participants_max=3,
-        inter_arrival=1.0,  # ignored: the pipelined driver is open-loop
-        hot_keys=0,
-        seed=BENCH_SEED,
-    )
-
-    async def go(data_dir: str):
-        return await run_live_workload(
-            three_way(3),
-            "dynamic",
-            spec,
-            data_dir,
-            group_commit=THROUGHPUT_GROUP_COMMIT,
-            pipeline=PIPELINE_DEPTH,
-        )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cluster = asyncio.run(go(tmp))
-    outcomes = cluster.outcomes()
-    reports = cluster.check()
-    assert cluster.sim is not None
-    sent = sum(h.transport.sent_count for h in cluster.hosts.values())
-    dropped = sum(h.transport.dropped_count for h in cluster.hosts.values())
-    latencies = sorted(cluster.decision_latencies().values())
-    logs = [site.log for site in cluster.sites.values()]
-    force_requests = sum(getattr(log, "force_requests", 0) for log in logs)
-    fsync_forces = sum(log.force_count for log in logs)
-    return ScenarioResult(
-        events=n_transactions,
-        trace_events=len(cluster.sim.trace),
-        messages=sent,
-        checks_passed=reports.all_hold and len(outcomes) == n_transactions,
-        detail={
-            "transactions": n_transactions,
-            "decided": len(outcomes),
-            "committed": sum(1 for d in outcomes.values() if d == "commit"),
-            "pipeline_depth": PIPELINE_DEPTH,
-            "latency_ms": {
+        }
+        if self.multiprocess:
+            detail["processes"] = len(cluster.sites)
+        if self.pipeline is not None:
+            latencies = sorted(cluster.decision_latencies().values())
+            detail["pipeline_depth"] = self.pipeline
+            detail["latency_ms"] = {
                 "p50": _latency_ms(latencies, 0.50),
                 "p95": _latency_ms(latencies, 0.95),
                 "p99": _latency_ms(latencies, 0.99),
-            },
-            "fsync_forces": fsync_forces,
-            "force_requests": force_requests,
-            "virtual_units": round(cluster.sim.now, 1),
-            "messages_dropped": dropped,
-            "codec": "json",
-        },
-    )
-
-
-def run_live_multiproc_scenario(smoke: bool = False) -> ScenarioResult:
-    """The process-per-site deployment: the throughput workload with
-    every site a supervised OS process (fsync on, group-commit WALs,
-    pipelined arrivals). The delta against ``live-prany-throughput`` is
-    the cost of real process isolation: control-plane round trips per
-    transaction plus cross-process scheduling."""
-    from repro.rt.proc import run_multiprocess_workload
-
-    n_transactions = 8 if smoke else 64
-    spec = WorkloadSpec(
-        n_transactions=n_transactions,
-        abort_fraction=0.25,
-        participants_min=2,
-        participants_max=3,
-        inter_arrival=1.0,  # ignored: the pipelined driver is open-loop
-        hot_keys=0,
-        seed=BENCH_SEED,
-    )
-
-    async def go(data_dir: str):
-        return await run_multiprocess_workload(
-            three_way(3),
-            "dynamic",
-            spec,
-            data_dir,
-            group_commit=THROUGHPUT_GROUP_COMMIT,
-            pipeline=PIPELINE_DEPTH,
+            }
+        detail.update(
+            virtual_units=round(cluster.sim.now, 1),
+            messages_dropped=counts["dropped"],
+            codec=cluster.codec,
+            **self.describe(cluster),
+        )
+        return ScenarioResult(
+            events=n_transactions,
+            trace_events=len(cluster.sim.trace),
+            messages=counts["sent"],
+            checks_passed=reports.all_hold and len(outcomes) == n_transactions,
+            detail=detail,
         )
 
-    with tempfile.TemporaryDirectory() as tmp:
-        cluster = asyncio.run(go(tmp))
-    return _multiproc_result(cluster, n_transactions)
 
-
-def _multiproc_result(
-    cluster,
-    n_transactions: int,
-    extra_detail: dict[str, Any] | None = None,
-    pipeline_depth: int = PIPELINE_DEPTH,
-) -> ScenarioResult:
-    """Fold a finished :class:`ProcessCluster` into a scenario result.
-
-    ``messages`` is the cluster-wide sent total from the per-site
-    transport counters each child ships in its ``summary`` reply — the
-    same accounting the in-process scenarios read directly from their
-    transports, so multiproc rows are comparable on message volume.
-    """
-    outcomes = cluster.outcomes()
-    reports = cluster.check()
-    assert cluster.sim is not None
-    latencies = sorted(cluster.decision_latencies().values())
-    counts = cluster.message_counts()
-    detail = {
-        "transactions": n_transactions,
-        "decided": len(outcomes),
-        "committed": sum(1 for d in outcomes.values() if d == "commit"),
-        "processes": len(cluster.sites),
-        "pipeline_depth": pipeline_depth,
-        "latency_ms": {
-            "p50": _latency_ms(latencies, 0.50),
-            "p95": _latency_ms(latencies, 0.95),
-            "p99": _latency_ms(latencies, 0.99),
-        },
-        "virtual_units": round(cluster.sim.now, 1),
-        "messages_dropped": counts["dropped"],
-        "codec": getattr(cluster, "_codec", "json"),
+def _fsync_counters(cluster) -> dict[str, Any]:
+    """Force requests vs device forces over an in-process cluster's
+    WALs: the group-commit amortization."""
+    logs = [site.log for site in cluster.sites.values()]
+    return {
+        "fsync_forces": sum(log.force_count for log in logs),
+        "force_requests": sum(getattr(log, "force_requests", 0) for log in logs),
     }
-    if extra_detail:
-        detail.update(extra_detail)
-    return ScenarioResult(
-        events=n_transactions,
-        trace_events=len(cluster.sim.trace),
-        messages=counts["sent"],
-        checks_passed=reports.all_hold and len(outcomes) == n_transactions,
-        detail=detail,
-    )
 
 
-def _run_coordinator_pair_scenario(
-    sharded: bool, smoke: bool = False
-) -> ScenarioResult:
-    """One half of the sharded-coordinator pair: the identical workload
-    (same spec, same seed, byte-identical RNG stream) over a 4-site
-    multi-process cluster, coordinated either by the single ``tm``
-    process or by all four sites with hash placement. Real processes on
-    real cores: the single coordinator serializes every decision fsync
-    and control round trip through one process, which is exactly the
-    contention the latency percentiles expose at depth
-    :data:`SHARDED_PIPELINE_DEPTH`."""
-    from repro.rt.proc import run_multiprocess_workload
+def _coordinator_pair(counterpart: str) -> Callable[[Any], dict[str, Any]]:
+    """``describe`` of the sharding pair's members."""
 
-    n_transactions = 8 if smoke else 64
-    spec = WorkloadSpec(
-        n_transactions=n_transactions,
-        abort_fraction=0.25,
-        participants_min=2,
-        participants_max=3,  # < 4 sites: an eligible coordinator always exists
-        inter_arrival=1.0,  # ignored: the pipelined driver is open-loop
-        hot_keys=0,
-        seed=BENCH_SEED,
-    )
-
-    async def go(data_dir: str):
-        return await run_multiprocess_workload(
-            three_way(4),
-            "dynamic",
-            spec,
-            data_dir,
-            group_commit=THROUGHPUT_GROUP_COMMIT,
-            pipeline=SHARDED_PIPELINE_DEPTH,
-            sharded=sharded,
-        )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cluster = asyncio.run(go(tmp))
-    coordinators = sorted({txn.coordinator for txn in cluster.submitted})
-    return _multiproc_result(
-        cluster,
-        n_transactions,
-        pipeline_depth=SHARDED_PIPELINE_DEPTH,
-        extra_detail={
+    def describe(cluster) -> dict[str, Any]:
+        sharded = cluster.topology.coordinator_per_site
+        return {
             "sharded": sharded,
             "placement": "hash" if sharded else "tm",
-            "coordinators": coordinators,
-            "counterpart": (
-                "live-prany-single" if sharded else "live-prany-sharded"
+            "coordinators": sorted(
+                {txn.coordinator for txn in cluster.submitted}
             ),
-        },
-    )
+            "counterpart": counterpart,
+        }
 
-
-def run_live_replicated_scenario(smoke: bool = False) -> ScenarioResult:
-    """The replicated-coordinator half of the replication pair: the
-    exact ``live-prany-multiproc`` workload with the ``tm`` process
-    replicated over :data:`REPLICATION_GROUP` acceptor processes. Every
-    transaction pays a quorum registration round before its PREPAREs
-    and a quorum acceptance round before its decision is stable — three
-    more fsync'ing processes on the commit path — in exchange for the
-    nonblocking guarantee (a leader SIGKILL mid-prepare no longer wedges
-    in-flight transactions; see ``tests/rt/test_replicated_live.py``).
-    """
-    from repro.rt.proc import run_multiprocess_workload
-
-    n_transactions = 8 if smoke else 64
-    spec = WorkloadSpec(
-        n_transactions=n_transactions,
-        abort_fraction=0.25,
-        participants_min=2,
-        participants_max=3,
-        inter_arrival=1.0,  # ignored: the pipelined driver is open-loop
-        hot_keys=0,
-        seed=BENCH_SEED,
-    )
-
-    async def go(data_dir: str):
-        return await run_multiprocess_workload(
-            three_way(3),
-            "dynamic",
-            spec,
-            data_dir,
-            group_commit=THROUGHPUT_GROUP_COMMIT,
-            pipeline=PIPELINE_DEPTH,
-            replicated=REPLICATION_GROUP,
-        )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cluster = asyncio.run(go(tmp))
-    return _multiproc_result(
-        cluster,
-        n_transactions,
-        extra_detail={
-            "replicated": REPLICATION_GROUP,
-            "counterpart": "live-prany-multiproc",
-        },
-    )
+    return describe
 
 
 def _run_openloop_scenario(codec: str, smoke: bool = False) -> ScenarioResult:
@@ -545,14 +388,6 @@ def _run_openloop_scenario(codec: str, smoke: bool = False) -> ScenarioResult:
     )
 
 
-def run_live_openloop_json_scenario(smoke: bool = False) -> ScenarioResult:
-    return _run_openloop_scenario("json", smoke=smoke)
-
-
-def run_live_openloop_binary_scenario(smoke: bool = False) -> ScenarioResult:
-    return _run_openloop_scenario("binary", smoke=smoke)
-
-
 def _run_codec_scenario(codec: str, smoke: bool = False) -> ScenarioResult:
     """One half of the encode/decode microbenchmark pair: a
     representative protocol-message mix pushed through one wire codec —
@@ -611,22 +446,6 @@ def _run_codec_scenario(codec: str, smoke: bool = False) -> ScenarioResult:
     )
 
 
-def run_live_codec_json_scenario(smoke: bool = False) -> ScenarioResult:
-    return _run_codec_scenario("json", smoke=smoke)
-
-
-def run_live_codec_binary_scenario(smoke: bool = False) -> ScenarioResult:
-    return _run_codec_scenario("binary", smoke=smoke)
-
-
-def run_live_single_scenario(smoke: bool = False) -> ScenarioResult:
-    return _run_coordinator_pair_scenario(sharded=False, smoke=smoke)
-
-
-def run_live_sharded_scenario(smoke: bool = False) -> ScenarioResult:
-    return _run_coordinator_pair_scenario(sharded=True, smoke=smoke)
-
-
 def _latency_ms(ordered_seconds: list[float], q: float) -> float:
     """Quantile of sorted decision latencies, in milliseconds."""
     if not ordered_seconds:
@@ -634,194 +453,182 @@ def _latency_ms(ordered_seconds: list[float], q: float) -> float:
     return round(_quantile(ordered_seconds, q) * 1000.0, 3)
 
 
-def live_scenario() -> Scenario:
-    """The baseline scenario (events = transactions, so the headline
+def _live(
+    name: str,
+    description: str,
+    tags: tuple[str, ...],
+    run: Callable[..., ScenarioResult],
+    deterministic: bool = False,
+) -> Scenario:
+    """A live scenario row (events = transactions, so the headline
     number is transactions/second of wall clock)."""
     return Scenario(
-        name="live-prany-commit",
-        description=(
-            "PrAny commit workload over real TCP sockets and fsync'd "
-            "logs (wall clock; transactions/sec)"
-        ),
+        name=name,
+        description=description,
         seed=BENCH_SEED,
-        tags=("live", "system"),
-        run=run_live_scenario,
-        deterministic=False,
+        tags=("live",) + tags,
+        run=run,
+        deterministic=deterministic,
     )
 
 
-def live_throughput_scenario() -> Scenario:
-    """The optimized-path scenario measured for the PR-5 ledger."""
-    return Scenario(
-        name="live-prany-throughput",
-        description=(
-            "PrAny commit workload over real TCP sockets, fsync on: "
-            f"{PIPELINE_DEPTH} pipelined transactions in flight, "
-            "group-commit fsync coalescing, batched socket writes "
-            "(wall clock; transactions/sec + decision-latency percentiles)"
-        ),
-        seed=BENCH_SEED,
-        tags=("live", "system", "throughput"),
-        run=run_live_throughput_scenario,
-        deterministic=False,
-    )
-
-
-def live_multiproc_scenario() -> Scenario:
-    """The process-per-site scenario (PR-6): isolation's price tag."""
-    return Scenario(
-        name="live-prany-multiproc",
-        description=(
-            "PrAny commit workload with one supervised OS process per "
-            "site: fsync on, group-commit WALs, "
-            f"{PIPELINE_DEPTH} pipelined transactions in flight "
-            "(wall clock; transactions/sec + decision-latency percentiles)"
-        ),
-        seed=BENCH_SEED,
-        # "replication" because this is also the plain-coordinator
-        # member of the replication pair (counterpart of
-        # live-prany-replicated), the way the sharding pair shares its
-        # tag across both members.
-        tags=("live", "system", "multiprocess", "replication"),
-        run=run_live_multiproc_scenario,
-        deterministic=False,
-    )
-
-
-def live_replicated_scenario() -> Scenario:
-    """Replicated-coordinator half of the replication pair (PR-9)."""
-    return Scenario(
-        name="live-prany-replicated",
-        description=(
-            "the live-prany-multiproc workload with tm replicated over "
-            f"{REPLICATION_GROUP} Paxos acceptor processes: every "
-            "decision is stable only at a quorum of acceptor WALs "
-            "(the nonblocking price tag; counterpart "
-            "live-prany-multiproc)"
-        ),
-        seed=BENCH_SEED,
-        tags=("live", "system", "multiprocess", "replication"),
-        run=run_live_replicated_scenario,
-        deterministic=False,
-    )
-
-
-def live_single_scenario() -> Scenario:
-    """Single-coordinator half of the sharding pair (PR-7 ledger)."""
-    return Scenario(
-        name="live-prany-single",
-        description=(
-            "PrAny commit workload, 4 site processes + one tm "
-            "coordinator process: every decision funnels through tm "
-            f"({SHARDED_PIPELINE_DEPTH} pipelined in flight; the "
-            "single-coordinator twin of live-prany-sharded)"
-        ),
-        seed=BENCH_SEED,
-        tags=("live", "system", "multiprocess", "sharding"),
-        run=run_live_single_scenario,
-        deterministic=False,
-    )
-
-
-def live_sharded_scenario() -> Scenario:
-    """Sharded-coordinator half of the pair: same workload, hash-placed."""
-    return Scenario(
-        name="live-prany-sharded",
-        description=(
-            "PrAny commit workload, coordinator role sharded across all "
-            "4 site processes by hash(txn_id) placement — identical "
-            "transaction stream to live-prany-single "
-            f"({SHARDED_PIPELINE_DEPTH} pipelined in flight; "
-            "decision-latency percentiles quantify the fan-out win)"
-        ),
-        seed=BENCH_SEED,
-        tags=("live", "system", "multiprocess", "sharding"),
-        run=run_live_sharded_scenario,
-        deterministic=False,
-    )
-
-
-def live_openloop_json_scenario() -> Scenario:
-    """JSON half of the open-loop codec pair (PR-10 ledger)."""
-    return Scenario(
-        name="live-prany-openloop-json",
-        description=(
-            "open-loop latency-vs-offered-load sweep "
-            f"({len(OPENLOOP_RATES)} Poisson rates x "
-            f"{OPENLOOP_TRANSACTIONS} txns, hot keys, aborts, read-only "
-            "mix) over the json wire/WAL codec; detail records the "
-            "p50/p95/p99 curve and the saturation knee"
-        ),
-        seed=BENCH_SEED,
-        tags=("live", "system", "openloop", "codec"),
-        run=run_live_openloop_json_scenario,
-        deterministic=False,
-    )
-
-
-def live_openloop_binary_scenario() -> Scenario:
-    """Binary half: same sweep, struct-packed wire + WAL."""
-    return Scenario(
-        name="live-prany-openloop-binary",
-        description=(
-            "the live-prany-openloop-json sweep over the binary codec — "
-            "identical transaction bodies and arrival clocks, "
-            "struct-packed frames and WAL records (the fast-path twin; "
-            "curves comparable point by point)"
-        ),
-        seed=BENCH_SEED,
-        tags=("live", "system", "openloop", "codec"),
-        run=run_live_openloop_binary_scenario,
-        deterministic=False,
-    )
-
-
-def live_codec_json_scenario() -> Scenario:
-    """JSON half of the encode/decode microbenchmark pair."""
-    return Scenario(
-        name="live-codec-json",
-        description=(
-            "wire-codec microbenchmark: encode+decode round trips of a "
-            "representative protocol-message mix through the json codec "
-            "(no sockets; events/sec = round trips/sec)"
-        ),
-        seed=BENCH_SEED,
-        tags=("live", "micro", "codec"),
-        run=run_live_codec_json_scenario,
+#: Everything ``repro live --bench`` measures, in report order.
+LIVE_SCENARIOS: tuple[Scenario, ...] = (
+    # The PR-4 baseline shape, kept unchanged release over release.
+    _live(
+        "live-prany-commit",
+        "PrAny commit workload over real TCP sockets and fsync'd "
+        "logs (wall clock; transactions/sec)",
+        ("system",),
+        ClosedBatch(
+            transactions=(8, 24),
+            describe=lambda c: {"timers_fired": c.sim.steps_executed},
+        ).run,
+    ),
+    # The optimized path measured for the PR-5 ledger.
+    _live(
+        "live-prany-throughput",
+        "PrAny commit workload over real TCP sockets, fsync on: "
+        f"{PIPELINE_DEPTH} pipelined transactions in flight, "
+        "group-commit fsync coalescing, batched socket writes "
+        "(wall clock; transactions/sec + decision-latency percentiles)",
+        ("system", "throughput"),
+        ClosedBatch(
+            transactions=(16, 128),
+            pipeline=PIPELINE_DEPTH,
+            group_commit=THROUGHPUT_GROUP_COMMIT,
+            describe=_fsync_counters,
+        ).run,
+    ),
+    # Process isolation's price tag: control-plane round trips per
+    # transaction plus cross-process scheduling. Tagged "replication"
+    # because it is also the plain-coordinator member of the
+    # replication pair, the way the sharding pair shares its tag.
+    _live(
+        "live-prany-multiproc",
+        "PrAny commit workload with one supervised OS process per "
+        "site: fsync on, group-commit WALs, "
+        f"{PIPELINE_DEPTH} pipelined transactions in flight "
+        "(wall clock; transactions/sec + decision-latency percentiles)",
+        ("system", "multiprocess", "replication"),
+        ClosedBatch(
+            transactions=(8, 64),
+            multiprocess=True,
+            pipeline=PIPELINE_DEPTH,
+            group_commit=THROUGHPUT_GROUP_COMMIT,
+        ).run,
+    ),
+    # Every transaction pays a quorum registration round before its
+    # PREPAREs and a quorum acceptance round before its decision is
+    # stable — three more fsync'ing processes on the commit path — in
+    # exchange for the nonblocking guarantee (a leader SIGKILL
+    # mid-prepare no longer wedges in-flight transactions; see
+    # ``tests/rt/test_replicated_live.py``).
+    _live(
+        "live-prany-replicated",
+        "the live-prany-multiproc workload with tm replicated over "
+        f"{REPLICATION_GROUP} Paxos acceptor processes: every "
+        "decision is stable only at a quorum of acceptor WALs "
+        "(the nonblocking price tag; counterpart "
+        "live-prany-multiproc)",
+        ("system", "multiprocess", "replication"),
+        ClosedBatch(
+            transactions=(8, 64),
+            multiprocess=True,
+            pipeline=PIPELINE_DEPTH,
+            group_commit=THROUGHPUT_GROUP_COMMIT,
+            topology=Topology.replicated(REPLICATION_GROUP),
+            describe=lambda c: {
+                "replicated": REPLICATION_GROUP,
+                "counterpart": "live-prany-multiproc",
+            },
+        ).run,
+    ),
+    # The sharding pair: identical workload (same spec, same seed,
+    # byte-identical RNG stream) over 4 site processes. The single
+    # coordinator serializes every decision fsync and control round
+    # trip through one process — the contention the latency
+    # percentiles expose at depth SHARDED_PIPELINE_DEPTH.
+    _live(
+        "live-prany-single",
+        "PrAny commit workload, 4 site processes + one tm "
+        "coordinator process: every decision funnels through tm "
+        f"({SHARDED_PIPELINE_DEPTH} pipelined in flight; the "
+        "single-coordinator twin of live-prany-sharded)",
+        ("system", "multiprocess", "sharding"),
+        ClosedBatch(
+            transactions=(8, 64),
+            multiprocess=True,
+            n_sites=4,
+            pipeline=SHARDED_PIPELINE_DEPTH,
+            group_commit=THROUGHPUT_GROUP_COMMIT,
+            describe=_coordinator_pair("live-prany-sharded"),
+        ).run,
+    ),
+    _live(
+        "live-prany-sharded",
+        "PrAny commit workload, coordinator role sharded across all "
+        "4 site processes by hash(txn_id) placement — identical "
+        "transaction stream to live-prany-single "
+        f"({SHARDED_PIPELINE_DEPTH} pipelined in flight; "
+        "decision-latency percentiles quantify the fan-out win)",
+        ("system", "multiprocess", "sharding"),
+        ClosedBatch(
+            transactions=(8, 64),
+            multiprocess=True,
+            n_sites=4,
+            pipeline=SHARDED_PIPELINE_DEPTH,
+            group_commit=THROUGHPUT_GROUP_COMMIT,
+            topology=Topology.sharded(),
+            describe=_coordinator_pair("live-prany-single"),
+        ).run,
+    ),
+    # The open-loop codec pair (PR-10 ledger): identical transaction
+    # bodies and arrival clocks, curves comparable point by point.
+    _live(
+        "live-prany-openloop-json",
+        "open-loop latency-vs-offered-load sweep "
+        f"({len(OPENLOOP_RATES)} Poisson rates x "
+        f"{OPENLOOP_TRANSACTIONS} txns, hot keys, aborts, read-only "
+        "mix) over the json wire/WAL codec; detail records the "
+        "p50/p95/p99 curve and the saturation knee",
+        ("system", "openloop", "codec"),
+        partial(_run_openloop_scenario, "json"),
+    ),
+    _live(
+        "live-prany-openloop-binary",
+        "the live-prany-openloop-json sweep over the binary codec — "
+        "identical transaction bodies and arrival clocks, "
+        "struct-packed frames and WAL records (the fast-path twin; "
+        "curves comparable point by point)",
+        ("system", "openloop", "codec"),
+        partial(_run_openloop_scenario, "binary"),
+    ),
+    # The encode/decode microbenchmark pair.
+    _live(
+        "live-codec-json",
+        "wire-codec microbenchmark: encode+decode round trips of a "
+        "representative protocol-message mix through the json codec "
+        "(no sockets; events/sec = round trips/sec)",
+        ("micro", "codec"),
+        partial(_run_codec_scenario, "json"),
         deterministic=True,
-    )
-
-
-def live_codec_binary_scenario() -> Scenario:
-    """Binary half: struct-packed header + interned ids + packed values."""
-    return Scenario(
-        name="live-codec-binary",
-        description=(
-            "wire-codec microbenchmark over the binary codec: "
-            "struct-packed header, handshake-interned site/kind ids, "
-            "hand-rolled value packing (counterpart live-codec-json)"
-        ),
-        seed=BENCH_SEED,
-        tags=("live", "micro", "codec"),
-        run=run_live_codec_binary_scenario,
+    ),
+    _live(
+        "live-codec-binary",
+        "wire-codec microbenchmark over the binary codec: "
+        "struct-packed header, handshake-interned site/kind ids, "
+        "hand-rolled value packing (counterpart live-codec-json)",
+        ("micro", "codec"),
+        partial(_run_codec_scenario, "binary"),
         deterministic=True,
-    )
+    ),
+)
 
 
 def live_scenarios() -> list[Scenario]:
     """Everything ``repro live --bench`` measures, in report order."""
-    return [
-        live_scenario(),
-        live_throughput_scenario(),
-        live_multiproc_scenario(),
-        live_replicated_scenario(),
-        live_single_scenario(),
-        live_sharded_scenario(),
-        live_openloop_json_scenario(),
-        live_openloop_binary_scenario(),
-        live_codec_json_scenario(),
-        live_codec_binary_scenario(),
-    ]
+    return list(LIVE_SCENARIOS)
 
 
 def compare_live_reports(

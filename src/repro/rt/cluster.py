@@ -1,15 +1,23 @@
-"""A live MDBS: coordinator + participants over real sockets.
+"""Live MDBS drivers: coordinator + participants over real sockets.
+
+:class:`ClusterDriver` holds what every live driver does the same way:
+the constructor arguments and their validation, the site layout (from
+:class:`~repro.mdbs.topology.Topology`), decision tracking off the
+trace, submit admission and latency stamping, the pipelined arrival
+driver, and the read-side surface (``outcomes``, ``history``,
+``message_counts``). A runtime subclasses it with how sites are hosted:
+:class:`LiveCluster` (below) runs one :class:`~repro.rt.host.SiteHost`
+per site in the caller's loop;
+:class:`~repro.rt.proc.supervisor.ProcessCluster` runs one OS process
+per site.
 
 :class:`LiveCluster` is the live counterpart of
-:class:`~repro.mdbs.system.MDBS` with :func:`~repro.workloads.generator.build_mdbs`'s
-topology: one :class:`~repro.rt.host.SiteHost` per participant in the
-protocol mix plus the ``"tm"`` coordinator host, all sharing one
-:class:`~repro.rt.runtime.LiveRuntime` (virtual clock + trace) and one
-commit-protocol directory. Transaction submission, finalization and
-checking deliberately mirror the ``MDBS`` methods line for line — the
-sim/live conformance suite (``tests/rt/``) asserts that the two
-runtimes produce identical observable footprints, so any divergence
-here is a bug by definition.
+:class:`~repro.mdbs.system.MDBS` as
+:func:`~repro.workloads.generator.build_mdbs` lays it out, all hosts
+sharing one :class:`~repro.rt.runtime.LiveRuntime` (virtual clock +
+trace) and one commit-protocol directory. The sim/live conformance
+suite (``tests/rt/``) asserts that the two runtimes produce identical
+observable footprints, so any divergence here is a bug by definition.
 
 Duck-typing contract: a finished cluster satisfies the surface that
 ``tests/conformance/harness.equivalence_summary`` consumes — ``.sim``
@@ -20,33 +28,23 @@ from __future__ import annotations
 
 import asyncio
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
-from repro.core.correctness import (
-    check_atomicity,
-    check_operational_correctness,
-)
 from repro.core.history import History
-from repro.core.safe_state import check_safe_state
 from repro.db.recovery import LocalRecoveryReport
 from repro.errors import ProtocolError, WorkloadError
-from repro.mdbs.placement import placement_for
 from repro.mdbs.site import Site
 from repro.mdbs.system import RunReports, start_transaction
+from repro.mdbs.topology import SiteSpec, Topology
 from repro.mdbs.transaction import GlobalTransaction
 from repro.protocols.base import TimeoutConfig
-from repro.replication import ReplicationConfig
-from repro.rt.codec import wire_codec
+from repro.rt.codec import WIRE_CODECS, wire_codec
 from repro.rt.host import SiteHost
 from repro.rt.runtime import LiveRuntime
 from repro.sim.tracing import TraceEvent
 from repro.storage.group_commit import GroupCommitConfig
 from repro.storage.pcp import CommitProtocolDirectory
-from repro.workloads.generator import (
-    COORDINATOR_ID,
-    WorkloadSpec,
-    generate_transactions,
-)
+from repro.workloads.generator import WorkloadSpec, generate_transactions
 from repro.workloads.mixes import ProtocolMix
 
 #: Safety margin appended to a workload's span when computing the run
@@ -65,26 +63,15 @@ LIVE_TIMEOUTS = TimeoutConfig(
 )
 
 
-class LiveCluster:
-    """A set of live site hosts executing global transactions.
-
-    Usage (inside a running event loop)::
-
-        cluster = LiveCluster(mix, coordinator="dynamic", data_dir=tmp)
-        await cluster.start()
-        for txn in transactions:
-            cluster.submit(txn)
-        await cluster.run(until=deadline_units)
-        await cluster.finalize()
-        reports = cluster.check()
-        await cluster.shutdown()
+class ClusterDriver:
+    """What the live cluster drivers share; see the module docstring.
 
     Args:
         mix: participant protocol mix (same type the simulator uses).
-        coordinator: coordinator policy for the ``tm`` site
-            (``"dynamic"`` = PrAny, or a fixed policy name).
         data_dir: root directory; each site gets ``data_dir/<site_id>/``
             for its WAL and store snapshot.
+        coordinator: the policy every coordinator engine runs
+            (``"dynamic"`` = PrAny, or a fixed policy name).
         seed: seeds the runtime's random streams (API parity; live
             nondeterminism comes from the network itself).
         time_scale: wall-clock seconds per virtual time unit.
@@ -93,20 +80,14 @@ class LiveCluster:
             :class:`~repro.storage.file_log.GroupCommitFileLog` — one
             blob write + one fsync per coalescing window instead of one
             per force request (the live durability-batching knob).
-        sharded: shard the coordinator role — no ``tm`` host; every mix
-            site hosts both a participant engine and a coordinator
-            engine running ``coordinator``'s policy, and transactions
-            carry their own placed coordinator ids (see
-            :mod:`repro.mdbs.placement`).
-        replicated: run the ``tm`` coordinator over this many Paxos
-            acceptor hosts (``acc0..``, see :mod:`repro.replication`);
-            each acceptor logs its Paxos state in its own WAL and can
-            complete in-flight transactions after a leader kill.
-            Mutually exclusive with ``sharded``.
-        codec: ``"json"`` (default) or ``"binary"`` — selects both the
-            wire framing (:mod:`repro.rt.codec`) and the WAL encoding
-            (:mod:`repro.storage.file_log`) for every site. All sites
-            of a cluster run the same codec; a mixed-codec connection
+        topology: where the coordinator engines live
+            (:class:`~repro.mdbs.topology.Topology`): the ``tm`` site,
+            every mix site, or ``tm`` over an acceptor group whose
+            members log their Paxos state in their own WALs.
+        codec: ``"json"`` (default) or ``"binary"`` — one encoding for
+            the whole deployment: wire framing (:mod:`repro.rt.codec`),
+            WALs (:mod:`repro.storage.file_log`) and, between
+            processes, the control plane. A mixed-codec connection
             fails loudly on its first frame.
     """
 
@@ -121,36 +102,29 @@ class LiveCluster:
         fsync: bool = True,
         read_only_optimization: bool = True,
         group_commit: Optional[GroupCommitConfig] = None,
-        sharded: bool = False,
-        replicated: int = 0,
+        topology: Topology = Topology(),
         codec: str = "json",
     ) -> None:
-        if sharded and replicated:
+        topology.validate(mix)
+        if codec not in WIRE_CODECS:
             raise WorkloadError(
-                "sharded and replicated are mutually exclusive topologies"
+                f"unknown codec {codec!r}: expected one of {WIRE_CODECS}"
             )
-        self._mix = mix
-        self._coordinator_policy = coordinator
-        self._sharded = sharded
-        self._replication = (
-            ReplicationConfig.for_group(replicated, leader=COORDINATOR_ID)
-            if replicated
-            else None
-        )
+        self.topology = topology
+        self.codec = codec
+        self._layout: dict[str, SiteSpec] = {
+            spec.site_id: spec for spec in topology.sites(mix, coordinator)
+        }
         self._seed = seed
         self._timeouts = timeouts
         self._time_scale = time_scale
         self._fsync = fsync
         self._read_only_optimization = read_only_optimization
         self._group_commit = group_commit
-        self._codec = codec
         self.data_dir = Path(data_dir)
         self.sim: Optional[LiveRuntime] = None
-        self.pcp = CommitProtocolDirectory()
-        self.directory: dict[str, tuple[str, int]] = {}
-        self.hosts: dict[str, SiteHost] = {}
         self.submitted: list[GlobalTransaction] = []
-        # Event-driven completion state, installed by start():
+        # Event-driven completion state, installed by _start_runtime():
         # per-transaction decision events plus one "anything happened"
         # event that run()/finalize() wait on instead of polling.
         self._decision_events: dict[str, asyncio.Event] = {}
@@ -159,68 +133,17 @@ class LiveCluster:
         self._decided_at: dict[str, float] = {}
         self._activity: Optional[asyncio.Event] = None
 
-    # -- lifecycle ----------------------------------------------------------
-
-    async def start(self) -> None:
-        """Bring up every site host (must run inside an event loop)."""
+    def _start_runtime(self, **runtime_options: Any) -> LiveRuntime:
+        """Create the shared clock + trace and start tracking decisions
+        (must run inside an event loop)."""
         if self.sim is not None:
             raise WorkloadError("cluster already started")
-        self.sim = LiveRuntime(time_scale=self._time_scale, seed=self._seed)
+        self.sim = LiveRuntime(
+            time_scale=self._time_scale, seed=self._seed, **runtime_options
+        )
         self._activity = asyncio.Event()
         self.sim.trace.subscribe(self._on_trace_event)
-        topology = dict(self._mix.site_protocols())
-        intern = sorted(topology) + [COORDINATOR_ID]
-        if self._replication is not None:
-            intern += list(self._replication.acceptors)
-        self._wire_codec = wire_codec(self._codec, intern=intern)
-        for site_id, protocol in topology.items():
-            self._add_host(
-                site_id,
-                protocol,
-                coordinator=self._coordinator_policy if self._sharded else None,
-            )
-        if not self._sharded:
-            self._add_host(
-                COORDINATOR_ID, "PrN", coordinator=self._coordinator_policy
-            )
-        if self._replication is not None:
-            for acceptor_id in self._replication.acceptors:
-                self._add_host(
-                    acceptor_id, "PrN", coordinator=self._coordinator_policy
-                )
-        for host in self.hosts.values():
-            await host.start()
-
-    def _add_host(
-        self, site_id: str, protocol: str, coordinator: Optional[str]
-    ) -> None:
-        assert self.sim is not None
-        host = SiteHost(
-            self.sim,
-            self.directory,
-            self.pcp,
-            site_id,
-            protocol,
-            self.data_dir / site_id,
-            coordinator=coordinator,
-            timeouts=self._timeouts,
-            read_only_optimization=self._read_only_optimization,
-            fsync=self._fsync,
-            group_commit=self._group_commit,
-            replication=self._replication,
-            codec=self._codec,
-            wire_codec=self._wire_codec,
-        )
-        self.hosts[site_id] = host
-        self.pcp.register_site(site_id, protocol)
-        if coordinator is not None:
-            self.pcp.register_coordinator(site_id)
-
-    async def shutdown(self) -> None:
-        """Orderly teardown: close every port and log file. All
-        in-memory state (sites, traces) stays inspectable."""
-        for host in self.hosts.values():
-            await host.close()
+        return self.sim
 
     # -- event-driven completion ---------------------------------------------
 
@@ -232,20 +155,20 @@ class LiveCluster:
         if event.category == "protocol" and event.name == "decide":
             txn = event.details.get("txn")
             if txn is not None:
-                self._terminated.add(txn)
                 self._decided_at.setdefault(txn, event.time)
-                decision_event = self._decision_events.get(txn)
-                if decision_event is not None:
-                    decision_event.set()
+                self._terminate(txn)
         elif event.category == "system" and event.name == "txn_not_started":
             txn = event.details.get("txn")
             if txn is not None:
-                self._terminated.add(txn)
-                decision_event = self._decision_events.get(txn)
-                if decision_event is not None:
-                    decision_event.set()
+                self._terminate(txn)
         if self._activity is not None:
             self._activity.set()
+
+    def _terminate(self, txn_id: str) -> None:
+        self._terminated.add(txn_id)
+        decision_event = self._decision_events.get(txn_id)
+        if decision_event is not None:
+            decision_event.set()
 
     async def _await_activity(self, max_wait: float) -> None:
         """Sleep until the next trace event, bounded by ``max_wait``
@@ -258,46 +181,68 @@ class LiveCluster:
         except asyncio.TimeoutError:
             pass
 
+    async def _quiescent(self) -> bool:
+        """All submitted work decided, delivered and forgotten."""
+        raise NotImplementedError
+
+    async def _run_until_quiescent(self, until: float, heartbeat: float) -> None:
+        """The ``run()`` loop: return at quiescence or once virtual time
+        reaches ``until``, waking on trace activity with ``heartbeat``
+        wall seconds as the fallback poll for anything no event
+        announces."""
+        assert self.sim is not None and self._activity is not None
+        while self.sim.now < until:
+            # Clear-before-check: an event recorded after the check
+            # re-sets the flag, so the wait below cannot miss it.
+            self._activity.clear()
+            if await self._quiescent():
+                return
+            remaining = self.sim.to_seconds(until - self.sim.now)
+            await self._await_activity(min(remaining, heartbeat))
+
+    def _all_terminated(self) -> bool:
+        """Every submitted transaction decided or refused."""
+        terminated = self._terminated
+        return all(txn.txn_id in terminated for txn in self.submitted)
+
     def decision_latencies(self) -> dict[str, float]:
         """Wall-clock seconds from submission to the decide trace event,
         for every decided transaction (the bench percentile source)."""
-        assert self.sim is not None
         return {
             txn_id: (decided - self._submitted_at[txn_id]) * self._time_scale
             for txn_id, decided in self._decided_at.items()
             if txn_id in self._submitted_at
         }
 
-    # -- the MDBS surface ----------------------------------------------------
-
-    @property
-    def sites(self) -> dict[str, Site]:
-        """Live ``Site`` objects, keyed by id (``MDBS.sites`` shape)."""
-        return {
-            site_id: host.site
-            for site_id, host in self.hosts.items()
-            if host.site is not None
-        }
-
-    def submit(
-        self, txn: GlobalTransaction, immediate: bool = False
+    async def wait_decided(
+        self, txn_id: str, timeout: float = 60.0
     ) -> None:
-        """Schedule a global transaction (mirrors ``MDBS.submit``).
+        """Block until ``txn_id`` has a decision (or was never started)."""
+        event = self._decision_events.get(txn_id)
+        if event is None:
+            raise WorkloadError(f"transaction {txn_id!r} was never submitted")
+        await asyncio.wait_for(event.wait(), timeout)
 
-        ``immediate`` ignores ``txn.submit_at`` and starts the
-        transaction on the next loop tick — the open-loop arrival mode
-        :meth:`run_pipelined` drives.
-        """
+    # -- submission ----------------------------------------------------------
+
+    def _admit(
+        self,
+        txn: GlobalTransaction,
+        immediate: bool,
+        start: Callable[[], object],
+    ) -> None:
+        """Validate ``txn`` against the layout, stamp its latency clock
+        and schedule ``start`` at its arrival instant (``immediate``:
+        the next loop tick, ignoring ``txn.submit_at``)."""
         assert self.sim is not None, "cluster not started"
-        coordinator_host = self.hosts.get(txn.coordinator)
-        if coordinator_host is None:
+        coordinator = self._layout.get(txn.coordinator)
+        if coordinator is None:
             raise WorkloadError(f"unknown coordinator site {txn.coordinator!r}")
-        site = coordinator_host.site
-        if site is None or site.coordinator is None:
+        if coordinator.coordinator is None:
             raise ProtocolError(
                 f"site {txn.coordinator!r} cannot coordinate (no engine)"
             )
-        unknown = (set(txn.writes) | set(txn.reads)) - set(self.hosts)
+        unknown = (set(txn.writes) | set(txn.reads)) - self._layout.keys()
         if unknown:
             raise WorkloadError(
                 f"transaction {txn.txn_id!r} references unknown sites "
@@ -311,33 +256,18 @@ class LiveCluster:
         # the transaction would hide queueing delay behind submission
         # time (coordinated omission). ``immediate`` submissions arrive
         # now by definition.
+        now = self.sim.now
         self._submitted_at[txn.txn_id] = (
-            self.sim.now if immediate else max(self.sim.now, txn.submit_at)
+            now if immediate else max(now, txn.submit_at)
         )
         self.sim.schedule(
-            0.0 if immediate else max(0.0, txn.submit_at - self.sim.now),
-            lambda: start_transaction(self.sim, self.sites, txn),
+            0.0 if immediate else max(0.0, txn.submit_at - now),
+            start,
             label=f"start {txn.txn_id}",
         )
 
-    async def run(self, until: float, heartbeat: float = 0.25) -> None:
-        """Advance wall-clock time until quiescence or ``until`` (virtual
-        units). Unlike ``Simulator.run`` there is no event queue to
-        drain, so quiescence is detected from the system state: every
-        submitted transaction terminated and every protocol table entry
-        forgotten. Event-driven: the loop wakes on trace activity
-        (decisions, deliveries, forgets), with ``heartbeat`` wall
-        seconds as the fallback poll for anything no event announces."""
-        assert self.sim is not None
-        while self.sim.now < until:
-            # Clear-before-check: an event recorded after the check
-            # re-sets the flag, so the wait below cannot miss it.
-            assert self._activity is not None
-            self._activity.clear()
-            if self.quiescent():
-                return
-            remaining = self.sim.to_seconds(until - self.sim.now)
-            await self._await_activity(min(remaining, heartbeat))
+    def submit(self, txn: GlobalTransaction, immediate: bool = False) -> None:
+        raise NotImplementedError
 
     async def run_pipelined(
         self,
@@ -393,18 +323,146 @@ class LiveCluster:
         latencies = self.decision_latencies()
         return {txn_id: latencies[txn_id] for txn_id in driven if txn_id in latencies}
 
+    # -- reading a run -------------------------------------------------------
+
+    def outcomes(self) -> dict[str, str]:
+        """Per-transaction decision (``commit``/``abort``) from the trace."""
+        assert self.sim is not None
+        return {
+            event.details["txn"]: event.details["decision"]
+            for event in self.sim.trace.select(
+                category="protocol", name="decide"
+            )
+        }
+
+    def history(self) -> History:
+        assert self.sim is not None
+        return History.from_trace(self.sim.trace)
+
+    def _transport_counters(self) -> Iterator[tuple[int, int, int]]:
+        """``(sent, delivered, dropped)`` of each site's transport."""
+        raise NotImplementedError
+
+    def message_counts(self) -> dict[str, int]:
+        """Cluster-wide data-plane totals: ``sent`` counts every
+        protocol frame any site handed its transport;
+        ``delivered``/``dropped`` partition the receive side. Control
+        frames between processes are not counted."""
+        totals = {"sent": 0, "delivered": 0, "dropped": 0}
+        for sent, delivered, dropped in self._transport_counters():
+            totals["sent"] += sent
+            totals["delivered"] += delivered
+            totals["dropped"] += dropped
+        return totals
+
+
+class LiveCluster(ClusterDriver):
+    """A set of live site hosts executing global transactions.
+
+    Usage (inside a running event loop)::
+
+        cluster = LiveCluster(mix, coordinator="dynamic", data_dir=tmp)
+        await cluster.start()
+        for txn in transactions:
+            cluster.submit(txn)
+        await cluster.run(until=deadline_units)
+        await cluster.finalize()
+        reports = cluster.check()
+        await cluster.shutdown()
+
+    Constructor arguments: see :class:`ClusterDriver`.
+    """
+
+    def __init__(
+        self, mix: ProtocolMix, data_dir: Path | str, **options: Any
+    ) -> None:
+        super().__init__(mix, data_dir, **options)
+        self.pcp = CommitProtocolDirectory()
+        self.directory: dict[str, tuple[str, int]] = {}
+        self.hosts: dict[str, SiteHost] = {}
+
+    # -- lifecycle ----------------------------------------------------------
+
+    async def start(self) -> None:
+        """Bring up every site host (must run inside an event loop)."""
+        sim = self._start_runtime()
+        shared_codec = wire_codec(self.codec, intern=sorted(self._layout))
+        for spec in self._layout.values():
+            self.hosts[spec.site_id] = SiteHost(
+                sim,
+                self.directory,
+                self.pcp,
+                spec.site_id,
+                spec.protocol,
+                self.data_dir / spec.site_id,
+                coordinator=spec.coordinator,
+                timeouts=self._timeouts,
+                read_only_optimization=self._read_only_optimization,
+                fsync=self._fsync,
+                group_commit=self._group_commit,
+                replication=spec.replication,
+                codec=self.codec,
+                wire_codec=shared_codec,
+            )
+            self.pcp.register_site(spec.site_id, spec.protocol)
+            if spec.coordinator is not None:
+                self.pcp.register_coordinator(spec.site_id)
+        for host in self.hosts.values():
+            await host.start()
+
+    async def shutdown(self) -> None:
+        """Orderly teardown: close every port and log file. All
+        in-memory state (sites, traces) stays inspectable."""
+        for host in self.hosts.values():
+            await host.close()
+
+    # -- the MDBS surface ----------------------------------------------------
+
+    @property
+    def sites(self) -> dict[str, Site]:
+        """Live ``Site`` objects, keyed by id (``MDBS.sites`` shape)."""
+        return {
+            site_id: host.site
+            for site_id, host in self.hosts.items()
+            if host.site is not None
+        }
+
+    def submit(
+        self, txn: GlobalTransaction, immediate: bool = False
+    ) -> None:
+        """Schedule a global transaction (mirrors ``MDBS.submit``).
+
+        ``immediate`` ignores ``txn.submit_at`` and starts the
+        transaction on the next loop tick — the open-loop arrival mode
+        :meth:`run_pipelined` drives.
+        """
+        self._admit(
+            txn,
+            immediate,
+            lambda: start_transaction(self.sim, self.sites, txn),
+        )
+
+    async def run(self, until: float, heartbeat: float = 0.25) -> None:
+        """Advance wall-clock time until quiescence or ``until`` (virtual
+        units). Unlike ``Simulator.run`` there is no event queue to
+        drain, so quiescence is detected from the system state: every
+        submitted transaction terminated and every protocol table entry
+        forgotten."""
+        await self._run_until_quiescent(until, heartbeat)
+
     def quiescent(self) -> bool:
         """All submitted work decided, delivered and forgotten."""
         assert self.sim is not None
-        if any(host.transport.backlog for host in self.hosts.values()):
-            return False
-        if any(txn.txn_id not in self._terminated for txn in self.submitted):
+        if self._network_busy() or not self._all_terminated():
             return False
         return all(
             not site.retained_transactions()
             for site in self.sites.values()
             if site.is_up
         )
+
+    async def _quiescent(self) -> bool:
+        return self.quiescent()
 
     async def finalize(self, max_rounds: int = 5) -> None:
         """Flush and GC to a stable residue (mirrors ``MDBS.finalize``).
@@ -462,31 +520,19 @@ class LiveCluster:
 
     # -- checking ------------------------------------------------------------
 
-    def outcomes(self) -> dict[str, str]:
-        """Per-transaction decision (``commit``/``abort``) from the trace."""
-        assert self.sim is not None
-        return {
-            event.details["txn"]: event.details["decision"]
-            for event in self.sim.trace.select(
-                category="protocol", name="decide"
+    def _transport_counters(self) -> Iterator[tuple[int, int, int]]:
+        for host in self.hosts.values():
+            transport = host.transport
+            yield (
+                transport.sent_count,
+                transport.delivered_count,
+                transport.dropped_count,
             )
-        }
-
-    def history(self) -> History:
-        assert self.sim is not None
-        return History.from_trace(self.sim.trace)
 
     def check(self) -> RunReports:
         """The three correctness checkers (mirrors ``MDBS.check``)."""
         assert self.sim is not None
-        history = self.history()
-        return RunReports(
-            atomicity=check_atomicity(history, self.sim.trace),
-            safe_state=check_safe_state(history),
-            operational=check_operational_correctness(
-                self.sites.values(), history, self.sim.trace
-            ),
-        )
+        return RunReports.of(self.sim.trace, self.sites.values())
 
     def __repr__(self) -> str:
         now = f"{self.sim.now:.1f}" if self.sim is not None else "unstarted"
@@ -496,53 +542,44 @@ class LiveCluster:
         )
 
 
-async def run_live_workload(
+async def run_workload(
+    cluster_cls: type[ClusterDriver],
     mix: ProtocolMix,
     coordinator: str,
     spec: WorkloadSpec,
     data_dir: Path | str,
-    time_scale: float = 0.01,
-    fsync: bool = True,
-    timeouts: Optional[TimeoutConfig] = None,
-    group_commit: Optional[GroupCommitConfig] = None,
     pipeline: Optional[int] = None,
-    sharded: bool = False,
-    placement: str = "hash",
-    replicated: int = 0,
-    codec: str = "json",
-) -> LiveCluster:
-    """Run a generated workload over a live cluster to quiescence.
+    timeouts: Optional[TimeoutConfig] = None,
+    **cluster_options: Any,
+) -> Any:
+    """Run a generated workload over a ``cluster_cls`` cluster
+    (:class:`LiveCluster` or
+    :class:`~repro.rt.proc.supervisor.ProcessCluster`) to quiescence.
 
     The live twin of ``tests/conformance/harness.run_workload``: same
     topology, same transaction stream, same finalize — the returned
     (shut-down) cluster is ready for ``equivalence_summary``-style
-    inspection. ``group_commit`` turns on durability batching;
-    ``pipeline`` (a concurrency cap) switches the arrival driver to
-    :meth:`LiveCluster.run_pipelined` instead of ``submit_at`` pacing;
-    ``sharded`` spreads the coordinator role across the mix sites with
-    the named ``placement`` policy; ``replicated`` puts the ``tm``
-    coordinator over a live Paxos acceptor group; ``codec`` selects the
-    wire/WAL encoding (``json`` or ``binary``).
+    inspection. ``pipeline`` (a concurrency cap) switches the arrival
+    driver to :meth:`ClusterDriver.run_pipelined` instead of
+    ``submit_at`` pacing; ``timeouts`` defaults to
+    :data:`LIVE_TIMEOUTS`; ``cluster_options`` (``topology``,
+    ``group_commit``, ``codec``, ``kills``, ...) go to the cluster's
+    constructor.
     """
-    cluster = LiveCluster(
+    cluster = cluster_cls(
         mix,
         data_dir,
         coordinator=coordinator,
         seed=spec.seed,
         timeouts=timeouts if timeouts is not None else LIVE_TIMEOUTS,
-        time_scale=time_scale,
-        fsync=fsync,
-        group_commit=group_commit,
-        sharded=sharded,
-        replicated=replicated,
-        codec=codec,
+        **cluster_options,
     )
     await cluster.start()
     try:
         transactions = generate_transactions(
             spec,
             sorted(mix.site_protocols()),
-            placement=placement_for(placement) if sharded else None,
+            placement=cluster.topology.placement,
         )
         if pipeline is not None:
             await cluster.run_pipelined(transactions, max_in_flight=pipeline)

@@ -19,7 +19,6 @@ from repro.rt.proc.supervisor import (
     SPAWNED_PROCESSES,
     ProcessCluster,
     RemoteSite,
-    run_multiprocess_workload,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "SPAWNED_PROCESSES",
     "SiteProcess",
     "SiteProcessConfig",
-    "run_multiprocess_workload",
 ]

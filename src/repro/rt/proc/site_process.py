@@ -122,7 +122,7 @@ class SiteProcess:
             self._kill_predicate = CRASH_POINTS[kill.point].make_predicate(
                 config.site_id, kill.txn
             )
-        self.rt.trace.subscribe(self._on_trace_event)
+        self.rt.trace.subscribe(self._stream_trace_event)
 
         reader, writer = await asyncio.open_connection(
             config.control_host, config.control_port, limit=MAX_CONTROL_LINE
@@ -216,7 +216,7 @@ class SiteProcess:
             finally:
                 self._pump_busy = False
 
-    def _on_trace_event(self, event: TraceEvent) -> None:
+    def _stream_trace_event(self, event: TraceEvent) -> None:
         # msg events are the transport's per-message bookkeeping — high
         # volume and deliberately outside the equivalence footprint.
         # Everything the checkers and footprints consume is streamed.

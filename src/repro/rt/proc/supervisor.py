@@ -51,23 +51,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Iterator, Optional
 
 import repro
-from repro.core.correctness import (
-    check_atomicity,
-    check_operational_correctness,
-)
-from repro.core.history import History
-from repro.core.safe_state import check_safe_state
 from repro.db.recovery import LocalRecoveryReport
-from repro.errors import ProtocolError, SiteDownError, WorkloadError
-from repro.mdbs.placement import placement_for
+from repro.errors import SiteDownError, WorkloadError
 from repro.mdbs.system import RunReports
 from repro.mdbs.transaction import GlobalTransaction
-from repro.protocols.base import TimeoutConfig, participant_spec
-from repro.replication import ReplicationConfig
-from repro.rt.cluster import LIVE_TIMEOUTS, RUN_MARGIN
+from repro.protocols.base import participant_spec
+from repro.rt.cluster import ClusterDriver
 from repro.rt.host import STORE_FILE, WAL_FILE
 from repro.rt.proc.config import (
     KillSpec,
@@ -82,17 +74,8 @@ from repro.rt.proc.control import (
     read_control,
     recovery_from_dict,
 )
-from repro.rt.codec import WIRE_CODECS
-from repro.rt.runtime import LiveRuntime
-from repro.sim.tracing import TraceEvent
 from repro.storage.file_log import load_wal_records, record_from_json
-from repro.storage.group_commit import GroupCommitConfig
 from repro.storage.log_records import LogRecord
-from repro.workloads.generator import (
-    COORDINATOR_ID,
-    WorkloadSpec,
-    generate_transactions,
-)
 from repro.workloads.mixes import ProtocolMix
 
 #: Every child Popen ever spawned in this interpreter, newest last.
@@ -205,12 +188,13 @@ class _ChildHandle:
         self.closing = False
 
 
-class ProcessCluster:
+class ProcessCluster(ClusterDriver):
     """A live MDBS where every site is a supervised OS process.
 
     Drop-in for :class:`~repro.rt.cluster.LiveCluster`'s surface
     (including its kill/restart failure interface); construction args
-    match, plus the supervision knobs:
+    are :class:`~repro.rt.cluster.ClusterDriver`'s, plus the supervision
+    knobs:
 
     Args:
         kills: per-site self-``SIGKILL`` specs
@@ -222,70 +206,23 @@ class ProcessCluster:
         auto_respawn: respawn a crashed child automatically (kill spec
             stripped, recovery-first boot). Off by default — the
             conformance and crash-matrix drivers restart explicitly.
-        sharded: shard the coordinator role — no ``tm`` process; every
-            mix site's process hosts both a participant engine and a
-            coordinator engine running ``coordinator``'s policy, and
-            transactions carry their own placed coordinator ids.
-        replicated: run the ``tm`` coordinator over this many Paxos
-            acceptor processes (``acc0..``, see :mod:`repro.replication`);
-            each acceptor forces its Paxos state into its own WAL
-            (recovery-first across SIGKILL) and can complete in-flight
-            transactions after the leader's process is killed.
-            Mutually exclusive with ``sharded``.
-        codec: ``"json"`` or ``"binary"`` — one encoding for the whole
-            deployment (wire frames, WALs, control plane), written into
-            every child's config so both ends of every connection agree.
     """
 
     def __init__(
         self,
         mix: ProtocolMix,
         data_dir: Path | str,
-        coordinator: str = "dynamic",
-        seed: int = 0,
-        timeouts: Optional[TimeoutConfig] = None,
-        time_scale: float = 0.01,
-        fsync: bool = True,
-        read_only_optimization: bool = True,
-        group_commit: Optional[GroupCommitConfig] = None,
         kills: Optional[dict[str, KillSpec]] = None,
         heartbeat_interval: float = 1.0,
         heartbeat_misses: int = 5,
         auto_respawn: bool = False,
-        sharded: bool = False,
-        replicated: int = 0,
-        codec: str = "json",
+        **options: Any,
     ) -> None:
-        if sharded and replicated:
-            raise WorkloadError(
-                "sharded and replicated are mutually exclusive topologies"
-            )
-        if codec not in WIRE_CODECS:
-            raise WorkloadError(
-                f"unknown codec {codec!r}: expected one of {WIRE_CODECS}"
-            )
-        self._mix = mix
-        self._coordinator_policy = coordinator
-        self._sharded = sharded
-        self._replication = (
-            ReplicationConfig.for_group(replicated, leader=COORDINATOR_ID)
-            if replicated
-            else None
-        )
-        self._seed = seed
-        self._timeouts = timeouts
-        self._time_scale = time_scale
-        self._fsync = fsync
-        self._read_only_optimization = read_only_optimization
-        self._group_commit = group_commit
-        self._codec = codec
+        super().__init__(mix, data_dir, **options)
         self._kills = dict(kills) if kills else {}
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_misses = heartbeat_misses
         self._auto_respawn = auto_respawn
-        self.data_dir = Path(data_dir)
-        self.sim: Optional[LiveRuntime] = None
-        self.submitted: list[GlobalTransaction] = []
         self._children: dict[str, _ChildHandle] = {}
         self._server: Optional[asyncio.Server] = None
         self._control_port = 0
@@ -293,27 +230,14 @@ class ProcessCluster:
         self._next_cmd_id = 0
         self._views: Optional[dict[str, RemoteSite]] = None
         self._shutting_down = False
-        self._decision_events: dict[str, asyncio.Event] = {}
-        self._terminated: set[str] = set()
-        self._submitted_at: dict[str, float] = {}
-        self._decided_at: dict[str, float] = {}
-        self._activity: Optional[asyncio.Event] = None
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         """Spawn every site process and wait for all of them to report
         in (recovery-first boot included)."""
-        if self.sim is not None:
-            raise WorkloadError("cluster already started")
         self._wall_epoch = time.time()
-        self.sim = LiveRuntime(
-            time_scale=self._time_scale,
-            seed=self._seed,
-            wall_epoch=self._wall_epoch,
-        )
-        self._activity = asyncio.Event()
-        self.sim.trace.subscribe(self._on_trace_event)
+        self._start_runtime(wall_epoch=self._wall_epoch)
         self._server = await asyncio.start_server(
             self._on_control_connection,
             "127.0.0.1",
@@ -322,43 +246,32 @@ class ProcessCluster:
         )
         self._control_port = self._server.sockets[0].getsockname()[1]
 
-        topology = dict(self._mix.site_protocols())
-        if not self._sharded:
-            topology[COORDINATOR_ID] = "PrN"
-        coordinator_sites = (
-            sorted(topology) if self._sharded else [COORDINATOR_ID]
-        )
-        if self._replication is not None:
-            # Acceptor processes host a coordinator engine too: a
-            # takeover completes in-flight transactions through it.
-            for acceptor_id in self._replication.acceptors:
-                topology[acceptor_id] = "PrN"
-                coordinator_sites.append(acceptor_id)
+        layout = sorted(self._layout.values(), key=lambda spec: spec.site_id)
+        site_protocols = {spec.site_id: spec.protocol for spec in layout}
+        coordinator_sites = [
+            spec.site_id for spec in layout if spec.coordinator is not None
+        ]
         # Pre-allocate every data port up front so the complete address
         # directory goes into every child's config — addresses survive
         # any child's restart without renegotiation.
         directory = {
-            site_id: ["127.0.0.1", _free_port()] for site_id in sorted(topology)
+            site_id: ["127.0.0.1", _free_port()] for site_id in site_protocols
         }
-        for site_id, protocol in sorted(topology.items()):
-            coordinator = (
-                self._coordinator_policy
-                if site_id in coordinator_sites
-                else None
-            )
+        for spec in layout:
+            site_id = spec.site_id
             kill = self._kills.get(site_id)
             config = SiteProcessConfig(
                 site_id=site_id,
-                protocol=protocol,
+                protocol=spec.protocol,
                 data_dir=str(self.data_dir / site_id),
                 host=directory[site_id][0],
                 port=directory[site_id][1],
                 control_host="127.0.0.1",
                 control_port=self._control_port,
                 directory=directory,
-                site_protocols=topology,
+                site_protocols=site_protocols,
                 coordinator_sites=coordinator_sites,
-                coordinator=coordinator,
+                coordinator=spec.coordinator,
                 time_scale=self._time_scale,
                 wall_epoch=self._wall_epoch,
                 seed=self._seed,
@@ -368,17 +281,17 @@ class ProcessCluster:
                 timeouts=timeouts_to_dict(self._timeouts),
                 kill=None if kill is None else {"point": kill.point, "txn": kill.txn},
                 replication=(
-                    self._replication.to_dict()
-                    if self._replication is not None
-                    and self._replication.involves(site_id)
-                    else None
+                    None
+                    if spec.replication is None
+                    else spec.replication.to_dict()
                 ),
-                codec=self._codec,
+                codec=self.codec,
             )
             config_path = self.data_dir / site_id / "proc.json"
             config.save(config_path)
-            handle = _ChildHandle(site_id, protocol, config, config_path)
-            self._children[site_id] = handle
+            self._children[site_id] = _ChildHandle(
+                site_id, spec.protocol, config, config_path
+            )
         for handle in self._children.values():
             self._spawn(handle)
         await asyncio.gather(
@@ -483,7 +396,7 @@ class ProcessCluster:
         handle: Optional[_ChildHandle] = None
         try:
             while True:
-                frame = await read_control(reader, self._codec)
+                frame = await read_control(reader, self.codec)
                 if frame is None:
                     break
                 kind = frame.get("kind")
@@ -564,7 +477,7 @@ class ProcessCluster:
         handle.pending[cmd_id] = future
         handle.writer.write(
             encode_control(
-                {"kind": "cmd", "id": cmd_id, "op": op, **kw}, self._codec
+                {"kind": "cmd", "id": cmd_id, "op": op, **kw}, self.codec
             )
         )
         try:
@@ -612,95 +525,14 @@ class ProcessCluster:
             except ProcessControlError:
                 return  # already dead; the EOF path handled it
 
-    # -- event-driven completion ---------------------------------------------
-
-    def _on_trace_event(self, event: TraceEvent) -> None:
-        """Same decision/termination tracking as ``LiveCluster`` — the
-        events just arrive over control streams instead of in-process."""
-        if event.category == "protocol" and event.name == "decide":
-            txn = event.details.get("txn")
-            if txn is not None:
-                self._terminated.add(txn)
-                self._decided_at.setdefault(txn, event.time)
-                decision_event = self._decision_events.get(txn)
-                if decision_event is not None:
-                    decision_event.set()
-        elif event.category == "system" and event.name == "txn_not_started":
-            txn = event.details.get("txn")
-            if txn is not None:
-                self._terminated.add(txn)
-                decision_event = self._decision_events.get(txn)
-                if decision_event is not None:
-                    decision_event.set()
-        if self._activity is not None:
-            self._activity.set()
-
-    async def _await_activity(self, max_wait: float) -> None:
-        assert self._activity is not None
-        try:
-            await asyncio.wait_for(self._activity.wait(), timeout=max_wait)
-        except asyncio.TimeoutError:
-            pass
-
-    def decision_latencies(self) -> dict[str, float]:
-        """Submission-to-decision wall seconds per decided transaction."""
-        assert self.sim is not None
-        return {
-            txn_id: (decided - self._submitted_at[txn_id]) * self._time_scale
-            for txn_id, decided in self._decided_at.items()
-            if txn_id in self._submitted_at
-        }
-
-    async def wait_for_crash(
-        self, site_id: str, timeout: float = CALL_TIMEOUT
-    ) -> None:
-        """Block until ``site_id``'s process death has been observed
-        (control stream drained, synthetic crash recorded)."""
-        await asyncio.wait_for(
-            self._children[site_id].crashed.wait(), timeout
-        )
-
-    async def wait_decided(
-        self, txn_id: str, timeout: float = CALL_TIMEOUT
-    ) -> None:
-        """Block until ``txn_id`` has a decision (or was never started)."""
-        event = self._decision_events.get(txn_id)
-        if event is None:
-            raise WorkloadError(f"transaction {txn_id!r} was never submitted")
-        await asyncio.wait_for(event.wait(), timeout)
-
     # -- the MDBS surface ----------------------------------------------------
 
     def submit(self, txn: GlobalTransaction, immediate: bool = False) -> None:
         """Schedule a global transaction (mirrors ``LiveCluster.submit``)."""
-        assert self.sim is not None, "cluster not started"
-        handle = self._children.get(txn.coordinator)
-        if handle is None:
-            raise WorkloadError(f"unknown coordinator site {txn.coordinator!r}")
-        if handle.config.coordinator is None:
-            raise ProtocolError(
-                f"site {txn.coordinator!r} cannot coordinate (no engine)"
-            )
-        unknown = (set(txn.writes) | set(txn.reads)) - set(self._children)
-        if unknown:
-            raise WorkloadError(
-                f"transaction {txn.txn_id!r} references unknown sites "
-                f"{sorted(unknown)}"
-            )
-        self.submitted.append(txn)
-        self._decision_events.setdefault(txn.txn_id, asyncio.Event())
-        # Latency clocks start at the *scheduled* arrival, not the call
-        # into submit(): an open-loop driver hands over a whole arrival
-        # schedule up front, and stamping the hand-off instant would
-        # understate every latency by the wait until arrival
-        # (coordinated omission, inverted).
-        self._submitted_at[txn.txn_id] = (
-            self.sim.now if immediate else max(self.sim.now, txn.submit_at)
-        )
-        self.sim.schedule(
-            0.0 if immediate else max(0.0, txn.submit_at - self.sim.now),
+        self._admit(
+            txn,
+            immediate,
             lambda: asyncio.ensure_future(self._start_txn(txn)),
-            label=f"start {txn.txn_id}",
         )
 
     async def _start_txn(self, txn: GlobalTransaction) -> None:
@@ -755,59 +587,12 @@ class ProcessCluster:
     async def run(self, until: float, heartbeat: float = 0.25) -> None:
         """Advance until quiescence or ``until`` virtual units, waking
         on streamed trace activity with ``heartbeat`` as fallback."""
-        assert self.sim is not None
-        while self.sim.now < until:
-            assert self._activity is not None
-            self._activity.clear()
-            if await self._quiescent():
-                return
-            remaining = self.sim.to_seconds(until - self.sim.now)
-            await self._await_activity(min(remaining, heartbeat))
-
-    async def run_pipelined(
-        self,
-        transactions: Iterable[GlobalTransaction],
-        max_in_flight: int = 8,
-        decision_timeout: float = 120.0,
-    ) -> dict[str, float]:
-        """Open-loop arrival driver (mirrors ``LiveCluster.run_pipelined``)."""
-        assert self.sim is not None, "cluster not started"
-        if max_in_flight < 1:
-            raise WorkloadError(f"max_in_flight must be >= 1: {max_in_flight!r}")
-        slots = asyncio.Semaphore(max_in_flight)
-        driven: list[str] = []
-
-        async def drive(txn: GlobalTransaction) -> None:
-            try:
-                self.submit(txn, immediate=True)
-                await asyncio.wait_for(
-                    self._decision_events[txn.txn_id].wait(),
-                    timeout=decision_timeout,
-                )
-            finally:
-                slots.release()
-
-        waiters: list[asyncio.Task] = []
-        try:
-            for txn in transactions:
-                await slots.acquire()
-                driven.append(txn.txn_id)
-                waiters.append(asyncio.create_task(drive(txn)))
-            await asyncio.gather(*waiters)
-        except BaseException:
-            for waiter in waiters:
-                waiter.cancel()
-            await asyncio.gather(*waiters, return_exceptions=True)
-            raise
-        latencies = self.decision_latencies()
-        return {
-            txn_id: latencies[txn_id] for txn_id in driven if txn_id in latencies
-        }
+        await self._run_until_quiescent(until, heartbeat)
 
     async def _quiescent(self) -> bool:
         """All submitted work decided, and every *live* child reports
         empty protocol tables and an idle transport."""
-        if any(txn.txn_id not in self._terminated for txn in self.submitted):
+        if not self._all_terminated():
             return False
         for status in (await self._statuses()).values():
             if status["retained"] or status["backlog"]:
@@ -851,6 +636,15 @@ class ProcessCluster:
             await asyncio.sleep(self.sim.to_seconds(10.0))
 
     # -- failures ------------------------------------------------------------
+
+    async def wait_for_crash(
+        self, site_id: str, timeout: float = CALL_TIMEOUT
+    ) -> None:
+        """Block until ``site_id``'s process death has been observed
+        (control stream drained, synthetic crash recorded)."""
+        await asyncio.wait_for(
+            self._children[site_id].crashed.wait(), timeout
+        )
 
     async def kill(self, site_id: str) -> None:
         """SIGKILL one site process and wait until its death has been
@@ -957,45 +751,23 @@ class ProcessCluster:
             raise WorkloadError("call collect() or shutdown() before .sites")
         return dict(self._views)
 
-    def message_counts(self) -> dict[str, int]:
-        """Cluster-wide transport totals summed over the collected
-        per-site counters: ``sent`` counts every data-plane frame any
-        site handed its transport (the multiproc analogue of the
-        in-process ``transport.sent_count`` the live bench reports);
-        ``delivered``/``dropped`` partition the receive side. Control
-        frames are not counted — only protocol traffic."""
-        totals = {"sent": 0, "delivered": 0, "dropped": 0}
+    def _transport_counters(self) -> Iterator[tuple[int, int, int]]:
+        """Each collected site's end-of-run counters (the ``summary``
+        reply's; a dead child's died with it and read 0)."""
         for view in self.sites.values():
-            totals["sent"] += view.messages_sent
-            totals["delivered"] += view.messages_delivered
-            totals["dropped"] += view.messages_dropped
-        return totals
+            yield (
+                view.messages_sent,
+                view.messages_delivered,
+                view.messages_dropped,
+            )
 
     # -- checking ------------------------------------------------------------
-
-    def outcomes(self) -> dict[str, str]:
-        assert self.sim is not None
-        return {
-            event.details["txn"]: event.details["decision"]
-            for event in self.sim.trace.select(category="protocol", name="decide")
-        }
-
-    def history(self) -> History:
-        assert self.sim is not None
-        return History.from_trace(self.sim.trace)
 
     def check(self) -> RunReports:
         """The three correctness checkers over the merged trace and the
         collected site views (mirrors ``MDBS.check``)."""
         assert self.sim is not None
-        history = self.history()
-        return RunReports(
-            atomicity=check_atomicity(history, self.sim.trace),
-            safe_state=check_safe_state(history),
-            operational=check_operational_correctness(
-                self.sites.values(), history, self.sim.trace
-            ),
-        )
+        return RunReports.of(self.sim.trace, self.sites.values())
 
     def __repr__(self) -> str:
         now = f"{self.sim.now:.1f}" if self.sim is not None else "unstarted"
@@ -1013,64 +785,3 @@ def _free_port() -> int:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
-
-
-async def run_multiprocess_workload(
-    mix: ProtocolMix,
-    coordinator: str,
-    spec: WorkloadSpec,
-    data_dir: Path | str,
-    time_scale: float = 0.01,
-    fsync: bool = True,
-    timeouts: Optional[TimeoutConfig] = None,
-    group_commit: Optional[GroupCommitConfig] = None,
-    pipeline: Optional[int] = None,
-    kills: Optional[dict[str, KillSpec]] = None,
-    sharded: bool = False,
-    placement: str = "hash",
-    replicated: int = 0,
-    codec: str = "json",
-) -> ProcessCluster:
-    """Run a generated workload over a multi-process cluster to
-    quiescence — the process-per-site twin of
-    :func:`~repro.rt.cluster.run_live_workload`, returning the
-    (shut-down, collected) cluster for ``equivalence_summary``-style
-    inspection. ``sharded`` spreads the coordinator role across the mix
-    sites' processes with the named ``placement`` policy; ``replicated``
-    puts the ``tm`` coordinator over a group of Paxos acceptor
-    processes."""
-    cluster = ProcessCluster(
-        mix,
-        data_dir,
-        coordinator=coordinator,
-        seed=spec.seed,
-        timeouts=timeouts if timeouts is not None else LIVE_TIMEOUTS,
-        time_scale=time_scale,
-        fsync=fsync,
-        group_commit=group_commit,
-        kills=kills,
-        sharded=sharded,
-        replicated=replicated,
-        codec=codec,
-    )
-    await cluster.start()
-    try:
-        transactions = generate_transactions(
-            spec,
-            sorted(mix.site_protocols()),
-            placement=placement_for(placement) if sharded else None,
-        )
-        if pipeline is not None:
-            await cluster.run_pipelined(transactions, max_in_flight=pipeline)
-            assert cluster.sim is not None
-            await cluster.run(until=cluster.sim.now + RUN_MARGIN)
-        else:
-            for txn in transactions:
-                cluster.submit(txn)
-            await cluster.run(
-                until=spec.inter_arrival * spec.n_transactions + RUN_MARGIN
-            )
-        await cluster.finalize()
-    finally:
-        await cluster.shutdown()
-    return cluster

@@ -8,17 +8,14 @@ from typing import Optional
 from repro.errors import WorkloadError
 from repro.mdbs.placement import PlacementPolicy
 from repro.mdbs.system import MDBS
+from repro.mdbs.topology import COORDINATOR_ID, Topology
 from repro.mdbs.transaction import GlobalTransaction, WriteOp
 from repro.net.batching import NetBatchConfig
 from repro.net.network import LatencyModel
 from repro.protocols.base import TimeoutConfig
-from repro.replication import ReplicationConfig
 from repro.sim.rng import RandomStreams
 from repro.storage.group_commit import GroupCommitConfig
 from repro.workloads.mixes import ProtocolMix
-
-#: Site id used for the coordinating transaction manager.
-COORDINATOR_ID = "tm"
 
 
 def build_mdbs(
@@ -30,55 +27,21 @@ def build_mdbs(
     read_only_optimization: bool = True,
     group_commit: Optional[GroupCommitConfig] = None,
     net_batching: Optional[NetBatchConfig] = None,
-    sharded: bool = False,
+    topology: Topology = Topology(),
     service_time: Optional[float] = None,
-    replicated: "int | ReplicationConfig" = 0,
 ) -> MDBS:
     """Build an MDBS with one participant site per mix entry.
 
-    In the default (single-coordinator) topology the coordinator lives
-    at its own site (``"tm"``), running PrN as a participant protocol
-    (it never participates in these workloads) and the given coordinator
-    policy/selector. With ``sharded=True`` there is no ``tm`` site:
-    every mix site hosts both its participant engine and a coordinator
-    engine running the same policy, and each transaction is placed on
-    one of them by the workload generator (see
-    :mod:`repro.mdbs.placement`). ``group_commit`` / ``net_batching``
-    switch on the group-commit engine (off by default).
-
-    With ``replicated=N`` the ``tm`` coordinator replicates its
-    decisions over ``N`` dedicated acceptor sites ``acc0..acc{N-1}``
-    via Paxos Commit (see :mod:`repro.replication`); each acceptor
-    also hosts a coordinator engine so it can complete in-flight
-    transactions after a leader failover. Acceptors never participate
-    in workload transactions. Pass a :class:`ReplicationConfig` instead
-    of an int to override the membership or liveness timers (e.g. a
-    dense benchmark relaxing ``failover_timeout`` above its queueing
-    delay, so spurious takeovers never fire).
+    ``topology`` (:class:`~repro.mdbs.topology.Topology`) says where the
+    coordinator engines running ``coordinator``'s policy live: at the
+    ``"tm"`` site (the default), at every mix site, or at ``tm``
+    replicated over an acceptor group. Under a sharded topology the
+    workload generator places each transaction
+    (``generate_transactions(placement=topology.placement)``).
+    ``group_commit`` / ``net_batching`` switch on the group-commit
+    engine (off by default).
     """
-    if replicated:
-        if sharded:
-            raise WorkloadError(
-                "replicated coordinators require the single-coordinator "
-                "topology (sharded=True replicates nothing)"
-            )
-        unsupported = {
-            p for p in mix.site_protocols().values() if p in ("IYV", "CL")
-        }
-        if unsupported:
-            raise WorkloadError(
-                f"replication does not support the extension protocols "
-                f"{sorted(unsupported)} yet (coordinator-log retention "
-                f"and implicit voting are not registered with the quorum)"
-            )
-    if isinstance(replicated, ReplicationConfig):
-        replication = replicated
-    elif replicated:
-        replication = ReplicationConfig.for_group(
-            replicated, leader=COORDINATOR_ID
-        )
-    else:
-        replication = None
+    topology.validate(mix)
     mdbs = MDBS(
         seed=seed,
         latency=latency,
@@ -86,22 +49,15 @@ def build_mdbs(
         group_commit=group_commit,
         net_batching=net_batching,
         service_time=service_time,
-        replication=replication,
+        replication=topology.replication,
     )
-    for site_id, protocol in mix.site_protocols().items():
+    for site in topology.sites(mix, coordinator):
         mdbs.add_site(
-            site_id,
-            protocol=protocol,
-            coordinator=coordinator if sharded else None,
+            site.site_id,
+            protocol=site.protocol,
+            coordinator=site.coordinator,
             read_only_optimization=read_only_optimization,
         )
-    if not sharded:
-        mdbs.add_site(COORDINATOR_ID, protocol="PrN", coordinator=coordinator)
-    if replication is not None:
-        for acceptor_id in replication.acceptors:
-            mdbs.add_site(
-                acceptor_id, protocol="PrN", coordinator=coordinator
-            )
     return mdbs
 
 

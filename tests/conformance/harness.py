@@ -32,8 +32,8 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from repro.mdbs.placement import HashPlacement
 from repro.mdbs.system import MDBS
+from repro.mdbs.topology import Topology
 from repro.net.batching import NetBatchConfig
 from repro.protocols.base import TimeoutConfig
 from repro.storage.group_commit import GroupCommitConfig
@@ -130,6 +130,7 @@ def run_workload(
     a Paxos quorum of ``N`` acceptor sites (the workload stream is
     again untouched — acceptors never participate).
     """
+    topology = Topology.from_flags(sharded, replicated)
     mdbs = build_mdbs(
         mix,
         coordinator=coordinator,
@@ -137,12 +138,10 @@ def run_workload(
         timeouts=CONFORMANCE_TIMEOUTS,
         group_commit=group_commit,
         net_batching=net_batching,
-        sharded=sharded,
-        replicated=replicated,
+        topology=topology,
     )
-    placement = HashPlacement() if sharded else None
     for txn in generate_transactions(
-        spec, sorted(mix.site_protocols()), placement=placement
+        spec, sorted(mix.site_protocols()), placement=topology.placement
     ):
         mdbs.submit(txn)
     mdbs.run(until=spec.inter_arrival * spec.n_transactions + 500.0)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import WorkloadError
+from repro.mdbs.topology import Topology
 from repro.storage.log_records import RecordType
 from repro.workloads.generator import build_mdbs
 from repro.workloads.mixes import ProtocolMix, homogeneous, three_way
@@ -184,12 +185,16 @@ class TestReplicationGuards:
 
     def test_sharded_is_rejected(self) -> None:
         with pytest.raises(WorkloadError, match="single-coordinator"):
-            build_mdbs(homogeneous("PrN", 4), "PrN", sharded=True, replicated=3)
+            build_mdbs(
+                homogeneous("PrN", 4), "PrN", topology=Topology.from_flags(True, 3)
+            )
 
     @pytest.mark.parametrize("protocol", ["IYV", "CL"])
     def test_extension_protocols_are_rejected(self, protocol: str) -> None:
         with pytest.raises(WorkloadError, match="extension protocols"):
-            build_mdbs(homogeneous(protocol, 3), "dynamic", replicated=3)
+            build_mdbs(
+                homogeneous(protocol, 3), "dynamic", topology=Topology.replicated(3)
+            )
 
     def test_acceptors_never_participate(self) -> None:
         mix, coordinator = REPLICATED_SETUPS["PrAny"]

@@ -31,6 +31,7 @@ from repro.explore.adversary import (
 )
 from repro.explore.runner import execute_scenario, run_scenario
 from repro.mdbs.placement import HashPlacement
+from repro.mdbs.topology import Topology
 from repro.workloads.generator import WorkloadSpec, generate_transactions
 from repro.workloads.mixes import ProtocolMix, homogeneous, three_way
 
@@ -138,7 +139,7 @@ def _recovery_spec(protocol: str) -> tuple[ScenarioSpec, str, list[str]]:
     sites = sorted(MIXES[mix_name].site_protocols())
     n_transactions = 4
     inter_arrival = 5.0
-    pmin, pmax = participant_bounds(len(sites), sharded=True)
+    pmin, pmax = participant_bounds(len(sites), Topology.sharded())
     workload = WorkloadSpec(
         n_transactions=n_transactions,
         abort_fraction=0.0,
@@ -158,7 +159,7 @@ def _recovery_spec(protocol: str) -> tuple[ScenarioSpec, str, list[str]]:
         n_transactions=n_transactions,
         abort_fraction=0.0,
         inter_arrival=inter_arrival,
-        sharded=True,
+        topology=Topology.sharded(),
         actions=(
             # Mid-prepare: the owner dies right as it fans out PREPARE
             # for its shard's transaction. (The initiation-record point

@@ -19,6 +19,7 @@ import pytest
 
 from repro.explore.adversary import CrashWhen, ScenarioSpec
 from repro.explore.runner import execute_scenario, run_scenario
+from repro.mdbs.topology import Topology
 from repro.workloads.failure_schedules import coordinator_crash_points
 from repro.workloads.generator import (
     WorkloadSpec,
@@ -37,7 +38,9 @@ _CRASH_POINT = {p.name: p for p in coordinator_crash_points()}[
 def _twin(replicated: int):
     """One commit-intent transaction; tm dies mid-prepare and stays dead."""
     mix = three_way(3)
-    mdbs = build_mdbs(mix, "dynamic", seed=_SEED, replicated=replicated)
+    mdbs = build_mdbs(
+        mix, "dynamic", seed=_SEED, topology=Topology.from_flags(replicated=replicated)
+    )
     workload = WorkloadSpec(
         n_transactions=1,
         abort_fraction=0.0,
@@ -120,7 +123,7 @@ class TestReplicatedScenarios:
             n_transactions=4,
             abort_fraction=0.25,
             inter_arrival=15.0,
-            replicated=3,
+            topology=Topology.replicated(3),
             actions=(
                 CrashWhen(
                     site="tm",
@@ -152,7 +155,7 @@ class TestReplicatedScenarios:
             n_transactions=4,
             abort_fraction=0.25,
             inter_arrival=15.0,
-            replicated=3,
+            topology=Topology.replicated(3),
             actions=(
                 CrashWhen(
                     site="acc1", point=point, txn="t0000", down_for=80.0

@@ -22,7 +22,7 @@ import asyncio
 
 import pytest
 
-from repro.rt.cluster import run_live_workload
+from repro.rt import cluster as live
 from repro.storage.group_commit import GroupCommitConfig
 from tests.conformance.harness import (
     CONFORMANCE_TIMEOUTS,
@@ -52,7 +52,8 @@ def test_live_run_matches_simulator(protocol, tmp_path):
     sim_summary = equivalence_summary(run_workload(mix, coordinator, spec))
 
     cluster = asyncio.run(
-        run_live_workload(
+        live.run_workload(
+            live.LiveCluster,
             mix,
             coordinator,
             spec,
@@ -88,7 +89,8 @@ def test_live_batched_pipelined_run_matches_simulator(protocol, tmp_path):
     sim_summary = equivalence_summary(run_workload(mix, coordinator, spec))
 
     cluster = asyncio.run(
-        run_live_workload(
+        live.run_workload(
+            live.LiveCluster,
             mix,
             coordinator,
             spec,
@@ -120,7 +122,8 @@ def test_live_binary_codec_run_matches_simulator(protocol, tmp_path):
     sim_summary = equivalence_summary(run_workload(mix, coordinator, spec))
 
     cluster = asyncio.run(
-        run_live_workload(
+        live.run_workload(
+            live.LiveCluster,
             mix,
             coordinator,
             spec,

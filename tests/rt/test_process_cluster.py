@@ -18,7 +18,8 @@ import signal
 import pytest
 
 from repro.errors import SiteDownError
-from repro.rt.proc import ProcessCluster, run_multiprocess_workload
+from repro.rt import cluster as live
+from repro.rt.proc import ProcessCluster
 from repro.storage.group_commit import GroupCommitConfig
 from tests.conformance.harness import (
     CONFORMANCE_TIMEOUTS,
@@ -63,7 +64,8 @@ def test_multiprocess_run_matches_simulator(protocol, tmp_path):
     sim_summary = equivalence_summary(run_workload(mix, coordinator, spec))
 
     cluster = asyncio.run(
-        run_multiprocess_workload(
+        live.run_workload(
+            ProcessCluster,
             mix,
             coordinator,
             spec,
@@ -95,7 +97,8 @@ def test_multiprocess_group_commit_pipelined_matches_simulator(tmp_path):
     sim_summary = equivalence_summary(run_workload(mix, coordinator, spec))
 
     cluster = asyncio.run(
-        run_multiprocess_workload(
+        live.run_workload(
+            ProcessCluster,
             mix,
             coordinator,
             spec,

@@ -23,8 +23,9 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 
+from repro.mdbs.topology import Topology
 from repro.protocols.base import TimeoutConfig
-from repro.rt.cluster import run_live_workload
+from repro.rt import cluster as live
 from repro.rt.proc import KillSpec, ProcessCluster
 from repro.workloads.generator import COORDINATOR_ID, generate_transactions
 from tests.conformance.harness import (
@@ -84,14 +85,15 @@ def test_live_replicated_run_matches_simulator(tmp_path):
     )
 
     cluster = asyncio.run(
-        run_live_workload(
+        live.run_workload(
+            live.LiveCluster,
             mix,
             coordinator,
             spec,
             str(tmp_path),
             fsync=False,
             timeouts=CONFORMANCE_TIMEOUTS,
-            replicated=N_ACCEPTORS,
+            topology=Topology.replicated(N_ACCEPTORS),
         )
     )
     live_summary = equivalence_summary(cluster)
@@ -125,7 +127,7 @@ def _replicated_cluster(tmp_path, kills):
         time_scale=TIME_SCALE,
         fsync=True,
         kills=kills,
-        replicated=N_ACCEPTORS,
+        topology=Topology.replicated(N_ACCEPTORS),
     )
 
 

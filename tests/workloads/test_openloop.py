@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import WorkloadError
-from repro.mdbs.placement import placement_for
+from repro.mdbs.placement import HashPlacement
 from repro.workloads.openloop import (
     OpenLoopSpec,
     generate_open_loop,
@@ -175,7 +175,7 @@ class TestBodies:
             assert txn.force_no_vote_at <= set(txn.writes)
 
     def test_sharded_placement_picks_non_participants(self):
-        placement = placement_for("hash")
+        placement = HashPlacement()
         txns = generate_open_loop(
             spec(participants_min=2, participants_max=3),
             SITES,
@@ -191,7 +191,7 @@ class TestBodies:
             generate_open_loop(
                 spec(participants_min=2, participants_max=4),
                 SITES,
-                placement=placement_for("hash"),
+                placement=HashPlacement(),
             )
 
     def test_empty_site_list_rejected(self):
