@@ -282,7 +282,8 @@ class Site:
         checkpointed (committed state becomes durable — the write-ahead
         discipline that makes collecting a committed transaction's redo
         records safe), and then the GC sweep collects every forgotten
-        transaction whose cover record is stable.
+        transaction whose cover record is stable. The sweep ends with
+        the log's one compaction, however many transactions it collected.
 
         Returns:
             Number of transactions whose records were collected.
@@ -300,6 +301,7 @@ class Site:
             collected += self.coordinator.collect_garbage()
         if self.replication is not None:
             collected += self.replication.collect_garbage()
+        self.log.compact()
         return collected
 
     def __repr__(self) -> str:

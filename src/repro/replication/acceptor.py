@@ -275,6 +275,7 @@ class AcceptorEngine:
                 del self._txns[txn_id]
                 self._log.garbage_collect(txn_id)
                 self._released += 1
+        self._log.compact()
 
     # -- lifecycle ---------------------------------------------------------------
 

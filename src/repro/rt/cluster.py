@@ -200,6 +200,49 @@ class ClusterDriver:
             remaining = self.sim.to_seconds(until - self.sim.now)
             await self._await_activity(min(remaining, heartbeat))
 
+    async def _sweep(self) -> tuple[int, bool]:
+        """One flush+GC round over the live sites: transactions
+        collected, and whether messages are still queued anywhere."""
+        raise NotImplementedError
+
+    async def _network_busy(self) -> bool:
+        """Messages still queued or pending local delivery anywhere."""
+        raise NotImplementedError
+
+    async def _finalize_rounds(self, max_rounds: int) -> None:
+        """The ``finalize()`` loop (mirrors ``MDBS.finalize``).
+
+        Event-driven: each round lets in-flight coordination messages
+        drain (bounded by 10 virtual units) instead of sleeping the
+        bound out, and the loop exits as soon as a round collects
+        nothing with the network idle — an already-quiet cluster
+        finalizes promptly in a single round.
+        """
+        for _ in range(max_rounds):
+            collected, busy = await self._sweep()
+            if collected == 0 and not busy:
+                return
+            await self._drain_network(bound_units=10.0)
+
+    async def _drain_network(self, bound_units: float) -> None:
+        """Wait (event-driven, bounded) for in-flight messages to land.
+
+        Backlog only counts queued frames, not bytes mid-socket, so
+        after the backlog empties one extra virtual unit of grace lets
+        a just-written frame reach its peer before we conclude quiet.
+        """
+        assert self.sim is not None and self._activity is not None
+        deadline = self.sim.now + bound_units
+        while self.sim.now < deadline:
+            self._activity.clear()
+            if not await self._network_busy():
+                await asyncio.sleep(self.sim.to_seconds(1.0))
+                if not await self._network_busy():
+                    return
+                continue
+            remaining = self.sim.to_seconds(deadline - self.sim.now)
+            await self._await_activity(min(remaining, 0.25))
+
     def _all_terminated(self) -> bool:
         """Every submitted transaction decided or refused."""
         terminated = self._terminated
@@ -453,7 +496,7 @@ class LiveCluster(ClusterDriver):
     def quiescent(self) -> bool:
         """All submitted work decided, delivered and forgotten."""
         assert self.sim is not None
-        if self._network_busy() or not self._all_terminated():
+        if self._backlog() or not self._all_terminated():
             return False
         return all(
             not site.retained_transactions()
@@ -465,48 +508,20 @@ class LiveCluster(ClusterDriver):
         return self.quiescent()
 
     async def finalize(self, max_rounds: int = 5) -> None:
-        """Flush and GC to a stable residue (mirrors ``MDBS.finalize``).
+        """Flush and GC to a stable residue (mirrors ``MDBS.finalize``)."""
+        await self._finalize_rounds(max_rounds)
 
-        Event-driven: each round lets in-flight coordination messages
-        drain (bounded by 10 virtual units) instead of sleeping the
-        bound out, and the loop exits as soon as a round collects
-        nothing with the network idle — an already-quiet cluster
-        finalizes promptly in a single round.
-        """
-        assert self.sim is not None
-        for _ in range(max_rounds):
-            collected = sum(
-                site.flush_and_gc()
-                for site in self.sites.values()
-                if site.is_up
-            )
-            if collected == 0 and not self._network_busy():
-                return
-            await self._drain_network(bound_units=10.0)
+    async def _sweep(self) -> tuple[int, bool]:
+        collected = sum(
+            site.flush_and_gc() for site in self.sites.values() if site.is_up
+        )
+        return collected, await self._network_busy()
 
-    def _network_busy(self) -> bool:
-        """Messages still queued or pending local delivery anywhere."""
-        return any(host.transport.backlog for host in self.hosts.values())
+    def _backlog(self) -> int:
+        return sum(host.transport.backlog for host in self.hosts.values())
 
-    async def _drain_network(self, bound_units: float) -> None:
-        """Wait (event-driven, bounded) for in-flight messages to land.
-
-        Backlog only counts queued frames, not bytes mid-socket, so
-        after the backlog empties one extra virtual unit of grace lets
-        a just-written frame reach its peer before we conclude quiet.
-        """
-        assert self.sim is not None
-        deadline = self.sim.now + bound_units
-        while self.sim.now < deadline:
-            assert self._activity is not None
-            self._activity.clear()
-            if not self._network_busy():
-                await asyncio.sleep(self.sim.to_seconds(1.0))
-                if not self._network_busy():
-                    return
-                continue
-            remaining = self.sim.to_seconds(deadline - self.sim.now)
-            await self._await_activity(min(remaining, 0.25))
+    async def _network_busy(self) -> bool:
+        return bool(self._backlog())
 
     # -- failures ------------------------------------------------------------
 

@@ -35,7 +35,8 @@ Op table (see ``repro.rt.proc.control`` for framing):
                 replies with the ``doomed`` bit
 ``begin_commit``  start the coordinator engine on a transaction
 ``status``      liveness/progress snapshot: retained txns, backlog
-``flush_gc``    one :meth:`~repro.mdbs.site.Site.flush_and_gc` round
+``flush_gc``    one :meth:`~repro.mdbs.site.Site.flush_and_gc` round;
+                replies with the count collected and the backlog
 ``summary``     durable footprint: stable records, store snapshot
 ``ping``        heartbeat
 ``shutdown``    orderly exit: close WAL, stop transport, exit 0
@@ -324,7 +325,10 @@ class SiteProcess:
                 "buffered": site.log.buffered_record_count,
             }
         if op == "flush_gc":
-            return {"collected": site.flush_and_gc()}
+            return {
+                "collected": site.flush_and_gc(),
+                "backlog": self.transport.backlog,
+            }
         if op == "summary":
             return {
                 "protocol": site.protocol,

@@ -594,46 +594,45 @@ class ProcessCluster(ClusterDriver):
         empty protocol tables and an idle transport."""
         if not self._all_terminated():
             return False
-        for status in (await self._statuses()).values():
-            if status["retained"] or status["backlog"]:
-                return False
-        return True
+        return not any(
+            status["retained"] or status["backlog"]
+            for status in await self._ask_live("status")
+        )
 
-    async def _statuses(self) -> dict[str, dict[str, Any]]:
-        """Status snapshots of the live children (dead ones are quiet
-        by definition, as a down site is for ``LiveCluster``)."""
-        statuses: dict[str, dict[str, Any]] = {}
-        for site_id, handle in self._children.items():
-            if not handle.alive:
-                continue
+    async def _ask_live(self, op: str) -> list[dict[str, Any]]:
+        """One ``op`` round trip to every live child at once; the
+        replies that arrived (dead children are quiet by definition,
+        as a down site is for ``LiveCluster``)."""
+
+        async def ask(site_id: str) -> Optional[dict[str, Any]]:
             try:
-                statuses[site_id] = await self._call(site_id, "status")
+                return await self._call(site_id, op)
             except (ProcessControlError, asyncio.TimeoutError):
-                continue
-        return statuses
+                return None
+
+        replies = await asyncio.gather(
+            *(
+                ask(site_id)
+                for site_id, handle in self._children.items()
+                if handle.alive
+            )
+        )
+        return [reply for reply in replies if reply is not None]
 
     async def finalize(self, max_rounds: int = 5) -> None:
         """Flush+GC every live child to a stable residue (mirrors
         ``LiveCluster.finalize`` across the process boundary)."""
-        assert self.sim is not None
-        for _ in range(max_rounds):
-            collected = 0
-            for site_id, handle in self._children.items():
-                if not handle.alive:
-                    continue
-                try:
-                    reply = await self._call(site_id, "flush_gc")
-                    collected += int(reply.get("collected", 0))
-                except (ProcessControlError, asyncio.TimeoutError):
-                    continue
-            busy = any(
-                status["backlog"] for status in (await self._statuses()).values()
-            )
-            if collected == 0 and not busy:
-                return
-            # Let in-flight coordination messages (checkpoint/GC
-            # handshakes) land before the next sweep.
-            await asyncio.sleep(self.sim.to_seconds(10.0))
+        await self._finalize_rounds(max_rounds)
+
+    async def _sweep(self) -> tuple[int, bool]:
+        replies = await self._ask_live("flush_gc")
+        return (
+            sum(reply["collected"] for reply in replies),
+            any(reply["backlog"] for reply in replies),
+        )
+
+    async def _network_busy(self) -> bool:
+        return any(status["backlog"] for status in await self._ask_live("status"))
 
     # -- failures ------------------------------------------------------------
 

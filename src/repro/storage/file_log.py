@@ -24,10 +24,13 @@ Two on-disk encodings sit behind one seam (``codec=``):
   a json-configured site opening a binary WAL (or vice versa) fails
   loudly at load time instead of misparsing records.
 
-Garbage collection compacts the file by atomic rewrite (tmp + rename),
-matching the base class's logical record removal; the surviving batch
-is encoded by the same :func:`encode_records` helper as the persist
-path and written as a single blob.
+Garbage collection removes records from memory and marks the file
+stale; :meth:`FileStableLog.compact`, called once at the end of a GC
+sweep, rewrites a stale file atomically (tmp + rename) from the
+surviving records, encoded by the same :func:`encode_records` helper as
+the persist path and written as a single blob. Until then the file
+holds a superset of memory, so a process that dies in between restarts
+as one that died before the sweep.
 
 Crash-tail discipline: each persist writes its whole batch as ONE blob
 (one buffered write, one flush, one fsync), so under process-crash
@@ -52,7 +55,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.errors import StorageError
 from repro.packing import PackError, pack_value, unpack_value
@@ -296,9 +299,14 @@ class FileStableLog(StableLog):
                 f"unknown WAL codec {codec!r} (expected one of {WAL_CODECS})"
             )
         self._path = Path(path)
+        self._tmp_path = self._path.with_suffix(self._path.suffix + ".tmp")
         self._fsync = fsync
         self._codec = codec
+        # Records were collected from memory since the file was written.
+        self._stale = False
         self._path.parent.mkdir(parents=True, exist_ok=True)
+        # A crash inside compaction, before the rename, leaves this.
+        self._tmp_path.unlink(missing_ok=True)
         if self._path.exists():
             self._load()
         self._fh: Optional[Any] = open(self._path, "ab")
@@ -323,11 +331,10 @@ class FileStableLog(StableLog):
         records, good_end, torn = decode_wal(
             raw, self._codec, origin=str(self._path)
         )
-        max_lsn = 0
-        for record in records:
-            self._stable.append(record)
-            if record.lsn is not None:
-                max_lsn = max(max_lsn, record.lsn)
+        self._stabilise(records)
+        max_lsn = max(
+            (record.lsn for record in records if record.lsn is not None), default=0
+        )
         if torn is not None:
             description, position = torn
             with open(self._path, "r+b") as fh:
@@ -399,35 +406,33 @@ class FileStableLog(StableLog):
     def garbage_collect(self, txn_id: str) -> int:
         collected = super().garbage_collect(txn_id)
         if collected:
-            self._compact()
+            self._stale = True
         return collected
 
-    def garbage_collect_where(self, keep: Callable[[LogRecord], bool]) -> int:
-        collected = super().garbage_collect_where(keep)
-        if collected:
-            self._compact()
-        return collected
-
-    def _compact(self) -> None:
-        """Atomically rewrite the file from the surviving stable records.
+    def compact(self) -> None:
+        """Atomically rewrite a stale file from the surviving stable records.
 
         The surviving batch is serialized by the same
         :func:`encode_records` helper as the persist path and written
         as ONE blob — a compaction is one buffered write + one fsync
-        regardless of how many records survive.
+        regardless of how many records survive or how many transactions
+        were collected since the last one. The rename makes it
+        all-or-nothing: a crash anywhere inside leaves the whole old
+        or the whole new file.
         """
+        if not self._stale:
+            return
         if self._fh is not None:
             self._fh.close()
-        tmp_path = self._path.with_suffix(self._path.suffix + ".tmp")
-        blob = encode_records(self._stable, self._codec)
+        blob = encode_records(self.stable_records(), self._codec)
         if self._codec == "binary":
             blob = WAL_MAGIC + blob
-        with open(tmp_path, "wb") as tmp:
+        with open(self._tmp_path, "wb") as tmp:
             tmp.write(blob)
             tmp.flush()
             if self._fsync:
                 os.fsync(tmp.fileno())
-        os.replace(tmp_path, self._path)
+        os.replace(self._tmp_path, self._path)
         if self._fsync:
             # Make the rename itself durable.
             dir_fd = os.open(self._path.parent, os.O_RDONLY)
@@ -437,6 +442,7 @@ class FileStableLog(StableLog):
                 os.close(dir_fd)
         if self._fh is not None:
             self._fh = open(self._path, "ab")
+        self._stale = False
 
     def close(self) -> None:
         """Release the file handle (end of process, not a crash)."""
@@ -447,7 +453,7 @@ class FileStableLog(StableLog):
     def __repr__(self) -> str:
         return (
             f"FileStableLog(site={self._site_id!r}, path={str(self._path)!r}, "
-            f"stable={len(self._stable)}, buffered={len(self._buffer)}, "
+            f"stable={self.stable_record_count}, buffered={len(self._buffer)}, "
             f"codec={self._codec!r})"
         )
 
@@ -491,7 +497,7 @@ class GroupCommitFileLog(GroupCommitLog, FileStableLog):
     def __repr__(self) -> str:
         return (
             f"GroupCommitFileLog(site={self._site_id!r}, "
-            f"path={str(self._path)!r}, stable={len(self._stable)}, "
+            f"path={str(self._path)!r}, stable={self.stable_record_count}, "
             f"buffered={len(self._buffer)}, forces={self.force_count}, "
             f"requests={self.force_requests}, codec={self._codec!r})"
         )

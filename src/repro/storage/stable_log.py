@@ -11,12 +11,16 @@ A :class:`StableLog` models one site's log device:
 * ``garbage_collect`` logically removes a terminated transaction's
   records once an END record (or a protocol presumption) covers them.
 
+Stable records are indexed by transaction, so reading or collecting
+one transaction's records costs the same however many the log holds.
+
 The log also records ``log.append`` / ``log.force`` trace events so the
 figure-flow experiments can regenerate the paper's diagrams.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Iterable, Optional
 
 from repro.errors import LogClosedError, StorageError
@@ -30,7 +34,11 @@ class StableLog:
     def __init__(self, sim: Simulator, site_id: str) -> None:
         self._sim = sim
         self._site_id = site_id
-        self._stable: list[LogRecord] = []
+        # Stable records in LSN (insertion) order, keyed by identity so
+        # one record is removable without scanning, and the same records
+        # per transaction. Both hold exactly the uncollected records.
+        self._stable: dict[int, LogRecord] = {}
+        self._by_txn: defaultdict[str, list[LogRecord]] = defaultdict(list)
         self._buffer: list[LogRecord] = []
         self._next_lsn = 1
         self._open = True
@@ -113,11 +121,7 @@ class StableLog:
         """
         self._require_open()
         self.force_count += 1
-        for record in self._buffer:
-            record.forced = True
-            self._stable.append(record)
-        flushed = len(self._buffer)
-        self._buffer.clear()
+        flushed = self._stabilise_buffer()
         self._sim.record(
             self._site_id,
             "log",
@@ -168,12 +172,8 @@ class StableLog:
             The number of records flushed.
         """
         self._require_open()
-        flushed = len(self._buffer)
+        flushed = self._stabilise_buffer()
         if flushed:
-            for record in self._buffer:
-                record.forced = True
-                self._stable.append(record)
-            self._buffer.clear()
             self.flush_count += 1
             self._sim.record(self._site_id, "log", "flush", flushed=flushed)
         return flushed
@@ -203,32 +203,28 @@ class StableLog:
 
     def stable_records(self) -> tuple[LogRecord, ...]:
         """Records guaranteed to survive a crash, in LSN order."""
-        return tuple(self._stable)
+        return tuple(self._stable.values())
 
     def records_for(self, txn_id: str) -> tuple[LogRecord, ...]:
         """Stable records belonging to ``txn_id``, in LSN order."""
-        return tuple(r for r in self._stable if r.txn_id == txn_id)
+        return tuple(self._by_txn.get(txn_id, ()))
 
     def has_record(self, txn_id: str, record_type: RecordType) -> bool:
         """True if a stable record of the given type exists for the txn."""
-        return any(
-            r.txn_id == txn_id and r.type == record_type for r in self._stable
-        )
+        return any(r.type == record_type for r in self._by_txn.get(txn_id, ()))
 
     def last_record(
         self, txn_id: str, record_type: Optional[RecordType] = None
     ) -> Optional[LogRecord]:
         """Latest stable record for the txn (optionally of one type)."""
-        for record in reversed(self._stable):
-            if record.txn_id != txn_id:
-                continue
+        for record in reversed(self._by_txn.get(txn_id, ())):
             if record_type is None or record.type == record_type:
                 return record
         return None
 
     def transactions(self) -> set[str]:
         """Ids of all transactions with at least one stable record."""
-        return {r.txn_id for r in self._stable if r.txn_id}
+        return {txn_id for txn_id in self._by_txn if txn_id}
 
     def uncollected_transactions(self) -> set[str]:
         """Transactions whose records are still occupying the stable log."""
@@ -246,9 +242,10 @@ class StableLog:
         Returns:
             The number of records collected.
         """
-        before = len(self._stable)
-        self._stable = [r for r in self._stable if r.txn_id != txn_id]
-        collected = before - len(self._stable)
+        records = self._by_txn.pop(txn_id, ())
+        for record in records:
+            del self._stable[id(record)]
+        collected = len(records)
         if collected:
             self.gc_record_count += collected
             self._sim.record(
@@ -256,15 +253,27 @@ class StableLog:
             )
         return collected
 
-    def garbage_collect_where(self, keep: Callable[[LogRecord], bool]) -> int:
-        """Remove stable records for which ``keep`` returns False."""
-        before = len(self._stable)
-        self._stable = [r for r in self._stable if keep(r)]
-        collected = before - len(self._stable)
-        self.gc_record_count += collected
-        return collected
+    def compact(self) -> None:
+        """Release the space of collected records on the durable medium.
+
+        The end of a GC sweep (:meth:`repro.mdbs.site.Site.flush_and_gc`).
+        The in-memory log released them in :meth:`garbage_collect`.
+        """
 
     # -- internals --------------------------------------------------------------
+
+    def _stabilise(self, records: Iterable[LogRecord]) -> None:
+        for record in records:
+            record.forced = True
+            self._stable[id(record)] = record
+            self._by_txn[record.txn_id].append(record)
+
+    def _stabilise_buffer(self) -> int:
+        """Move the volatile buffer to the stable side; how many moved."""
+        moved = len(self._buffer)
+        self._stabilise(self._buffer)
+        self._buffer.clear()
+        return moved
 
     def _require_open(self) -> None:
         if not self._open:

@@ -244,3 +244,82 @@ def test_sigkill_recovery_from_binary_wal(protocol, point, tmp_path):
     assert any(
         wal.read_bytes().startswith(WAL_MAGIC) for wal in wal_files
     ), "no site wrote a binary WAL"
+
+
+def test_sigkill_during_finalize_recovers_to_the_sim_footprint(tmp_path):
+    """Process death inside the GC sweep. The victim is SIGKILLed while
+    ``finalize()`` is still sweeping — as soon as the supervisor sees it
+    collect its first transaction — then respawned and swept again. The
+    oracle is the simulator given the same schedule: a crash of the
+    same site once its sweep is through, the same outage, a second
+    ``finalize()``. What the first sweep collected stays collected,
+    nothing is collected twice, and the residue is empty."""
+    spec = _matrix_spec()
+    mix, coordinator = PROTOCOL_SETUPS["PrAny"]
+    transactions = generate_transactions(spec, sorted(mix.site_protocols()))
+    victim = _pick_victim("part-after-prepared", transactions[0])
+
+    mdbs = build_mdbs(
+        mix, coordinator=coordinator, seed=spec.seed, timeouts=MATRIX_TIMEOUTS
+    )
+    for txn in transactions:
+        mdbs.submit(txn)
+    mdbs.run(until=WAVE_BUDGET)
+    mdbs.finalize()
+    mdbs.sites[victim].crash()
+    mdbs.run(until=mdbs.sim.now + DOWN_FOR)
+    mdbs.sites[victim].recover()
+    mdbs.run(until=mdbs.sim.now + WAVE_BUDGET)
+    mdbs.finalize()
+    sim_summary = equivalence_summary(mdbs)
+
+    async def live() -> dict:
+        cluster = ProcessCluster(
+            mix,
+            str(tmp_path),
+            coordinator=coordinator,
+            seed=spec.seed,
+            timeouts=MATRIX_TIMEOUTS,
+            time_scale=TIME_SCALE,
+            fsync=True,
+        )
+        await cluster.start()
+        try:
+            for txn in transactions:
+                cluster.submit(txn)
+            await cluster.run(until=cluster.sim.now + WAVE_BUDGET)
+            sweep = asyncio.ensure_future(cluster.finalize())
+            kills: list[asyncio.Task] = []
+            mid_sweep: list[bool] = []
+
+            async def kill() -> None:
+                mid_sweep.append(not sweep.done())
+                await cluster.kill(victim)
+
+            def on_event(event: TraceEvent) -> None:
+                if (
+                    not kills
+                    and event.site == victim
+                    and (event.category, event.name) == ("log", "gc")
+                ):
+                    kills.append(asyncio.ensure_future(kill()))
+
+            cluster.sim.trace.subscribe(on_event)
+            await sweep
+            assert kills, "the victim collected nothing"
+            await kills[0]
+            assert mid_sweep == [True]
+            await asyncio.sleep(cluster.sim.to_seconds(DOWN_FOR))
+            assert await cluster.restart(victim) is not None
+            await cluster.run(until=cluster.sim.now + WAVE_BUDGET)
+            await cluster.finalize()
+        finally:
+            await cluster.shutdown()
+        return equivalence_summary(cluster)
+
+    live_summary = asyncio.run(live())
+    assert live_summary == sim_summary
+    assert set(live_summary["checks"].values()) == {True}
+    assert not any(live_summary["stable_residue"].values())
+    collections = [sites.count(victim) for sites in live_summary["gc"].values()]
+    assert set(collections) <= {0, 1} and any(collections)

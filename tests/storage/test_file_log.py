@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
@@ -41,6 +41,10 @@ def path(tmp_path):
 
 def rec(txn="t1", type_=RecordType.PREPARED, **payload):
     return LogRecord(type_, txn, dict(payload))
+
+
+def on_disk_txns(path):
+    return [json.loads(line)["txn"] for line in path.read_text().splitlines()]
 
 
 class TestRecordJson:
@@ -144,16 +148,28 @@ class TestGarbageCollection:
         log.force_append(rec("t2"))
         collected = log.garbage_collect("t1")
         assert collected == 1
-        on_disk = [json.loads(line)["txn"] for line in path.read_text().splitlines()]
-        assert on_disk == ["t2"]
+        # Collection edits memory only: until the sweep's compaction
+        # the file holds a superset of it.
+        assert on_disk_txns(path) == ["t1", "t2"]
+        log.compact()
+        assert on_disk_txns(path) == ["t2"]
         # The rewrite is atomic: no tmp residue.
         assert not path.with_suffix(path.suffix + ".tmp").exists()
+
+    def test_compact_of_a_fresh_file_does_not_rewrite(self, sim, path):
+        log = FileStableLog(sim, "s1", path, fsync=False)
+        log.force_append(rec("t1"))
+        log.garbage_collect("ghost")
+        before = os.stat(path).st_ino
+        log.compact()
+        assert os.stat(path).st_ino == before
 
     def test_gc_survives_reload(self, sim, path):
         log = FileStableLog(sim, "s1", path, fsync=False)
         log.force_append(rec("t1"))
         log.force_append(rec("t2", RecordType.COMMIT))
-        log.garbage_collect_where(lambda r: r.type is RecordType.COMMIT)
+        log.garbage_collect("t1")
+        log.compact()
         log.close()
         reborn = FileStableLog(sim, "s1", path, fsync=False)
         assert [r.txn_id for r in reborn.stable_records()] == ["t2"]
@@ -164,9 +180,28 @@ class TestGarbageCollection:
         log.force_append(rec("t2"))
         log.close()
         log.garbage_collect("t1")
-        assert [
-            json.loads(line)["txn"] for line in path.read_text().splitlines()
-        ] == ["t2"]
+        log.compact()
+        assert on_disk_txns(path) == ["t2"]
+
+    def test_appends_between_collection_and_compaction_survive(self, sim, path):
+        log = FileStableLog(sim, "s1", path, fsync=False)
+        log.force_append(rec("t1"))
+        log.garbage_collect("t1")
+        log.force_append(rec("t2"))
+        assert on_disk_txns(path) == ["t1", "t2"]
+        log.compact()
+        log.force_append(rec("t3"))
+        assert on_disk_txns(path) == ["t2", "t3"]
+
+    def test_leftover_tmp_file_removed_at_open(self, sim, path):
+        log = FileStableLog(sim, "s1", path, fsync=False)
+        log.force_append(rec("t1"))
+        log.close()
+        tmp = path.with_suffix(path.suffix + ".tmp")
+        tmp.write_bytes(b"half a compaction")
+        reborn = FileStableLog(sim, "s1", path, fsync=False)
+        assert not tmp.exists()
+        assert [r.txn_id for r in reborn.stable_records()] == ["t1"]
 
 
 class TestMalformedFiles:
@@ -347,6 +382,67 @@ def test_crash_anywhere_in_window_is_all_or_nothing(n_stable, n_batch, crash_poi
         else:
             assert on_disk == pre_ids + batch_ids
             assert fired == batch_ids
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5),
+    collect=st.sets(st.integers(min_value=0, max_value=4), min_size=1),
+    kill_at=st.sampled_from(["tmp_fsync", "rename", "after_rename", "dir_fsync"]),
+    codec=st.sampled_from(["json", "binary"]),
+)
+def test_crash_anywhere_in_compaction_is_all_or_nothing(sizes, collect, kill_at, codec):
+    """Kill the process at every step inside a sweep's compaction — tmp
+    file written but not fsynced, about to rename, renamed, about to
+    fsync the directory — and a cold restart reloads the whole
+    pre-sweep or the whole post-sweep record set: never part of a
+    transaction, and never the tmp file."""
+    collect = {i for i in collect if i < len(sizes)}
+    assume(collect)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wal"
+        log = FileStableLog(Simulator(seed=11), "s1", path, fsync=True, codec=codec)
+        # Interleave the transactions' records, as concurrent ones do.
+        for round_no in range(max(sizes)):
+            for i, size in enumerate(sizes):
+                if round_no < size:
+                    log.append(rec(f"t{i}", n=round_no))
+        log.force()
+        pre = [(r.lsn, r.txn_id) for r in log.stable_records()]
+        for i in sorted(collect):
+            log.garbage_collect(f"t{i}")
+        post = [(r.lsn, r.txn_id) for r in log.stable_records()]
+
+        real_fsync, real_replace = os.fsync, os.replace
+        fsyncs = []
+
+        def fsync(fd):
+            fsyncs.append(fd)
+            if (kill_at, len(fsyncs)) in (("tmp_fsync", 1), ("dir_fsync", 2)):
+                raise SimulatedProcessKill()
+            real_fsync(fd)
+
+        def replace(src, dst):
+            if kill_at == "after_rename":
+                real_replace(src, dst)
+            raise SimulatedProcessKill()
+
+        os.fsync = fsync
+        if kill_at in ("rename", "after_rename"):
+            os.replace = replace
+        try:
+            with pytest.raises(SimulatedProcessKill):
+                log.compact()
+        finally:
+            os.fsync, os.replace = real_fsync, real_replace
+
+        renamed = kill_at in ("after_rename", "dir_fsync")
+        tmp_file = path.with_suffix(path.suffix + ".tmp")
+        assert tmp_file.exists() == (not renamed)
+        reborn = FileStableLog(Simulator(seed=12), "s1", path, fsync=False, codec=codec)
+        reloaded = [(r.lsn, r.txn_id) for r in reborn.stable_records()]
+        assert reloaded == (post if renamed else pre), kill_at
+        assert not tmp_file.exists()
 
 
 class TestFileBackedStore:
@@ -595,6 +691,7 @@ class TestBinaryGarbageCollection:
         log.force_append(rec("t1"))
         log.force_append(rec("t2"))
         assert log.garbage_collect("t1") == 1
+        log.compact()
         # The compacted file is exactly the shared helper's encoding of
         # the survivors — persist and compaction can never drift.
         assert path.read_bytes() == WAL_MAGIC + encode_records(
@@ -609,6 +706,7 @@ class TestBinaryGarbageCollection:
         log.force_append(rec("t1"))
         log.force_append(rec("t2"))
         log.garbage_collect("t1")
+        log.compact()
         assert path.read_bytes() == encode_records(log.stable_records(), "json")
 
 

@@ -240,14 +240,6 @@ class TestGarbageCollection:
     def test_gc_of_unknown_txn_is_zero(self, log):
         assert log.garbage_collect("ghost") == 0
 
-    def test_gc_where_predicate(self, log):
-        log.force_append(rec("t1"))
-        log.force_append(end_record("t1"))
-        removed = log.garbage_collect_where(
-            keep=lambda r: r.type is not RecordType.END
-        )
-        assert removed == 1
-
 
 class TestRecordFactories:
     def test_initiation_record_payload(self):
