@@ -135,3 +135,15 @@ def mean(values: Iterable[float]) -> float:
     """Arithmetic mean; 0.0 for an empty iterable."""
     values = list(values)
     return sum(values) / len(values) if values else 0.0
+
+
+def quantile(ordered: list[float], q: float) -> float:
+    """Linear-interpolation quantile of an already-sorted sample; 0.0
+    for an empty one."""
+    if not ordered:
+        return 0.0
+    position = (len(ordered) - 1) * q
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = position - low
+    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction

@@ -1,21 +1,26 @@
-"""Benchmarking and profiling of the simulator itself.
+"""Benchmarking and profiling: one scenario table, two suites.
 
 ``repro bench`` measures wall-clock throughput (events/sec,
-messages/sec, peak RSS) of deterministic, seed-pinned end-to-end
-scenarios and writes the schema-versioned ``BENCH_sim.json`` perf
-baseline at the repo root. ``repro bench --check`` compares a fresh
-run against the committed baseline and fails on >20% regressions.
+messages/sec, peak RSS) of the deterministic, seed-pinned simulator
+rows and writes the schema-versioned ``BENCH_sim.json`` perf baseline
+at the repo root; ``repro live --bench`` does the same for the
+wall-clock rows (real sockets, fsync'd logs) into ``BENCH_live.json``.
+``--check`` on either compares a fresh run against the committed
+baseline and fails on regressions past the suite's threshold (20% /
+50%).
 
-This package measures the *simulator's speed*; the ``benchmarks/``
-pytest suite measures the *protocols' costs* (forced writes, message
-counts). See docs/BENCHMARKS.md for the distinction and the schema.
+This package measures *speed*; the ``benchmarks/`` pytest suite
+measures the *protocols' costs* (forced writes, message counts). See
+docs/BENCHMARKS.md for the distinction and the schema.
 """
 
 from repro.bench.report import (
+    LIVE_OPTIMIZATION_HISTORY,
     OPTIMIZATION_HISTORY,
-    REGRESSION_THRESHOLD,
     SCHEMA_VERSION,
+    SUITES,
     Regression,
+    Suite,
     build_report,
     compare_reports,
     load_report,
@@ -30,26 +35,23 @@ from repro.bench.runner import (
     measure_scenario,
     run_bench,
 )
-from repro.bench.scenarios import (
-    BENCH_SEED,
-    SCENARIOS,
-    Scenario,
-    ScenarioResult,
-    get_scenarios,
-)
+from repro.bench.rows import BENCH_SEED, Scenario, ScenarioResult
+from repro.bench.scenarios import SCENARIOS, get_scenarios
 
 __all__ = [
     "BENCH_SEED",
     "BenchConfig",
+    "LIVE_OPTIMIZATION_HISTORY",
     "OPTIMIZATION_HISTORY",
-    "REGRESSION_THRESHOLD",
     "Regression",
     "SCENARIOS",
     "SCHEMA_VERSION",
+    "SUITES",
     "Scenario",
     "ScenarioMeasurement",
     "ScenarioResult",
     "Stats",
+    "Suite",
     "build_report",
     "compare_reports",
     "get_scenarios",

@@ -1,8 +1,10 @@
-"""The ``BENCH_sim.json`` report: schema, emission, regression check.
+"""The bench reports: schema, emission, regression check.
 
-The file at the repo root is the committed perf baseline. Its schema is
-versioned (:data:`SCHEMA_VERSION`); readers must reject files whose
-``schema`` field they do not understand rather than guess.
+Each suite (:data:`SUITES`) has one committed perf baseline at the repo
+root — ``BENCH_sim.json`` for the simulator rows, ``BENCH_live.json``
+for the wall-clock rows — in one schema. The schema is versioned
+(:data:`SCHEMA_VERSION`); readers must reject files whose ``schema``
+field they do not understand rather than guess.
 
 Top-level shape (see docs/BENCHMARKS.md for the full field reference)::
 
@@ -42,10 +44,6 @@ from repro.errors import ReproError
 #: Bump when a field changes meaning, a scenario seed changes, or a
 #: scenario's workload is resized — anything that breaks comparability.
 SCHEMA_VERSION = "repro-bench/v1"
-
-#: A regression is a drop of more than this fraction in median
-#: events/sec on any scenario present in both reports.
-REGRESSION_THRESHOLD = 0.20
 
 #: Pinned before/after measurements for the hot paths optimized in this
 #: repo's history. ``before``/``after`` are median events/sec of the
@@ -115,10 +113,124 @@ OPTIMIZATION_HISTORY: list[dict[str, Any]] = [
 ]
 
 
+#: The live suite's ledger: before/after measurements for the
+#: live-runtime hot paths optimized in PR 5, all in median
+#: transactions/sec of the
+#: ``live-prany-throughput`` workload (128 transactions, fsync on,
+#: reference machine). Each row toggles exactly one optimization off
+#: while keeping the other two on, so ``before`` is the ablated run and
+#: ``after`` the full configuration. Historical records — regenerating
+#: the report carries them forward unchanged.
+LIVE_OPTIMIZATION_HISTORY: list[dict[str, Any]] = [
+    {
+        "path": "src/repro/storage/file_log.py",
+        "change": (
+            "group-commit fsync coalescing: GroupCommitFileLog layers the "
+            "PR-3 window engine over the JSONL WAL — concurrent "
+            "force_append_async requests within one 0.1-unit window are "
+            "persisted by a single blob write + one os.fsync "
+            "(all-or-nothing under crash), cutting device forces ~4x "
+            "(661 force requests -> 167 fsyncs in this workload). before "
+            "= the same pipelined run with a plain FileStableLog (one "
+            "fsync per force request); the wall-clock gain is modest on "
+            "the reference machine's ~0.2 ms fsyncs and grows with fsync "
+            "cost"
+        ),
+        "scenario": "live-prany-throughput",
+        "metric": "events_per_second.median",
+        "before": 77.5,
+        "after": 81.3,
+        "speedup": 1.05,
+    },
+    {
+        "path": "src/repro/rt/transport.py",
+        "change": (
+            "socket write batching: each per-peer writer wakeup drains the "
+            "whole outbound queue — every pending frame written back to "
+            "back, flushed by a single drain() — and frames are encoded "
+            "once, reused by the reconnect retry. before = one "
+            "get/write/drain round trip per message; within noise on "
+            "loopback RTTs, the syscall reduction is the point on real "
+            "links"
+        ),
+        "scenario": "live-prany-throughput",
+        "metric": "events_per_second.median",
+        "before": 80.0,
+        "after": 81.3,
+        "speedup": 1.02,
+    },
+    {
+        "path": "src/repro/rt/cluster.py",
+        "change": (
+            "pipelined in-flight transactions + event-driven completion: "
+            "run_pipelined keeps PIPELINE_DEPTH transactions outstanding "
+            "(slot freed by each decision's asyncio.Event) and run()/"
+            "finalize() wake on trace events instead of sleep-polling. "
+            "before = same batched run at pipeline depth 1 (closed loop); "
+            "vs the PR-4 paced, polling baseline (live-prany-commit at "
+            "16.9 txn/s) the full configuration is ~4.8x"
+        ),
+        "scenario": "live-prany-throughput",
+        "metric": "events_per_second.median",
+        "before": 59.2,
+        "after": 81.3,
+        "speedup": 1.37,
+    },
+    {
+        "path": "src/repro/rt/codec.py",
+        "change": (
+            "binary wire/WAL codec behind the codec seam: struct-packed "
+            "length-prefixed frames with handshake-interned routing "
+            "strings and msgpack-style value packing (src/repro/packing.py "
+            "with bounded string memoization) replace UTF-8 JSON bodies "
+            "when --codec binary is selected. before/after are the "
+            "live-codec-json and live-codec-binary members of the "
+            "microbenchmark pair — the same protocol-message mix encoded "
+            "and decoded through each codec; binary frames are also "
+            "3.3x smaller (100.8 -> 30.8 bytes/message), which the "
+            "socketless microbenchmark does not credit"
+        ),
+        "scenario": "live-codec-binary",
+        "baseline_scenario": "live-codec-json",
+        "metric": "events_per_second.median",
+        "before": 31401.5,
+        "after": 41930.2,
+        "speedup": 1.34,
+    },
+]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """What a row reports into (:attr:`repro.bench.rows.Scenario.suite`).
+
+    Attributes:
+        title: heading of the CLI's result listing.
+        threshold: ``--check`` flags a drop of more than this fraction
+            in median events/sec on any scenario present in both
+            reports.
+        optimizations: the ledger that rides along in every report.
+    """
+
+    title: str
+    threshold: float
+    optimizations: list[dict[str, Any]]
+
+
+#: The simulator suite compares like with like on one quiet machine; the
+#: live threshold is generous on purpose — its gate compares a
+#: single-rep run on a shared CI host against the reference-machine
+#: median, and wall-clock numbers there are noisy.
+SUITES: dict[str, Suite] = {
+    "sim": Suite("bench", 0.20, OPTIMIZATION_HISTORY),
+    "live": Suite("live bench", 0.50, LIVE_OPTIMIZATION_HISTORY),
+}
+
+
 def build_report(
     measurements: list[ScenarioMeasurement],
     config: BenchConfig,
-    optimizations: Optional[list[dict[str, Any]]] = None,
+    optimizations: list[dict[str, Any]] = OPTIMIZATION_HISTORY,
 ) -> dict[str, Any]:
     """Assemble the schema-versioned report dict."""
     scenarios: dict[str, Any] = {}
@@ -154,9 +266,7 @@ def build_report(
             "platform": platform.platform(),
         },
         "scenarios": scenarios,
-        "optimizations": (
-            optimizations if optimizations is not None else OPTIMIZATION_HISTORY
-        ),
+        "optimizations": optimizations,
     }
 
 
@@ -280,8 +390,6 @@ def scenario_diff(
     do not record a codec (the sim bench, pre-codec baselines) are never
     flagged.
 
-    Works on live reports too: both report kinds share the
-    ``scenarios`` name->entry section.
     """
     current_names = set(current["scenarios"])
     baseline_names = set(baseline["scenarios"])
@@ -316,14 +424,17 @@ def _entry_codec(entry: Any) -> Optional[str]:
 def compare_reports(
     current: dict[str, Any],
     baseline: dict[str, Any],
-    threshold: float = REGRESSION_THRESHOLD,
+    threshold: float = SUITES["sim"].threshold,
 ) -> tuple[list[Regression], list[str]]:
     """Regressions and notes from comparing two valid reports.
 
     Only scenarios present in both reports are compared, and only when
-    they did the same amount of work (same ``events``) — a work-count
-    change means the scenario itself changed and timing comparison is
-    meaningless (noted, not flagged).
+    they did the same amount of work (same ``events``): a simulated
+    row's work count changes only when the row itself did, and live
+    transactions/sec is not size-invariant (cluster startup and the
+    abort-path inquiry tail are fixed costs), so a smoke run against a
+    full-size baseline would always read as a regression. Either way
+    the timing comparison is meaningless (noted, not flagged).
     """
     regressions: list[Regression] = []
     notes: list[str] = []
@@ -336,9 +447,9 @@ def compare_reports(
             cur_entry["events"] != base_entry["events"]
         ):
             notes.append(
-                f"{name}: workload changed "
-                f"({base_entry['events']} -> {cur_entry['events']} events); "
-                f"timing not compared"
+                f"{name}: workload sizes differ "
+                f"({base_entry['events']} baseline vs "
+                f"{cur_entry['events']} current events) — skipped"
             )
             continue
         base_eps = float(base_entry["events_per_second"]["median"])

@@ -15,9 +15,10 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.bench.scenarios import Scenario, ScenarioResult
+from repro.analysis.metrics import quantile
+from repro.bench.rows import Scenario, ScenarioResult
 from repro.errors import ReproError
 
 try:  # POSIX only; absent on some platforms — RSS is then reported as 0.
@@ -37,17 +38,12 @@ class BenchConfig:
         profile_dir: when set, one extra profiled run per scenario dumps
             ``<scenario>.prof`` (binary, for snakeviz/pstats) and
             ``<scenario>.txt`` (top functions by cumulative time) here.
-        clock: monotonic wall-clock source for the timed reps. The seam
-            that lets sim-bench and live-bench share this runner (and
-            lets tests substitute a fake clock); defaults to
-            ``time.perf_counter``.
     """
 
     reps: int = 3
     warmup: int = 1
     smoke: bool = False
     profile_dir: Optional[Path] = None
-    clock: Callable[[], float] = time.perf_counter
 
     def __post_init__(self) -> None:
         if self.reps < 1:
@@ -80,16 +76,7 @@ def _iqr(ordered: list[float]) -> float:
     """Interquartile range via the inclusive quartile method."""
     if len(ordered) < 2:
         return 0.0
-    return _quantile(ordered, 0.75) - _quantile(ordered, 0.25)
-
-
-def _quantile(ordered: list[float], q: float) -> float:
-    """Linear-interpolation quantile of an already-sorted sample."""
-    position = (len(ordered) - 1) * q
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = position - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+    return quantile(ordered, 0.75) - quantile(ordered, 0.25)
 
 
 @dataclass(frozen=True)
@@ -136,9 +123,9 @@ def measure_scenario(scenario: Scenario, config: BenchConfig) -> ScenarioMeasure
     results: list[ScenarioResult] = []
     walls: list[float] = []
     for _ in range(config.reps):
-        started = config.clock()
+        started = time.perf_counter()
         result = scenario.run(config.smoke)
-        walls.append(config.clock() - started)
+        walls.append(time.perf_counter() - started)
         results.append(result)
 
     first = results[0]

@@ -43,6 +43,79 @@ from repro.experiments.theorem2 import render_theorem2, run_theorem2
 from repro.experiments.theorem3 import render_theorem3, run_theorem3
 
 
+def _taxonomy(args: argparse.Namespace) -> str:
+    protocols = ("PrN", "PrA", "PrC", "PrAny", "U2PC(PrC)", "C2PC(PrN)")
+    classifications = "\n".join(
+        f"  {protocol}: {' > '.join(classify(protocol))}" for protocol in protocols
+    )
+    return render_taxonomy() + "\n\nClassification of this repo's protocols:\n" + classifications
+
+
+#: The experiment subcommands — ``(name, artifact id, description,
+#: run)`` — in the order ``repro list`` names them and ``repro all``
+#: runs them.
+EXPERIMENTS: tuple[tuple[str, str, str, Callable[[argparse.Namespace], str]], ...] = (
+    (
+        "costs",
+        "C1",
+        "measured cost table",
+        # `repro all` has no --participants; it runs the flag's default.
+        lambda args: cost_table(
+            run_cost_experiment(n_participants=getattr(args, "participants", 2))
+        ),
+    ),
+    (
+        "latency",
+        "C2",
+        "latency vs participant count",
+        lambda args: render_latency(latency_sweep()),
+    ),
+    (
+        "selection",
+        "C3",
+        "dynamic-selection ablation",
+        lambda args: render_selection(selection_ablation()),
+    ),
+    (
+        "readonly",
+        "C4",
+        "read-only optimization",
+        lambda args: render_read_only(run_read_only_experiment()),
+    ),
+    (
+        "iyv",
+        "C5",
+        "implicit yes-vote vs presumed abort",
+        lambda args: render_iyv(run_iyv_experiment()),
+    ),
+    (
+        "ablation",
+        "A1",
+        "lazy-record vulnerability window",
+        lambda args: render_ablation(run_ablation(seed=args.seed)),
+    ),
+    (
+        "throughput",
+        "C6",
+        "streaming throughput and residency",
+        lambda args: render_throughput(run_throughput_experiment(seed=args.seed)),
+    ),
+    (
+        "cl",
+        "C7",
+        "coordinator log vs basic 2PC",
+        lambda args: render_cl(run_cl_experiment(seed=args.seed)),
+    ),
+    (
+        "recovery",
+        "R1",
+        "§4.2 coordinator recovery",
+        lambda args: render_recovery(recovery_experiment(seed=args.seed)),
+    ),
+    ("taxonomy", "F5", "atomic-commitment taxonomy", _taxonomy),
+)
+
+
 def _cmd_list(args: argparse.Namespace) -> str:
     lines = ["Reproducible artifacts:", ""]
     for figure_id, case in FIGURES.items():
@@ -51,16 +124,12 @@ def _cmd_list(args: argparse.Namespace) -> str:
         "  theorem 1          U2PC cannot guarantee atomicity",
         "  theorem 2          C2PC is not operationally correct",
         "  theorem 3          PrAny operational-correctness stress",
-        "  costs              C1: measured cost table",
-        "  latency            C2: latency vs participant count",
-        "  selection          C3: dynamic-selection ablation",
-        "  readonly           C4: read-only optimization",
-        "  iyv                C5: implicit yes-vote vs presumed abort",
-        "  ablation           A1: lazy-record vulnerability window",
-        "  throughput         C6: streaming throughput and residency",
-        "  cl                 C7: coordinator log vs basic 2PC",
-        "  recovery           R1: §4.2 coordinator recovery",
-        "  taxonomy           F5: atomic-commitment taxonomy",
+    ]
+    lines += [
+        f"  {name:<18} {artifact}: {description}"
+        for name, artifact, description, _ in EXPERIMENTS
+    ]
+    lines += [
         "  all                everything above, in order",
         "  explore            fuzz adversarial schedules (VOPR-style; "
         "--sharded / --replicated N topologies)",
@@ -85,50 +154,6 @@ def _cmd_theorem(args: argparse.Namespace) -> str:
     if args.number == 2:
         return render_theorem2(run_theorem2(seed=args.seed))
     return render_theorem3(run_theorem3(seed=args.seed))
-
-
-def _cmd_costs(args: argparse.Namespace) -> str:
-    return cost_table(run_cost_experiment(n_participants=args.participants))
-
-
-def _cmd_latency(args: argparse.Namespace) -> str:
-    return render_latency(latency_sweep())
-
-
-def _cmd_selection(args: argparse.Namespace) -> str:
-    return render_selection(selection_ablation())
-
-
-def _cmd_readonly(args: argparse.Namespace) -> str:
-    return render_read_only(run_read_only_experiment())
-
-
-def _cmd_iyv(args: argparse.Namespace) -> str:
-    return render_iyv(run_iyv_experiment())
-
-
-def _cmd_ablation(args: argparse.Namespace) -> str:
-    return render_ablation(run_ablation(seed=args.seed))
-
-
-def _cmd_cl(args: argparse.Namespace) -> str:
-    return render_cl(run_cl_experiment(seed=args.seed))
-
-
-def _cmd_throughput(args: argparse.Namespace) -> str:
-    return render_throughput(run_throughput_experiment(seed=args.seed))
-
-
-def _cmd_recovery(args: argparse.Namespace) -> str:
-    return render_recovery(recovery_experiment(seed=args.seed))
-
-
-def _cmd_taxonomy(args: argparse.Namespace) -> str:
-    protocols = ("PrN", "PrA", "PrC", "PrAny", "U2PC(PrC)", "C2PC(PrN)")
-    classifications = "\n".join(
-        f"  {protocol}: {' > '.join(classify(protocol))}" for protocol in protocols
-    )
-    return render_taxonomy() + "\n\nClassification of this repo's protocols:\n" + classifications
 
 
 def _parse_seed_range(text: str) -> range:
@@ -292,10 +317,22 @@ def _append_scenario_drift(
         lines.append(f"    codec mismatch (not comparable): {mismatch}")
 
 
-def _cmd_bench(args: argparse.Namespace) -> str:
-    # Imported lazily, like the explorer: the bench registry pulls in
+def _run_bench(
+    args: argparse.Namespace,
+    suite_name: str,
+    selector: str,
+    warmup: int,
+    output: str,
+    profile: Optional[str] = None,
+) -> str:
+    """Measure ``selector``'s rows of the suite (``--reps``,
+    ``--smoke``); then write the report to ``output`` or, with
+    ``--check``, gate it against ``--baseline``. The one body behind
+    ``repro bench`` and ``repro live --bench``."""
+    # Imported lazily, like the explorer: the scenario table pulls in
     # the whole workload/explore stack.
     from repro.bench import (
+        SUITES,
         BenchConfig,
         build_report,
         compare_reports,
@@ -306,22 +343,13 @@ def _cmd_bench(args: argparse.Namespace) -> str:
         write_report,
     )
 
-    if args.list:
-        from repro.bench import SCENARIOS
-
-        lines = ["Registered bench scenarios:", ""]
-        for scenario in SCENARIOS.values():
-            tags = ",".join(scenario.tags)
-            lines.append(f"  {scenario.name:<20} [{tags}] {scenario.description}")
-        return "\n".join(lines)
-
     try:
-        scenarios = get_scenarios(args.scenario)
+        scenarios = get_scenarios(selector, suite_name)
         config = BenchConfig(
             reps=args.reps,
-            warmup=args.warmup,
+            warmup=warmup,
             smoke=args.smoke,
-            profile_dir=Path(args.profile) if args.profile is not None else None,
+            profile_dir=Path(profile) if profile is not None else None,
         )
     except ReproError as exc:
         raise SystemExit(str(exc))
@@ -330,20 +358,48 @@ def _cmd_bench(args: argparse.Namespace) -> str:
         print(f"  ... measuring {scenario.name}", file=sys.stderr, flush=True)
 
     measurements = run_bench(scenarios, config, progress=progress)
-    report = build_report(measurements, config)
+    suite = SUITES[suite_name]
+    report = build_report(measurements, config, suite.optimizations)
 
     lines = [
-        f"bench — {len(measurements)} scenario(s), reps={config.reps}, "
-        f"warmup={config.warmup}" + (", smoke" if config.smoke else ""),
+        f"{suite.title} — {len(measurements)} scenario(s), "
+        f"reps={config.reps}, warmup={config.warmup}"
+        + (", smoke" if config.smoke else ""),
     ]
     for m in measurements:
+        # Live rows count transactions (their codec microbenchmarks,
+        # messages); simulator rows count kernel events or a pair's
+        # shared unit of work.
+        unit, units = "ev", "events"
+        if suite_name == "live":
+            unit = "msg" if "micro" in m.scenario.tags else "txn"
+            units = f"{unit}s"
         lines.append(
-            f"  {m.scenario.name:<20} {m.events_per_second.median:>12,.0f} ev/s"
+            f"  {m.scenario.name:<30} {m.events_per_second.median:>12,.1f} {unit}/s"
             f"  (wall {m.wall_seconds.median:.3f}s ± {m.wall_seconds.iqr:.3f} IQR,"
-            f" {m.result.events:,} events,"
+            f" {m.result.events:,} {units},"
             f" {m.messages_per_second.median:,.0f} msg/s,"
-            f" rss {m.peak_rss_kb} KiB)"
+            f" rss {m.peak_rss_kb} KiB,"
+            f" checks={'ok' if m.result.checks_passed else 'FAILED'})"
         )
+        detail = m.result.detail
+        if "latency_ms" in detail:
+            percentiles = detail["latency_ms"]
+            lines.append(
+                f"    decision latency: p50 {percentiles['p50']}ms, "
+                f"p95 {percentiles['p95']}ms, p99 {percentiles['p99']}ms"
+            )
+        if "knee" in detail:
+            knee = detail["knee"]
+            knee_text = (
+                f"{knee:g} txn/s offered" if knee is not None else "beyond the sweep"
+            )
+            curve = ", ".join(
+                f"{row['rate']:g}:{row['p95_ms']}ms" for row in detail["rows"]
+            )
+            lines.append(f"    p95 by offered rate: {curve}; knee {knee_text}")
+        if not m.result.checks_passed:
+            args.exit_code = 1
 
     if args.check:
         baseline_path = Path(args.baseline)
@@ -351,29 +407,50 @@ def _cmd_bench(args: argparse.Namespace) -> str:
             baseline = load_report(baseline_path)
         except ReproError as exc:
             raise SystemExit(f"--check: {exc}")
-        regressions, notes = compare_reports(report, baseline)
+        regressions, notes = compare_reports(report, baseline, suite.threshold)
         for note in notes:
             lines.append(f"  note: {note}")
         added, missing, codec_mismatched = scenario_diff(report, baseline)
-        if args.scenario != "all":
-            # A partial --scenario selection legitimately skips baseline
-            # entries; only names unknown to the baseline still fail.
+        if selector != "all":
+            # A partial selection legitimately skips baseline entries;
+            # only names unknown to the baseline still fail.
             missing = []
         _append_scenario_drift(
             lines, args, added, missing, baseline_path, codec_mismatched
         )
         if regressions:
             args.exit_code = 1
-            lines.append(f"  REGRESSION vs {baseline_path} (>20% slower):")
+            lines.append(
+                f"  REGRESSION vs {baseline_path} (>{suite.threshold:.0%} slower):"
+            )
             lines.extend(f"    {regression}" for regression in regressions)
         else:
             lines.append(f"  no regressions vs {baseline_path}")
     else:
-        path = write_report(report, Path(args.output))
+        path = write_report(report, Path(output))
         lines.append(f"  wrote {path}")
-    if args.profile is not None:
-        lines.append(f"  profiles under {args.profile}/")
+    if profile is not None:
+        lines.append(f"  profiles under {profile}/")
     return "\n".join(lines)
+
+
+def _cmd_bench(args: argparse.Namespace) -> str:
+    if args.list:
+        from repro.bench import get_scenarios
+
+        lines = ["Registered bench scenarios:", ""]
+        for scenario in get_scenarios("all"):
+            tags = ",".join(scenario.tags)
+            lines.append(f"  {scenario.name:<20} [{tags}] {scenario.description}")
+        return "\n".join(lines)
+    return _run_bench(
+        args,
+        "sim",
+        args.scenario,
+        warmup=args.warmup,
+        output=args.output,
+        profile=args.profile,
+    )
 
 
 def _topology_from_args(args: argparse.Namespace):
@@ -439,11 +516,22 @@ def _cluster_from_args(args: argparse.Namespace, command: str):
     return mix, topology, topology.participant_pool(len(mix)), make_cluster, mode
 
 
+def _run_in_data_dir(args: argparse.Namespace, go):
+    """``asyncio.run(go(dir))`` over ``--data-dir``, or over a temporary
+    directory removed afterwards."""
+    import asyncio
+    import tempfile
+
+    if args.data_dir is not None:
+        return asyncio.run(go(args.data_dir))
+    with tempfile.TemporaryDirectory() as tmp:
+        return asyncio.run(go(tmp))
+
+
 def _cmd_live(args: argparse.Namespace) -> str:
     # Imported lazily: the live runtime pulls in asyncio server
     # machinery that the simulated commands never need.
     import asyncio
-    import tempfile
 
     from repro.rt.cluster import RUN_MARGIN
     from repro.workloads.generator import WorkloadSpec, generate_transactions
@@ -451,103 +539,13 @@ def _cmd_live(args: argparse.Namespace) -> str:
     mix, topology, pool, make_cluster, mode = _cluster_from_args(args, "live")
 
     if args.bench:
-        from repro.bench import (
-            BenchConfig,
-            build_report,
-            load_report,
-            scenario_diff,
-            write_report,
+        # --sharded / --replicated N measure only their pair.
+        selector = (
+            "sharding" if args.sharded else "replication" if args.replicated else "all"
         )
-        from repro.bench.runner import run_bench
-        from repro.rt.bench import (
-            LIVE_CHECK_THRESHOLD,
-            LIVE_OPTIMIZATION_HISTORY,
-            compare_live_reports,
-            live_scenarios,
+        return _run_bench(
+            args, "live", selector, warmup=1, output=args.bench_output
         )
-
-        config = BenchConfig(reps=args.reps, warmup=1, smoke=args.smoke)
-
-        def progress(scenario) -> None:
-            print(f"  ... measuring {scenario.name}", file=sys.stderr, flush=True)
-
-        scenarios = live_scenarios()
-        if args.sharded:
-            scenarios = [s for s in scenarios if "sharding" in s.tags]
-        elif args.replicated:
-            scenarios = [s for s in scenarios if "replication" in s.tags]
-        measurements = run_bench(scenarios, config, progress=progress)
-        report = build_report(
-            measurements, config, optimizations=LIVE_OPTIMIZATION_HISTORY
-        )
-        lines = [
-            f"live bench — {len(measurements)} scenario(s) over real "
-            f"sockets, reps={config.reps}"
-            + (", smoke" if config.smoke else ""),
-        ]
-        for m in measurements:
-            detail = m.result.detail
-            count = detail.get("transactions", m.result.events)
-            unit = "msg" if "micro" in m.scenario.tags else "txn"
-            lines.append(
-                f"  {m.scenario.name:<26} "
-                f"{m.events_per_second.median:>9.1f} {unit}/s"
-                f"  (wall {m.wall_seconds.median:.3f}s "
-                f"± {m.wall_seconds.iqr:.3f} IQR, "
-                f"{count} {unit}s, "
-                f"checks={'ok' if m.result.checks_passed else 'FAILED'})"
-            )
-            percentiles = detail.get("latency_ms")
-            if percentiles:
-                lines.append(
-                    f"    decision latency: p50 {percentiles['p50']}ms, "
-                    f"p95 {percentiles['p95']}ms, p99 {percentiles['p99']}ms"
-                )
-            if "knee" in detail:
-                knee = detail["knee"]
-                knee_text = (
-                    f"{knee:g} txn/s offered"
-                    if knee is not None
-                    else "beyond the sweep"
-                )
-                curve = ", ".join(
-                    f"{row['rate']:g}:{row['p95_ms']}ms" for row in detail["rows"]
-                )
-                lines.append(
-                    f"    p95 by offered rate: {curve}; knee {knee_text}"
-                )
-            if not m.result.checks_passed:
-                args.exit_code = 1
-        if args.check:
-            baseline_path = Path(args.baseline)
-            try:
-                baseline = load_report(baseline_path)
-            except ReproError as exc:
-                raise SystemExit(f"--check: {exc}")
-            regressions, notes = compare_live_reports(report, baseline)
-            for note in notes:
-                lines.append(f"  note: {note}")
-            added, missing, codec_mismatched = scenario_diff(report, baseline)
-            if args.sharded or args.replicated:
-                # The pair filters measure a deliberate subset; only
-                # names unknown to the baseline fail.
-                missing = []
-            _append_scenario_drift(
-                lines, args, added, missing, baseline_path, codec_mismatched
-            )
-            if regressions:
-                args.exit_code = 1
-                lines.append(
-                    f"  REGRESSION vs {baseline_path} "
-                    f"(>{LIVE_CHECK_THRESHOLD:.0%} slower):"
-                )
-                lines.extend(f"    {regression}" for regression in regressions)
-            else:
-                lines.append(f"  no regressions vs {baseline_path}")
-        else:
-            path = write_report(report, Path(args.bench_output))
-            lines.append(f"  wrote {path}")
-        return "\n".join(lines)
 
     n_transactions = 6 if args.smoke else args.transactions
     spec = WorkloadSpec(
@@ -639,20 +637,12 @@ def _cmd_live(args: argparse.Namespace) -> str:
             args.exit_code = 1
         return lines
 
-    if args.data_dir is not None:
-        lines = asyncio.run(go(args.data_dir))
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            lines = asyncio.run(go(tmp))
-    return "\n".join(lines)
+    return "\n".join(_run_in_data_dir(args, go))
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> str:
     # Imported lazily, like `live`: the runtime stack is not needed by
     # the simulated commands.
-    import asyncio
-    import tempfile
-
     from repro.workloads.openloop import OpenLoopSpec, run_rate_sweep
 
     mix, topology, pool, make_cluster, mode = _cluster_from_args(
@@ -700,11 +690,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
             placement=topology.placement,
         )
 
-    if args.data_dir is not None:
-        sweep = asyncio.run(go(args.data_dir))
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            sweep = asyncio.run(go(tmp))
+    sweep = _run_in_data_dir(args, go)
 
     lines = [
         f"open-loop sweep — {mix.name} over {len(mix)} participants "
@@ -741,16 +727,7 @@ def _cmd_all(args: argparse.Namespace) -> str:
     sections.append(render_theorem1(run_theorem1(seed=args.seed)))
     sections.append(render_theorem2(run_theorem2(seed=args.seed)))
     sections.append(render_theorem3(run_theorem3(seed=args.seed)))
-    sections.append(cost_table(run_cost_experiment()))
-    sections.append(render_latency(latency_sweep()))
-    sections.append(render_selection(selection_ablation()))
-    sections.append(render_read_only(run_read_only_experiment()))
-    sections.append(render_iyv(run_iyv_experiment()))
-    sections.append(render_ablation(run_ablation(seed=args.seed)))
-    sections.append(render_throughput(run_throughput_experiment(seed=args.seed)))
-    sections.append(render_cl(run_cl_experiment(seed=args.seed)))
-    sections.append(render_recovery(recovery_experiment(seed=args.seed)))
-    sections.append(_cmd_taxonomy(args))
+    sections.extend(run(args) for _, _, _, run in EXPERIMENTS)
     rule = "\n" + "=" * 72 + "\n"
     return rule.join(sections)
 
@@ -777,6 +754,71 @@ def _add_topology_flags(
         help="replicate the tm coordinator over N Paxos acceptor sites "
         "(acc0..acc{N-1}, own WALs, decisions stable at a quorum)"
         + replicated_note,
+    )
+
+
+def _add_cluster_flags(
+    command: argparse.ArgumentParser, multiprocess_note: str = ""
+) -> None:
+    """What ``live`` and ``loadgen`` both take to shape their cluster
+    (read back by :func:`_cluster_from_args`)."""
+    command.add_argument(
+        "--protocol",
+        default="prany",
+        help="prany (dynamic over a PrN+PrA+PrC mix), prn, pra or prc",
+    )
+    command.add_argument(
+        "--participants", type=int, default=4, help="participant site count"
+    )
+    command.add_argument(
+        "--time-scale",
+        type=float,
+        default=0.01,
+        help="wall-clock seconds per virtual time unit",
+    )
+    command.add_argument(
+        "--data-dir",
+        default=None,
+        help="directory for site WALs/snapshots (default: a temp dir)",
+    )
+    command.add_argument(
+        "--multiprocess",
+        action="store_true",
+        help="run every site as its own supervised OS process" + multiprocess_note,
+    )
+    command.add_argument(
+        "--no-fsync",
+        action="store_true",
+        help="skip fsync on log forces (faster; tests only)",
+    )
+    command.add_argument(
+        "--codec",
+        choices=("json", "binary"),
+        default="json",
+        help="wire/WAL/control encoding for every site: json (debuggable "
+        "text) or binary (struct-packed fast path); both ends of every "
+        "connection must agree",
+    )
+
+
+def _add_gate_flags(
+    command: argparse.ArgumentParser, baseline: str, threshold: int, scope: str = ""
+) -> None:
+    """``--reps`` / ``--check`` / ``--baseline``: what :func:`_run_bench`
+    reads, for the suite whose committed report is ``baseline``."""
+    command.add_argument(
+        "--reps", type=int, default=3, help=scope + "timed repetitions per scenario"
+    )
+    command.add_argument(
+        "--check",
+        action="store_true",
+        help=scope + "compare against the committed baseline instead of "
+        f"writing; exit 1 on >{threshold}%% median events/sec regressions",
+    )
+    command.add_argument(
+        "--baseline",
+        default=baseline,
+        help=f"baseline file for --check (default: {baseline})",
     )
 
 
@@ -896,9 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="'all', or comma-separated scenario names/tags (see --list)",
     )
-    bench.add_argument(
-        "--reps", type=int, default=3, help="timed repetitions per scenario"
-    )
+    _add_gate_flags(bench, "BENCH_sim.json", 20)
     bench.add_argument(
         "--warmup", type=int, default=1, help="untimed warmup runs per scenario"
     )
@@ -919,17 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report path (default: BENCH_sim.json at the repo root)",
     )
     bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline instead of writing; "
-        "exit 1 on >20%% median events/sec regressions",
-    )
-    bench.add_argument(
-        "--baseline",
-        default="BENCH_sim.json",
-        help="baseline file for --check (default: BENCH_sim.json)",
-    )
-    bench.add_argument(
         "--list", action="store_true", help="list registered scenarios and exit"
     )
     bench.set_defaults(handler=_cmd_bench)
@@ -938,13 +967,10 @@ def build_parser() -> argparse.ArgumentParser:
         "live",
         help="run the protocol engines over real TCP sockets (asyncio)",
     )
-    live.add_argument(
-        "--protocol",
-        default="prany",
-        help="prany (dynamic over a PrN+PrA+PrC mix), prn, pra or prc",
-    )
-    live.add_argument(
-        "--participants", type=int, default=4, help="participant site count"
+    _add_cluster_flags(
+        live,
+        multiprocess_note=" (recovery-first boot; --kill-restart becomes a "
+        "real SIGKILL)",
     )
     live.add_argument(
         "--transactions", type=int, default=12, help="workload size"
@@ -957,32 +983,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="mean virtual units between submissions",
     )
     live.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.01,
-        help="wall-clock seconds per virtual time unit",
-    )
-    live.add_argument(
-        "--data-dir",
-        default=None,
-        help="directory for site WALs/snapshots (default: a temp dir)",
-    )
-    live.add_argument(
         "--kill-restart",
         action="store_true",
         help="kill the first participant at its first prepared record, "
         "restart it 30 virtual units later (crash-recovery round)",
-    )
-    live.add_argument(
-        "--multiprocess",
-        action="store_true",
-        help="run every site as its own supervised OS process "
-        "(recovery-first boot; --kill-restart becomes a real SIGKILL)",
-    )
-    live.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="skip fsync on log forces (faster; tests only)",
     )
     _add_topology_flags(
         live,
@@ -990,14 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario pair",
         replicated_note="; with --bench, measure only the "
         "plain-vs-replicated scenario pair",
-    )
-    live.add_argument(
-        "--codec",
-        choices=("json", "binary"),
-        default="json",
-        help="wire/WAL/control encoding for every site: json (debuggable "
-        "text) or binary (struct-packed fast path); both ends of every "
-        "connection must agree",
     )
     live.add_argument(
         "--bench",
@@ -1011,20 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="BENCH_live.json",
         help="report path for --bench (default: BENCH_live.json)",
     )
-    live.add_argument(
-        "--reps", type=int, default=3, help="timed reps for --bench"
-    )
-    live.add_argument(
-        "--check",
-        action="store_true",
-        help="with --bench: compare against the committed baseline "
-        "instead of writing; exit 1 on a live-throughput regression",
-    )
-    live.add_argument(
-        "--baseline",
-        default="BENCH_live.json",
-        help="baseline file for --bench --check (default: BENCH_live.json)",
-    )
+    _add_gate_flags(live, "BENCH_live.json", 50, "with --bench: ")
     live.add_argument(
         "--smoke",
         action="store_true",
@@ -1037,14 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop traffic generator: latency vs offered load over "
         "a live cluster (saturation knee)",
     )
-    loadgen.add_argument(
-        "--protocol",
-        default="prany",
-        help="prany (dynamic over a PrN+PrA+PrC mix), prn, pra or prc",
-    )
-    loadgen.add_argument(
-        "--participants", type=int, default=4, help="participant site count"
-    )
+    _add_cluster_flags(loadgen)
     loadgen.add_argument(
         "--rates",
         default="25,50,100,200",
@@ -1096,35 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="probability a transaction only reads (READ votes under "
         "the read-only optimization)",
     )
-    loadgen.add_argument(
-        "--codec",
-        choices=("json", "binary"),
-        default="json",
-        help="wire/WAL/control encoding for every site (the sweep pair "
-        "json-vs-binary quantifies the fast path)",
-    )
-    loadgen.add_argument(
-        "--multiprocess",
-        action="store_true",
-        help="run every site as its own supervised OS process",
-    )
     _add_topology_flags(loadgen)
-    loadgen.add_argument(
-        "--data-dir",
-        default=None,
-        help="directory for site WALs/snapshots (default: a temp dir)",
-    )
-    loadgen.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.01,
-        help="wall-clock seconds per virtual time unit",
-    )
-    loadgen.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="skip fsync on log forces (faster; tests only)",
-    )
     loadgen.add_argument(
         "--smoke",
         action="store_true",
@@ -1132,23 +1080,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.set_defaults(handler=_cmd_loadgen)
 
-    costs = sub.add_parser("costs", help="C1: measured cost table")
-    costs.add_argument("--participants", type=int, default=2)
-    costs.set_defaults(handler=_cmd_costs)
-
-    for name, handler, help_text in (
-        ("latency", _cmd_latency, "C2: latency vs participant count"),
-        ("selection", _cmd_selection, "C3: dynamic-selection ablation"),
-        ("readonly", _cmd_readonly, "C4: read-only optimization"),
-        ("iyv", _cmd_iyv, "C5: implicit yes-vote vs presumed abort"),
-        ("ablation", _cmd_ablation, "A1: lazy-record vulnerability window"),
-        ("throughput", _cmd_throughput, "C6: streaming throughput/residency"),
-        ("cl", _cmd_cl, "C7: coordinator log vs basic 2PC"),
-        ("recovery", _cmd_recovery, "R1: coordinator recovery"),
-        ("taxonomy", _cmd_taxonomy, "F5: the taxonomy tree"),
-        ("all", _cmd_all, "run every artifact in order"),
-    ):
-        sub.add_parser(name, help=help_text).set_defaults(handler=handler)
+    for name, artifact, description, run in EXPERIMENTS:
+        experiment = sub.add_parser(name, help=f"{artifact}: {description}")
+        experiment.set_defaults(handler=run)
+    sub.choices["costs"].add_argument("--participants", type=int, default=2)
+    sub.add_parser("all", help="run every artifact in order").set_defaults(
+        handler=_cmd_all
+    )
 
     return parser
 

@@ -54,8 +54,9 @@ def analyze_log(log: StableLog, durable_state: dict[str, Any]) -> LocalRecoveryR
     """
     report = LocalRecoveryReport()
     updates: dict[str, list[tuple[str, Any, Any]]] = {}
+    # Keyed by PREPARED records in LSN order; iterating it (not a set)
+    # keeps in-doubt re-adoption order independent of string hashing.
     coordinators: dict[str, str] = {}
-    prepared: set[str] = set()
 
     for record in log.stable_records():
         txn_id = record.txn_id
@@ -64,7 +65,6 @@ def analyze_log(log: StableLog, durable_state: dict[str, Any]) -> LocalRecoveryR
                 (record.get("key"), record.get("before"), record.get("after"))
             )
         elif record.type is RecordType.PREPARED:
-            prepared.add(txn_id)
             coordinators[txn_id] = record.get("coordinator", "")
         elif record.type is RecordType.COMMIT:
             # Coordinator-side decision records (role "coordinator") are
@@ -75,17 +75,17 @@ def analyze_log(log: StableLog, durable_state: dict[str, Any]) -> LocalRecoveryR
             if record.get("by", "participant") == "participant":
                 report.aborted.add(txn_id)
 
-    for txn_id in prepared:
+    for txn_id, coordinator in coordinators.items():
         if txn_id in report.committed or txn_id in report.aborted:
             continue
         report.in_doubt[txn_id] = {
-            "coordinator": coordinators.get(txn_id, ""),
+            "coordinator": coordinator,
             "updates": updates.get(txn_id, []),
         }
 
     for txn_id in updates:
         if (
-            txn_id not in prepared
+            txn_id not in coordinators
             and txn_id not in report.committed
             and txn_id not in report.aborted
         ):

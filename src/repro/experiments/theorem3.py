@@ -36,7 +36,7 @@ from repro.workloads.generator import (
     COORDINATOR_ID,
     WorkloadSpec,
     build_mdbs,
-    generate_transactions,
+    run_workload,
 )
 from repro.workloads.mixes import MIXES, ProtocolMix
 
@@ -111,28 +111,30 @@ def _single_txn_run(
 
 
 def _randomized_run(mix: ProtocolMix, seed: int) -> StressCase:
-    mdbs = build_mdbs(mix, coordinator="dynamic", seed=seed)
-    sites = sorted(mix.site_protocols())
     spec = WorkloadSpec(
         n_transactions=10,
         abort_fraction=0.3,
         participants_min=2,
-        participants_max=min(3, len(sites)),
+        participants_max=min(3, len(mix)),
         inter_arrival=30.0,
         seed=seed,
     )
-    transactions = generate_transactions(spec, sites)
-    horizon = max(t.submit_at for t in transactions) + 100.0
-    rng = RandomStreams(seed).stream("crash-schedule")
-    for victim in rng.sample([*sites, COORDINATOR_ID], k=2):
-        at = rng.uniform(10.0, horizon * 0.6)
-        mdbs.failures.schedule(
-            CrashSchedule(site_id=victim, at=at, down_for=rng.uniform(20.0, 80.0))
-        )
-    for txn in transactions:
-        mdbs.submit(txn)
-    mdbs.run(until=horizon + 600.0)
-    mdbs.finalize()
+
+    def schedule_outages(mdbs: MDBS, transactions: list[GlobalTransaction]) -> None:
+        horizon = max(t.submit_at for t in transactions) + 100.0
+        rng = RandomStreams(seed).stream("crash-schedule")
+        victims = [*sorted(mix.site_protocols()), COORDINATOR_ID]
+        for victim in rng.sample(victims, k=2):
+            at = rng.uniform(10.0, horizon * 0.6)
+            mdbs.failures.schedule(
+                CrashSchedule(
+                    site_id=victim, at=at, down_for=rng.uniform(20.0, 80.0)
+                )
+            )
+
+    mdbs, _ = run_workload(
+        mix, "dynamic", spec, drain=1_000.0, prepare=schedule_outages
+    )
     reports = mdbs.check()
     return StressCase(
         label=f"random / {mix.name} / seed={seed}",

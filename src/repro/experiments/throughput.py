@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 from repro.analysis.metrics import message_counts
 from repro.analysis.report import render_table
 from repro.core.events import EventKind
-from repro.workloads.generator import (
-    COORDINATOR_ID,
-    WorkloadSpec,
-    build_mdbs,
-    generate_transactions,
-)
+from repro.workloads.generator import COORDINATOR_ID, WorkloadSpec, run_workload
 from repro.workloads.mixes import MIXES
 
 
@@ -94,22 +89,15 @@ def measure_throughput(
 ) -> ThroughputPoint:
     """Stream a workload through one configuration and measure it."""
     mix = MIXES[mix_name]
-    mdbs = build_mdbs(mix, coordinator=coordinator, seed=seed)
-    sites = sorted(mix.site_protocols())
     spec = WorkloadSpec(
         n_transactions=n_transactions,
         abort_fraction=abort_fraction,
-        participants_min=len(sites),
-        participants_max=len(sites),
+        participants_min=len(mix),
+        participants_max=len(mix),
         inter_arrival=8.0,
         seed=seed,
     )
-    transactions = generate_transactions(spec, sites)
-    for txn in transactions:
-        mdbs.submit(txn)
-    horizon = max(t.submit_at for t in transactions) + 300.0
-    mdbs.run(until=horizon)
-    mdbs.finalize()
+    mdbs, transactions = run_workload(mix, coordinator, spec, drain=1_000.0)
     reports = mdbs.check()
     residencies = _residencies(mdbs, [t.txn_id for t in transactions])
     history = mdbs.history()

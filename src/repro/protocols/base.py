@@ -89,6 +89,20 @@ class TimeoutConfig:
     active_timeout: float = 30.0
 
 
+#: Timeouts an order of magnitude above the defaults, for runs where a
+#: timer must never race the work it guards: wall-clock jitter on the
+#: live runtimes, group-commit and batching windows in the simulator.
+#: Sim and live twins of a pinned workload share them, so neither side
+#: decides by timer what the other decides by message.
+RELAXED_TIMEOUTS = TimeoutConfig(
+    vote_timeout=120.0,
+    resend_interval=60.0,
+    inquiry_timeout=90.0,
+    inquiry_retry=60.0,
+    active_timeout=240.0,
+)
+
+
 # -- participant behaviour ----------------------------------------------------
 
 

@@ -37,7 +37,7 @@ from repro.mdbs.site import Site
 from repro.mdbs.system import RunReports, start_transaction
 from repro.mdbs.topology import SiteSpec, Topology
 from repro.mdbs.transaction import GlobalTransaction
-from repro.protocols.base import TimeoutConfig
+from repro.protocols.base import RELAXED_TIMEOUTS, TimeoutConfig
 from repro.rt.codec import WIRE_CODECS, wire_codec
 from repro.rt.host import SiteHost
 from repro.rt.runtime import LiveRuntime
@@ -54,13 +54,7 @@ RUN_MARGIN = 500.0
 #: Default live timeouts: generous against wall-clock jitter, the same
 #: values the differential conformance suite uses, so sim and live runs
 #: of a pinned workload are schedule-independent twins.
-LIVE_TIMEOUTS = TimeoutConfig(
-    vote_timeout=120.0,
-    resend_interval=60.0,
-    inquiry_timeout=90.0,
-    inquiry_retry=60.0,
-    active_timeout=240.0,
-)
+LIVE_TIMEOUTS = RELAXED_TIMEOUTS
 
 
 class ClusterDriver:

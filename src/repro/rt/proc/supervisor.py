@@ -227,6 +227,7 @@ class ProcessCluster(ClusterDriver):
         self._server: Optional[asyncio.Server] = None
         self._control_port = 0
         self._monitors: list[asyncio.Task] = []
+        self._handlers: set[asyncio.Task] = set()
         self._next_cmd_id = 0
         self._views: Optional[dict[str, RemoteSite]] = None
         self._shutting_down = False
@@ -375,6 +376,12 @@ class ProcessCluster(ClusterDriver):
             if handle.log_fh is not None:
                 handle.log_fh.close()
                 handle.log_fh = None
+        # Every child is gone, so each control stream is at EOF; let the
+        # handlers read it and return. Left blocked, they are cancelled
+        # by asyncio.run() and the stream protocol's done-callback logs
+        # a CancelledError traceback per connection.
+        if self._handlers:
+            await asyncio.wait(self._handlers, timeout=SHUTDOWN_GRACE)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -394,6 +401,9 @@ class ProcessCluster(ClusterDriver):
         "no event follows the crash" in per-site trace order.
         """
         handle: Optional[_ChildHandle] = None
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers.add(task)
         try:
             while True:
                 frame = await read_control(reader, self.codec)
@@ -433,6 +443,7 @@ class ProcessCluster(ClusterDriver):
         except ProcessControlError:
             pass
         finally:
+            self._handlers.discard(task)
             writer.close()
             if handle is not None and handle.writer is writer:
                 self._on_child_gone(handle)

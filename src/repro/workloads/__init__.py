@@ -5,7 +5,12 @@ from repro.workloads.failure_schedules import (
     coordinator_crash_points,
     participant_crash_points,
 )
-from repro.workloads.generator import WorkloadSpec, build_mdbs, generate_transactions
+from repro.workloads.generator import (
+    WorkloadSpec,
+    build_mdbs,
+    generate_transactions,
+    run_workload,
+)
 from repro.workloads.openloop import (
     OpenLoopSpec,
     generate_open_loop,
@@ -38,6 +43,7 @@ __all__ = [
     "participant_crash_points",
     "run_open_loop",
     "run_rate_sweep",
+    "run_workload",
     "saturation_knee",
     "three_way",
 ]

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.errors import WorkloadError
 from repro.mdbs.placement import PlacementPolicy
@@ -161,3 +161,45 @@ def generate_transactions(
             )
         )
     return transactions
+
+
+def run_workload(
+    mix: ProtocolMix,
+    coordinator: str,
+    spec: WorkloadSpec,
+    drain: float,
+    timeouts: Optional[TimeoutConfig] = None,
+    prepare: Optional[Callable[[MDBS, list[GlobalTransaction]], None]] = None,
+    topology: Topology = Topology(),
+    **build_options: Any,
+) -> tuple[MDBS, list[GlobalTransaction]]:
+    """Run a generated workload over a simulated MDBS to quiescence.
+
+    The simulated twin of :func:`repro.rt.cluster.run_workload`: build
+    (:func:`build_mdbs`, seeded by ``spec.seed``; ``build_options`` are
+    its ``group_commit`` / ``net_batching`` / ``service_time`` /
+    ``latency`` arguments), generate with ``topology``'s placement,
+    submit everything, run for ``drain`` virtual units past the nominal
+    arrival span (``inter_arrival * n_transactions``), then
+    ``finalize``. ``prepare(mdbs, transactions)`` runs after the
+    submissions and before the clock starts — the place to schedule
+    crashes. Returns the finished MDBS and the transactions it ran.
+    """
+    mdbs = build_mdbs(
+        mix,
+        coordinator=coordinator,
+        seed=spec.seed,
+        timeouts=timeouts,
+        topology=topology,
+        **build_options,
+    )
+    transactions = generate_transactions(
+        spec, sorted(mix.site_protocols()), placement=topology.placement
+    )
+    for txn in transactions:
+        mdbs.submit(txn)
+    if prepare is not None:
+        prepare(mdbs, transactions)
+    mdbs.run(until=spec.inter_arrival * spec.n_transactions + drain)
+    mdbs.finalize()
+    return mdbs, transactions

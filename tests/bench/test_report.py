@@ -16,7 +16,8 @@ from repro.bench.report import (
     write_report,
 )
 from repro.bench.runner import BenchConfig, ScenarioMeasurement, Stats
-from repro.bench.scenarios import SCENARIOS, ScenarioResult
+from repro.bench.rows import ScenarioResult
+from repro.bench.scenarios import SCENARIOS, get_scenarios
 from repro.errors import ReproError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -98,7 +99,7 @@ class TestSchemaRoundTrip:
         # must always satisfy the current schema.
         report = load_report(REPO_ROOT / "BENCH_sim.json")
         assert report["schema"] == SCHEMA_VERSION
-        assert set(report["scenarios"]) == set(SCENARIOS)
+        assert set(report["scenarios"]) == {s.name for s in get_scenarios("all")}
 
     def test_committed_optimization_history_shows_kernel_speedup(self):
         report = load_report(REPO_ROOT / "BENCH_sim.json")
@@ -139,7 +140,7 @@ class TestRegressionDetection:
         current = make_report(events=2000, wall=5.0)
         regressions, notes = compare_reports(current, baseline)
         assert not regressions
-        assert any("workload changed" in n for n in notes)
+        assert any("workload sizes differ" in n for n in notes)
 
     def test_missing_scenario_is_noted(self):
         baseline = make_report()
@@ -204,7 +205,7 @@ class TestScenarioDiff:
         # The gate the CI job runs: the committed file must cover the
         # registry exactly, or `repro bench --check` exits 1.
         baseline = load_report(REPO_ROOT / "BENCH_sim.json")
-        current = self.with_scenarios(sorted(SCENARIOS))
+        current = self.with_scenarios([s.name for s in get_scenarios("all")])
         assert scenario_diff(current, baseline) == ([], [], [])
 
     def test_codec_mismatch_is_refused(self):

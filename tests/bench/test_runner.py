@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.bench.runner import BenchConfig, Stats, measure_scenario
-from repro.bench.scenarios import SCENARIOS, Scenario, ScenarioResult
+from repro.bench.rows import Scenario, ScenarioResult
+from repro.bench.scenarios import SCENARIOS
 from repro.errors import ReproError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent

@@ -1,19 +1,29 @@
-"""Deterministic smoke tests for the bench scenario registry.
+"""Deterministic smoke tests for the bench scenario table.
 
-Every scenario runs once at smoke size and must pass its own
+Every simulator row runs once at smoke size and must pass its own
 correctness gate and reproduce identical work counters on a second
-run — the property the whole perf trajectory rests on.
+run — the property the whole perf trajectory rests on — and once at
+full size against the committed ``BENCH_sim.json``.
 """
+
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.bench.scenarios import BENCH_SEED, SCENARIOS, get_scenarios
+from repro.bench import BENCH_SEED, SCENARIOS, get_scenarios, load_report
 from repro.errors import ReproError
+
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+
+SIM = {s.name: s for s in get_scenarios("all")}
 
 # Micro scenarios are cheap enough to determinism-check twice; the
 # system/composite ones are still run (once) for their gates.
-MICRO = [n for n, s in SCENARIOS.items() if "micro" in s.tags]
-ALL = sorted(SCENARIOS)
+MICRO = [n for n, s in SIM.items() if "micro" in s.tags]
+ALL = sorted(SIM)
 
 
 class TestRegistry:
@@ -34,10 +44,15 @@ class TestRegistry:
             "commit-storm-grouped-c2pc",
             "crash-recovery",
             "explore-sweep",
-        } <= set(SCENARIOS)
+        } <= set(SIM)
 
     def test_all_selector(self):
-        assert get_scenarios("all") == list(SCENARIOS.values())
+        # One table, two suites: "all" is everything a suite reports.
+        assert get_scenarios("all") + get_scenarios("all", "live") == list(
+            SCENARIOS.values()
+        )
+        assert all("live" not in s.tags for s in get_scenarios("all"))
+        assert all("live" in s.tags for s in get_scenarios("all", "live"))
 
     def test_name_and_tag_selection(self):
         assert [s.name for s in get_scenarios("kernel-dispatch")] == [
@@ -53,22 +68,83 @@ class TestRegistry:
     def test_unknown_selector_rejected(self):
         with pytest.raises(ReproError):
             get_scenarios("no-such-scenario")
+        # A row is only selectable within the suite it reports into.
+        with pytest.raises(ReproError):
+            get_scenarios("live-codec-json")
+        with pytest.raises(ReproError):
+            get_scenarios("kernel-dispatch", "live")
+
+    def test_tags_select_within_a_suite(self):
+        # `repro live --bench --sharded / --replicated N` select by the
+        # tags the simulator pairs carry too.
+        assert [s.name for s in get_scenarios("sharding", "live")] == [
+            "live-prany-single",
+            "live-prany-sharded",
+        ]
+        assert [s.name for s in get_scenarios("replication", "live")] == [
+            "live-prany-multiproc",
+            "live-prany-replicated",
+        ]
+        assert [s.name for s in get_scenarios("sharding")] == [
+            "commit-storm-single-prany",
+            "commit-storm-sharded-prany",
+        ]
+
+    def test_table_import_does_not_load_the_live_runtime(self):
+        # `repro bench --list` must not pay for (or depend on) the
+        # asyncio transport and the process supervisor.
+        loaded = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.bench; "
+                "print([m for m in sys.modules if m.startswith('repro.rt')])",
+            ],
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert loaded.strip() == "[]"
 
     def test_every_seed_is_pinned(self):
         assert all(s.seed == BENCH_SEED for s in SCENARIOS.values())
 
 
+class TestRowsUnchanged:
+    """The committed baseline pins the table: a row whose work counters
+    drift from its ``BENCH_sim.json`` entry is a behaviour change, not
+    a note. (The live rows' twin is in ``tests/rt/test_bench.py``.)"""
+
+    def test_sim_rows_reproduce_committed_baseline(self):
+        baseline = load_report(REPO_ROOT / "BENCH_sim.json")["scenarios"]
+        assert set(SIM) == set(baseline)
+        for name, row in SIM.items():
+            result = row.run(False)
+            fresh = {
+                "description": row.description,
+                "seed": row.seed,
+                "tags": list(row.tags),
+                "events": result.events,
+                "trace_events": result.trace_events,
+                "messages": result.messages,
+                # Through JSON, like the baseline: tuples become lists.
+                "detail": json.loads(json.dumps(result.detail)),
+            }
+            assert fresh == {key: baseline[name][key] for key in fresh}, name
+
+
 class TestScenarioRuns:
     @pytest.mark.parametrize("name", ALL)
     def test_smoke_run_passes_its_gate(self, name):
-        result = SCENARIOS[name].run(True)
+        result = SIM[name].run(True)
         assert result.checks_passed, (name, result.detail)
         assert result.events > 0
 
     @pytest.mark.parametrize("name", MICRO)
     def test_micro_scenarios_are_deterministic(self, name):
-        first = SCENARIOS[name].run(True)
-        second = SCENARIOS[name].run(True)
+        first = SIM[name].run(True)
+        second = SIM[name].run(True)
         assert (first.events, first.trace_events, first.messages) == (
             second.events,
             second.trace_events,
@@ -78,8 +154,8 @@ class TestScenarioRuns:
     def test_commit_storm_reports_expected_violation_shape(self):
         # PrAny is clean; U2PC's failure-free storm shows the paper's
         # incompatible-presumption violations as recorded data.
-        prany = SCENARIOS["commit-storm-prany"].run(True)
-        u2pc = SCENARIOS["commit-storm-u2pc"].run(True)
+        prany = SIM["commit-storm-prany"].run(True)
+        u2pc = SIM["commit-storm-u2pc"].run(True)
         assert prany.detail["atomicity_violations"] == 0
         assert u2pc.detail["atomicity_violations"] > 0
 
@@ -98,8 +174,8 @@ class TestGroupCommitPairs:
 
     @pytest.mark.parametrize("plain_name,grouped_name", PAIRS)
     def test_pair_members_report_identical_work(self, plain_name, grouped_name):
-        plain = SCENARIOS[plain_name].run(True)
-        grouped = SCENARIOS[grouped_name].run(True)
+        plain = SIM[plain_name].run(True)
+        grouped = SIM[grouped_name].run(True)
         assert plain.events == grouped.events
         assert plain.detail["counterpart"] == grouped_name
         assert grouped.detail["counterpart"] == plain_name
@@ -108,8 +184,8 @@ class TestGroupCommitPairs:
         ]
 
     def test_log_storm_pair_commits_and_outcomes_identical(self):
-        plain = SCENARIOS["commit-storm-log"].run(True)
-        grouped = SCENARIOS["commit-storm-log-grouped"].run(True)
+        plain = SIM["commit-storm-log"].run(True)
+        grouped = SIM["commit-storm-log-grouped"].run(True)
         for key in ("force_requests", "commits_stable", "callbacks_fired"):
             assert plain.detail[key] == grouped.detail[key]
         # The whole point: one force per burst instead of per request.
@@ -122,8 +198,8 @@ class TestGroupCommitPairs:
     def test_dense_pairs_decide_every_transaction(
         self, plain_name, grouped_name
     ):
-        plain = SCENARIOS[plain_name].run(True)
-        grouped = SCENARIOS[grouped_name].run(True)
+        plain = SIM[plain_name].run(True)
+        grouped = SIM[grouped_name].run(True)
         assert plain.detail["decided"] == plain.detail["transactions"]
         assert grouped.detail["decided"] == grouped.detail["transactions"]
         assert grouped.detail["batches_delivered"] > 0

@@ -35,14 +35,10 @@ from typing import Any, Optional
 from repro.mdbs.system import MDBS
 from repro.mdbs.topology import Topology
 from repro.net.batching import NetBatchConfig
-from repro.protocols.base import TimeoutConfig
+from repro.protocols.base import RELAXED_TIMEOUTS
 from repro.storage.group_commit import GroupCommitConfig
-from repro.workloads.generator import (
-    COORDINATOR_ID,
-    WorkloadSpec,
-    build_mdbs,
-    generate_transactions,
-)
+from repro.workloads import generator
+from repro.workloads.generator import COORDINATOR_ID, WorkloadSpec
 from repro.workloads.mixes import ProtocolMix, homogeneous, three_way
 
 #: The six protocols of the paper, as (participant mix, coordinator)
@@ -84,13 +80,7 @@ BATCH_SETTINGS: dict[str, tuple[GroupCommitConfig, NetBatchConfig]] = {
 #: strength — a vote timeout firing in one mode but not the other would
 #: be a (correct but) schedule-dependent outcome, exactly what the
 #: private-keys/failure-free setup exists to exclude.
-CONFORMANCE_TIMEOUTS = TimeoutConfig(
-    vote_timeout=120.0,
-    resend_interval=60.0,
-    inquiry_timeout=90.0,
-    inquiry_retry=60.0,
-    active_timeout=240.0,
-)
+CONFORMANCE_TIMEOUTS = RELAXED_TIMEOUTS
 
 
 def conformance_spec(
@@ -130,22 +120,16 @@ def run_workload(
     a Paxos quorum of ``N`` acceptor sites (the workload stream is
     again untouched — acceptors never participate).
     """
-    topology = Topology.from_flags(sharded, replicated)
-    mdbs = build_mdbs(
+    mdbs, _ = generator.run_workload(
         mix,
-        coordinator=coordinator,
-        seed=spec.seed,
+        coordinator,
+        spec,
+        drain=500.0,
         timeouts=CONFORMANCE_TIMEOUTS,
         group_commit=group_commit,
         net_batching=net_batching,
-        topology=topology,
+        topology=Topology.from_flags(sharded, replicated),
     )
-    for txn in generate_transactions(
-        spec, sorted(mix.site_protocols()), placement=topology.placement
-    ):
-        mdbs.submit(txn)
-    mdbs.run(until=spec.inter_arrival * spec.n_transactions + 500.0)
-    mdbs.finalize()
     return mdbs
 
 

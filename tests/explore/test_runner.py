@@ -1,5 +1,10 @@
 """run_scenario determinism and the ParallelRunner sweep machinery."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.explore.adversary import (
     AdversaryGenerator,
     CrashAt,
@@ -27,6 +32,31 @@ def test_run_scenario_is_deterministic():
     assert first.trace_sha256 == second.trace_sha256
     assert first.trace_events == second.trace_events
     assert first.verdict == second.verdict
+
+
+def test_trace_digest_is_independent_of_string_hashing():
+    # Seed 10 restarts a site holding several in-doubt transactions;
+    # recovery once re-adopted them in set (string-hash) order.
+    script = (
+        "from repro.explore import AdversaryGenerator, GeneratorConfig, "
+        "run_scenario\n"
+        "spec = AdversaryGenerator(GeneratorConfig(protocol='prany'))"
+        ".generate(10)\n"
+        "print(run_scenario(spec).trace_sha256)"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        for seed in ("0", "2")
+    }
+    assert len(digests) == 1, digests
 
 
 def test_run_outcome_counters_are_populated():

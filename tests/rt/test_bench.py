@@ -1,19 +1,31 @@
-"""Live bench report comparison (the ``repro live --bench --check``
-gate).
+"""The live suite of the bench table and its ``--check`` gate
+(``repro live --bench --check``).
 
-Pure-function tests over hand-built report dicts; the scenarios
-themselves run real clusters and are exercised by the CLI smoke job,
-not here.
+Pure-function tests over hand-built report dicts, plus one smoke pass
+over every live row pinning it to its ``BENCH_live.json`` entry.
 """
 
 from __future__ import annotations
 
-from repro.bench.report import scenario_diff
-from repro.rt.bench import (
+from pathlib import Path
+
+from repro.bench import (
     LIVE_OPTIMIZATION_HISTORY,
-    compare_live_reports,
-    live_scenarios,
+    SUITES,
+    compare_reports,
+    get_scenarios,
+    load_report,
+    scenario_diff,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+
+#: The live suite gates at 50%.
+LIVE_THRESHOLD = SUITES["live"].threshold
+
+
+def live_scenarios():
+    return get_scenarios("all", "live")
 
 
 def report_with(scenarios):
@@ -28,20 +40,23 @@ def entry(median, events=128):
 
 
 class TestCompareLiveReports:
+    """The one comparer at the live suite's threshold."""
+
     def test_no_regression_within_threshold(self):
-        regressions, notes = compare_live_reports(
+        assert LIVE_THRESHOLD == 0.5
+        regressions, notes = compare_reports(
             report_with({"live-prany-throughput": entry(60.0)}),
             report_with({"live-prany-throughput": entry(80.0)}),
-            threshold=0.5,
+            LIVE_THRESHOLD,
         )
         assert regressions == []
         assert notes == []
 
     def test_regression_below_threshold_flagged(self):
-        regressions, _ = compare_live_reports(
+        regressions, _ = compare_reports(
             report_with({"live-prany-throughput": entry(30.0)}),
             report_with({"live-prany-throughput": entry(80.0)}),
-            threshold=0.5,
+            LIVE_THRESHOLD,
         )
         assert [r.scenario for r in regressions] == ["live-prany-throughput"]
         assert regressions[0].baseline_eps == 80.0
@@ -50,18 +65,20 @@ class TestCompareLiveReports:
     def test_size_mismatch_skipped_with_note(self):
         # Live txns/sec is not size-invariant: a smoke run at a fraction
         # of baseline throughput must not read as a regression.
-        regressions, notes = compare_live_reports(
+        regressions, notes = compare_reports(
             report_with({"live-prany-throughput": entry(16.0, events=16)}),
             report_with({"live-prany-throughput": entry(80.0, events=128)}),
+            LIVE_THRESHOLD,
         )
         assert regressions == []
         assert len(notes) == 1
         assert "skipped" in notes[0]
 
     def test_missing_scenario_noted(self):
-        regressions, notes = compare_live_reports(
+        regressions, notes = compare_reports(
             report_with({}),
             report_with({"live-prany-throughput": entry(80.0)}),
+            LIVE_THRESHOLD,
         )
         assert regressions == []
         assert notes == [
@@ -73,10 +90,9 @@ class TestCompareLiveReports:
 class TestScenarioSetDrift:
     """`repro live --bench --check` fails on named scenario drift.
 
-    ``compare_live_reports`` only notes baseline entries that were not
-    measured; the CLI gate additionally runs :func:`scenario_diff`
-    (shared with the sim gate — both report kinds carry the same
-    ``scenarios`` section) and exits 1 on any added or missing name.
+    ``compare_reports`` only notes baseline entries that were not
+    measured; the CLI gate additionally runs :func:`scenario_diff` and
+    exits 1 on any added or missing name.
     """
 
     def test_new_live_scenario_without_baseline_entry_is_added(self):
@@ -168,6 +184,21 @@ class TestRegistry:
             "live-codec-json",
             "live-codec-binary",
         ]
+
+    def test_live_rows_match_committed_baseline(self):
+        # Real clusters cannot reproduce counters, so the live suite is
+        # pinned by shape: the table's rows are the baseline's rows, and
+        # a smoke run of each reports the baseline's detail keys.
+        baseline = load_report(REPO_ROOT / "BENCH_live.json")["scenarios"]
+        assert {s.name for s in live_scenarios()} == set(baseline)
+        for row in live_scenarios():
+            entry = baseline[row.name]
+            assert row.description == entry["description"], row.name
+            assert list(row.tags) == entry["tags"], row.name
+            assert row.seed == entry["seed"], row.name
+            result = row.run(True)
+            assert result.checks_passed, (row.name, result.detail)
+            assert set(result.detail) == set(entry["detail"]), row.name
 
     def test_cluster_scenarios_are_nondeterministic(self):
         # Real clusters produce run-to-run trace variance; only the

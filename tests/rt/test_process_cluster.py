@@ -14,6 +14,9 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,8 @@ from tests.conformance.harness import (
     equivalence_summary,
     run_workload,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Pinned seed: the CI multiproc-smoke job replays this comparison.
 CONFORMANCE_SEED = 1303
@@ -135,9 +140,41 @@ def test_spawn_and_clean_teardown(tmp_path):
         await cluster.shutdown()
         for handle in handles.values():
             assert handle.popen.poll() is not None  # exited, reaped
-        return True
+        # No control-connection handler is left for asyncio.run() to
+        # cancel (each would log a CancelledError traceback).
+        return asyncio.all_tasks() - {asyncio.current_task()}
 
-    assert asyncio.run(go())
+    assert asyncio.run(go()) == set()
+
+
+def test_workload_teardown_leaves_no_traceback_on_stderr(tmp_path):
+    # Several clusters in one interpreter, the way `repro live --bench`
+    # runs its reps: that is where shutdown() used to return with
+    # handlers still blocked on their control streams.
+    script = (
+        "import asyncio, sys\n"
+        "from repro.mdbs.topology import Topology\n"
+        "from repro.rt.cluster import run_workload\n"
+        "from repro.rt.proc import ProcessCluster\n"
+        "from repro.workloads.generator import WorkloadSpec\n"
+        "from repro.workloads.mixes import three_way\n"
+        "spec = WorkloadSpec(n_transactions=4, inter_arrival=1.0, seed=7)\n"
+        "for rep in range(3):\n"
+        "    cluster = asyncio.run(run_workload(ProcessCluster, three_way(3), "
+        "'dynamic', spec, f'{sys.argv[1]}/{rep}', pipeline=4, "
+        "topology=Topology.replicated(3)))\n"
+        "    print(len(cluster.outcomes()))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["4", "4", "4"]
+    assert "Traceback" not in result.stderr
 
 
 def test_kill_requires_running_child_and_restart_requires_dead(tmp_path):
