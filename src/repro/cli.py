@@ -795,7 +795,7 @@ def _add_cluster_flags(
         "--codec",
         choices=("json", "binary"),
         default="json",
-        help="wire/WAL/control encoding for every site: json (debuggable "
+        help="wire/WAL encoding for every site: json (debuggable "
         "text) or binary (struct-packed fast path); both ends of every "
         "connection must agree",
     )

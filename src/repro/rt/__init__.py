@@ -34,7 +34,7 @@ from repro.rt.cluster import (
     LiveCluster,
     run_workload,
 )
-from repro.rt.host import SiteHost, build_site
+from repro.rt.host import SiteConfig, SiteHost, build_site
 from repro.rt.proc import (
     KillSpec,
     ProcessCluster,
@@ -57,6 +57,7 @@ __all__ = [
     "ClusterDriver",
     "LiveCluster",
     "run_workload",
+    "SiteConfig",
     "SiteHost",
     "build_site",
     "KillSpec",

@@ -35,11 +35,11 @@ from repro.db.recovery import LocalRecoveryReport
 from repro.errors import ProtocolError, WorkloadError
 from repro.mdbs.site import Site
 from repro.mdbs.system import RunReports, start_transaction
-from repro.mdbs.topology import SiteSpec, Topology
+from repro.mdbs.topology import Topology
 from repro.mdbs.transaction import GlobalTransaction
 from repro.protocols.base import RELAXED_TIMEOUTS, TimeoutConfig
 from repro.rt.codec import WIRE_CODECS, wire_codec
-from repro.rt.host import SiteHost
+from repro.rt.host import SiteConfig, SiteHost
 from repro.rt.runtime import LiveRuntime
 from repro.sim.tracing import TraceEvent
 from repro.storage.group_commit import GroupCommitConfig
@@ -79,10 +79,9 @@ class ClusterDriver:
             every mix site, or ``tm`` over an acceptor group whose
             members log their Paxos state in their own WALs.
         codec: ``"json"`` (default) or ``"binary"`` — one encoding for
-            the whole deployment: wire framing (:mod:`repro.rt.codec`),
-            WALs (:mod:`repro.storage.file_log`) and, between
-            processes, the control plane. A mixed-codec connection
-            fails loudly on its first frame.
+            the whole deployment: wire framing (:mod:`repro.rt.codec`)
+            and WALs (:mod:`repro.storage.file_log`). A mixed-codec
+            connection fails loudly on its first frame.
     """
 
     def __init__(
@@ -106,16 +105,26 @@ class ClusterDriver:
             )
         self.topology = topology
         self.codec = codec
-        self._layout: dict[str, SiteSpec] = {
-            spec.site_id: spec for spec in topology.sites(mix, coordinator)
+        self.data_dir = Path(data_dir)
+        #: What each site is made of, derived once; every runtime hosts
+        #: its sites from these values.
+        self._layout: dict[str, SiteConfig] = {
+            spec.site_id: SiteConfig(
+                spec.site_id,
+                spec.protocol,
+                str(self.data_dir / spec.site_id),
+                coordinator=spec.coordinator,
+                replication=spec.replication,
+                timeouts=timeouts,
+                read_only_optimization=read_only_optimization,
+                fsync=fsync,
+                group_commit=group_commit,
+                codec=codec,
+            )
+            for spec in topology.sites(mix, coordinator)
         }
         self._seed = seed
-        self._timeouts = timeouts
         self._time_scale = time_scale
-        self._fsync = fsync
-        self._read_only_optimization = read_only_optimization
-        self._group_commit = group_commit
-        self.data_dir = Path(data_dir)
         self.sim: Optional[LiveRuntime] = None
         self.submitted: list[GlobalTransaction] = []
         # Event-driven completion state, installed by _start_runtime():
@@ -424,26 +433,17 @@ class LiveCluster(ClusterDriver):
         """Bring up every site host (must run inside an event loop)."""
         sim = self._start_runtime()
         shared_codec = wire_codec(self.codec, intern=sorted(self._layout))
-        for spec in self._layout.values():
-            self.hosts[spec.site_id] = SiteHost(
-                sim,
-                self.directory,
-                self.pcp,
-                spec.site_id,
-                spec.protocol,
-                self.data_dir / spec.site_id,
-                coordinator=spec.coordinator,
-                timeouts=self._timeouts,
-                read_only_optimization=self._read_only_optimization,
-                fsync=self._fsync,
-                group_commit=self._group_commit,
-                replication=spec.replication,
-                codec=self.codec,
-                wire_codec=shared_codec,
+        for config in self._layout.values():
+            self.hosts[config.site_id] = SiteHost(
+                sim, self.directory, self.pcp, config, wire_codec=shared_codec
             )
-            self.pcp.register_site(spec.site_id, spec.protocol)
-            if spec.coordinator is not None:
-                self.pcp.register_coordinator(spec.site_id)
+            self.pcp.register_site(config.site_id, config.protocol)
+            if config.coordinator is not None:
+                self.pcp.register_coordinator(config.site_id)
+        # Publish every address before any site boots: a site recovering
+        # from an earlier run's WAL inquires about what it finds in doubt.
+        for host in self.hosts.values():
+            await host.transport.start()
         for host in self.hosts.values():
             await host.start()
 

@@ -6,22 +6,33 @@ does per site under simulation: it builds a :class:`~repro.mdbs.site.Site`
 :class:`~repro.rt.transport.LiveTransport` instead of the simulated
 network and to file-backed storage instead of the in-memory log/store.
 
+There is one description of a site, :class:`SiteConfig`, and one boot
+path, :meth:`SiteHost.start`: bind the port, build the site from its
+data directory, and run boot-time recovery (:meth:`Site.cold_recover`:
+log analysis, redo against the durable snapshot, re-adoption of
+in-doubt transactions) iff a WAL was there before the build — a
+previous incarnation died here, in this run or an earlier one. A site
+booting on an empty directory has nothing to analyze, same as under
+simulation. The in-process cluster and the out-of-process
+``repro.rt.proc.site_process`` child both host their sites through
+this class, so they build byte-identical sites from the same directory
+and recover the same way.
+
 Kill/restart semantics match a process death:
 
 * :meth:`kill` crashes the site (volatile state and the unforced log
   buffer are lost; this is :meth:`Site.crash`) and closes its port —
   in-flight peers see connection resets, i.e. omission failures.
-* :meth:`restart` rebinds the port and builds a **new** ``Site`` whose
-  log and store are loaded from disk, then runs boot-time recovery
-  (:meth:`Site.cold_recover`): log analysis, redo against the durable
-  snapshot, re-adoption of in-doubt transactions. Nothing from the old
-  object survives, exactly as nothing survives a real process exit.
+* :meth:`restart` *is* :meth:`start`: a **new** ``Site`` is loaded from
+  disk. Nothing from the old object survives, exactly as nothing
+  survives a real process exit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from repro.db.recovery import LocalRecoveryReport
 from repro.errors import SiteDownError
@@ -42,103 +53,127 @@ WAL_FILE = "wal.jsonl"
 STORE_FILE = "store.json"
 
 
+@dataclass(frozen=True)
+class SiteConfig:
+    """What one live site is made of; JSON-round-trippable
+    (``dataclasses.asdict`` / :meth:`from_dict`) so a child process
+    boots from the same value the in-process host takes.
+
+    Attributes:
+        site_id: the site's id.
+        protocol: the 2PC variant its participant engine runs.
+        data_dir: directory holding its WAL and store snapshot.
+        coordinator: the coordinator policy its coordinator engine
+            runs, or ``None`` when the site cannot coordinate.
+        replication: the acceptor group the site belongs to (as leader
+            or acceptor), or ``None``; attaches the Paxos Commit layer
+            exactly as under simulation — acceptor ACCEPT records land
+            in the same WAL and survive a process death.
+        timeouts: protocol timers (``None`` = engine defaults).
+        read_only_optimization: whether read-only participants skip
+            the second phase.
+        fsync: whether the log and store fsync (tests may disable).
+        group_commit: when set, the WAL coalesces forces into windows
+            (:class:`~repro.storage.file_log.GroupCommitFileLog`).
+        codec: ``"json"`` or ``"binary"``: wire framing and WAL format.
+    """
+
+    site_id: str
+    protocol: str
+    data_dir: str
+    coordinator: Optional[str] = None
+    replication: Optional[ReplicationConfig] = None
+    timeouts: Optional[TimeoutConfig] = None
+    read_only_optimization: bool = True
+    fsync: bool = True
+    group_commit: Optional[GroupCommitConfig] = None
+    codec: str = "json"
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "SiteConfig":
+        data = dict(data)
+        for key, load in (
+            ("replication", ReplicationConfig.from_dict),
+            ("timeouts", lambda value: TimeoutConfig(**value)),
+            ("group_commit", lambda value: GroupCommitConfig(**value)),
+        ):
+            if data.get(key) is not None:
+                data[key] = load(data[key])
+        return cls(**data)
+
+
 def build_site(
     rt: LiveRuntime,
     transport: LiveTransport,
     pcp: CommitProtocolDirectory,
-    site_id: str,
-    protocol: str,
-    data_dir: Path,
-    coordinator: Optional[str] = None,
-    timeouts: Optional[TimeoutConfig] = None,
-    read_only_optimization: bool = True,
-    fsync: bool = True,
-    group_commit: Optional[GroupCommitConfig] = None,
-    replication: Optional[ReplicationConfig] = None,
-    codec: str = "json",
+    config: SiteConfig,
 ) -> Site:
     """Construct a live :class:`Site` over file-backed storage.
 
     The one place the live stack decides what a site is made of: a
     (group-commit) WAL at ``data_dir/wal.jsonl`` (JSONL or binary per
-    ``codec``), a JSON store snapshot at ``data_dir/store.json``, and
-    the unmodified engines wired to ``transport``. Shared by the
-    in-process :class:`SiteHost` and the out-of-process
-    ``repro.rt.proc.site_process`` entrypoint so both build
-    byte-identical sites from the same directory. ``replication``
-    attaches the Paxos Commit layer to the sites it involves, exactly
-    as under simulation — acceptor ACCEPT records land in the same WAL
-    and survive a process death.
+    ``config.codec``), a JSON store snapshot at ``data_dir/store.json``,
+    and the unmodified engines wired to ``transport``.
     """
+    site_id, fsync, codec = config.site_id, config.fsync, config.codec
+    data_dir = Path(config.data_dir)
     wal_path = data_dir / WAL_FILE
-    if group_commit is not None:
+    if config.group_commit is not None:
         log: FileStableLog = GroupCommitFileLog(
-            rt, site_id, wal_path, group_commit, fsync=fsync, codec=codec
+            rt, site_id, wal_path, config.group_commit, fsync=fsync, codec=codec
         )
     else:
         log = FileStableLog(rt, site_id, wal_path, fsync=fsync, codec=codec)
     store = FileBackedStore(data_dir / STORE_FILE, fsync=fsync)
+    coordinator = config.coordinator
     selector = selector_for(coordinator) if coordinator is not None else None
     return Site(
         rt,
         transport,
         pcp,
         site_id,
-        protocol,
+        config.protocol,
         selector,
-        timeouts,
-        read_only_optimization=read_only_optimization,
+        config.timeouts,
+        read_only_optimization=config.read_only_optimization,
         log=log,
         store=store,
-        replication=replication,
+        replication=config.replication,
     )
 
 
 class SiteHost:
-    """Hosts one protocol site as a live TCP service."""
+    """Hosts one protocol site as a live TCP service.
+
+    Args:
+        rt: the live runtime (clock + trace) the site runs on.
+        directory: shared ``{site_id: (host, port)}`` map.
+        pcp: the commit-protocol directory.
+        config: what the site is made of.
+        host, port: the address its transport binds (``port=0``: an
+            ephemeral one, kept across restarts).
+        wire_codec: the codec instance to frame messages with (a
+            cluster in one process shares one); defaults to JSON.
+    """
 
     def __init__(
         self,
         rt: LiveRuntime,
         directory: dict[str, tuple[str, int]],
         pcp: CommitProtocolDirectory,
-        site_id: str,
-        protocol: str,
-        data_dir: Path | str,
-        coordinator: Optional[str] = None,
-        timeouts: Optional[TimeoutConfig] = None,
-        read_only_optimization: bool = True,
-        fsync: bool = True,
+        config: SiteConfig,
+        host: str = "127.0.0.1",
         port: int = 0,
-        group_commit: Optional[GroupCommitConfig] = None,
-        replication: Optional[ReplicationConfig] = None,
-        codec: str = "json",
         wire_codec: Optional[WireCodec] = None,
     ) -> None:
         self._rt = rt
         self._pcp = pcp
-        self.site_id = site_id
-        self.protocol = protocol
-        self._coordinator = coordinator
-        self._timeouts = timeouts
-        self._read_only_optimization = read_only_optimization
-        self._fsync = fsync
-        self._group_commit = group_commit
-        self._replication = replication
-        self._codec = codec
-        self.data_dir = Path(data_dir)
+        self.config = config
+        self.site_id = config.site_id
         self.transport = LiveTransport(
-            rt, site_id, directory, port=port, codec=wire_codec
+            rt, config.site_id, directory, host=host, port=port, codec=wire_codec
         )
         self.site: Optional[Site] = None
-
-    @property
-    def wal_path(self) -> Path:
-        return self.data_dir / WAL_FILE
-
-    @property
-    def store_path(self) -> Path:
-        return self.data_dir / STORE_FILE
 
     @property
     def is_up(self) -> bool:
@@ -146,29 +181,22 @@ class SiteHost:
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def start(self) -> None:
-        """First boot: bind the port and build the site over (usually
-        empty) on-disk state. No recovery pass — a site booting on an
-        empty log has nothing to analyze, same as under simulation."""
-        await self.transport.start()
-        self._build_site()
+    async def start(self) -> Optional[LocalRecoveryReport]:
+        """Boot from disk: bind the port (unless the cluster already
+        did), build the site over the on-disk log and store snapshot,
+        and run boot-time recovery iff the WAL was there before the
+        build (its report is returned; ``None`` on a fresh directory)."""
+        if self.is_up:
+            raise SiteDownError(f"host {self.site_id!r} is still running")
+        if not self.transport.is_listening:
+            await self.transport.start()
+        recovering = (Path(self.config.data_dir) / WAL_FILE).exists()
+        self.site = build_site(self._rt, self.transport, self._pcp, self.config)
+        return self.site.cold_recover() if recovering else None
 
-    def _build_site(self) -> None:
-        self.site = build_site(
-            self._rt,
-            self.transport,
-            self._pcp,
-            self.site_id,
-            self.protocol,
-            self.data_dir,
-            coordinator=self._coordinator,
-            timeouts=self._timeouts,
-            read_only_optimization=self._read_only_optimization,
-            fsync=self._fsync,
-            group_commit=self._group_commit,
-            replication=self._replication,
-            codec=self._codec,
-        )
+    #: Coming back after :meth:`kill` is the same boot; the WAL the dead
+    #: incarnation left makes it a recovering one.
+    restart = start
 
     async def kill(self) -> None:
         """Process death: crash the site, close the port."""
@@ -176,16 +204,6 @@ class SiteHost:
             raise SiteDownError(f"host {self.site_id!r} is not running")
         self.site.crash()
         await self.transport.stop()
-
-    async def restart(self) -> LocalRecoveryReport:
-        """Come back from disk: rebind the port, rebuild the site from
-        the on-disk log and store snapshot, run boot-time recovery."""
-        if self.site is not None and self.site.is_up:
-            raise SiteDownError(f"host {self.site_id!r} is still running")
-        await self.transport.start()
-        self._build_site()
-        assert self.site is not None
-        return self.site.cold_recover()
 
     async def close(self) -> None:
         """Orderly shutdown (end of run, not a crash)."""
@@ -199,4 +217,4 @@ class SiteHost:
 
     def __repr__(self) -> str:
         state = "up" if self.is_up else "down"
-        return f"SiteHost({self.site_id!r}, {self.protocol}, {state})"
+        return f"SiteHost({self.site_id!r}, {self.config.protocol}, {state})"

@@ -2,7 +2,8 @@
 
 Promotes the in-process :class:`~repro.rt.host.SiteHost` to a real OS
 process: :mod:`~repro.rt.proc.site_process` is the child entrypoint
-(recovery-first boot from the site's WAL + store snapshot),
+(the same host, booted the same recovery-first way, plus a control
+connection),
 :mod:`~repro.rt.proc.supervisor` spawns/monitors/respawns the children
 and presents the :class:`~repro.rt.cluster.LiveCluster` surface, and
 :mod:`~repro.rt.proc.config`/:mod:`~repro.rt.proc.control` carry the

@@ -3,9 +3,11 @@
 The supervisor (``repro.rt.proc.supervisor``) writes one
 ``proc.json`` per site into that site's data directory; the child
 process (``repro.rt.proc.site_process``) reads it back as its complete
-world view: who it is, where its WAL/store live, the address directory
-of every peer, the shared virtual-time epoch, and (for crash-injection
-runs) the catalogued instant at which it must ``SIGKILL`` itself.
+world view: the site it hosts (a :class:`~repro.rt.host.SiteConfig`,
+the value an in-process host takes too) inside the per-process
+envelope — its addresses, the address directory of every peer, the
+shared virtual-time epoch, and (for crash-injection runs) the
+catalogued instant at which it must ``SIGKILL`` itself.
 
 The file is plain JSON on purpose: it survives the respawn path — a
 restarted child boots from the *same* file, so a supervisor crash
@@ -22,9 +24,8 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.errors import WorkloadError
-from repro.protocols.base import TimeoutConfig
-from repro.replication import ReplicationConfig
-from repro.storage.group_commit import GroupCommitConfig
+from repro.rt.host import SiteConfig
+from repro.storage.pcp import CommitProtocolDirectory
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,12 @@ class KillSpec:
 @dataclass
 class SiteProcessConfig:
     """Everything a :class:`~repro.rt.proc.site_process.SiteProcess`
-    needs to boot (JSON-serializable)."""
+    needs to boot (JSON-serializable): the site itself, and the
+    per-process envelope around it."""
 
-    site_id: str
-    protocol: str
-    data_dir: str
+    #: What the site is made of — the same value an in-process
+    #: :class:`~repro.rt.host.SiteHost` takes.
+    site: SiteConfig
     #: Host/port this site's data transport binds (pre-allocated by the
     #: supervisor so the full directory is known before any child runs).
     host: str
@@ -62,43 +64,20 @@ class SiteProcessConfig:
     site_protocols: dict[str, str] = field(default_factory=dict)
     #: Sites registered as coordinators in the PCP.
     coordinator_sites: list[str] = field(default_factory=list)
-    #: Coordinator policy for this site (``None`` = participant only).
-    coordinator: Optional[str] = None
     time_scale: float = 0.01
     #: Shared ``time.time()`` epoch anchoring every process's virtual 0.
     wall_epoch: float = 0.0
     seed: int = 0
-    fsync: bool = True
-    read_only_optimization: bool = True
-    group_commit: Optional[dict[str, Any]] = None
-    timeouts: Optional[dict[str, float]] = None
-    kill: Optional[dict[str, str]] = None
-    #: Replicated-coordinator membership (``ReplicationConfig.to_dict``)
-    #: for the sites the group involves; ``None`` elsewhere.
-    replication: Optional[dict[str, Any]] = None
-    #: Wire/WAL/control encoding: ``"json"`` or ``"binary"``. Written by
-    #: the supervisor, so both ends of every connection agree.
-    codec: str = "json"
+    kill: Optional[KillSpec] = None
 
-    # -- typed views ---------------------------------------------------------
-
-    def timeout_config(self) -> Optional[TimeoutConfig]:
-        return None if self.timeouts is None else TimeoutConfig(**self.timeouts)
-
-    def group_commit_config(self) -> Optional[GroupCommitConfig]:
-        if self.group_commit is None:
-            return None
-        return GroupCommitConfig(**self.group_commit)
-
-    def replication_config(self) -> Optional[ReplicationConfig]:
-        if self.replication is None:
-            return None
-        return ReplicationConfig.from_dict(self.replication)
-
-    def kill_spec(self) -> Optional[KillSpec]:
-        return None if self.kill is None else KillSpec(**self.kill)
-
-    # -- persistence ---------------------------------------------------------
+    def pcp(self) -> CommitProtocolDirectory:
+        """The commit-protocol directory the listing describes."""
+        pcp = CommitProtocolDirectory()
+        for site_id, protocol in self.site_protocols.items():
+            pcp.register_site(site_id, protocol)
+        for site_id in self.coordinator_sites:
+            pcp.register_coordinator(site_id)
+        return pcp
 
     def save(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -111,14 +90,9 @@ class SiteProcessConfig:
     def load(cls, path: Path) -> "SiteProcessConfig":
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
+            data["site"] = SiteConfig.from_dict(data["site"])
+            if data.get("kill") is not None:
+                data["kill"] = KillSpec(**data["kill"])
             return cls(**data)
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, TypeError, KeyError) as exc:
             raise WorkloadError(f"cannot load site config {path}: {exc}")
-
-
-def timeouts_to_dict(timeouts: Optional[TimeoutConfig]) -> Optional[dict]:
-    return None if timeouts is None else dataclasses.asdict(timeouts)
-
-
-def group_commit_to_dict(config: Optional[GroupCommitConfig]) -> Optional[dict]:
-    return None if config is None else dataclasses.asdict(config)

@@ -1,14 +1,11 @@
 """The supervisor <-> site-process control protocol.
 
 One TCP connection per child, initiated by the child against the
-supervisor's control server. Under the default ``json`` codec frames
-are newline-delimited JSON (small, line-oriented, trivially
-inspectable in a post-mortem capture); under the ``binary`` codec they
-are length-prefixed packed dicts (:mod:`repro.packing`) behind a tag
-byte, matching the data plane's fast path. Both ends read the codec
-from the same ``SiteProcessConfig``, so a mismatch is a config bug —
-and still fails loudly: a binary frame can never parse as a JSON line
-and vice versa.
+supervisor's control server. Frames are newline-delimited JSON: small,
+line-oriented, trivially inspectable in a post-mortem capture. That is
+the only control format: a deployment's json-or-binary choice covers
+the data plane's wire framing and the WAL, not this side channel,
+which carries no protocol message and no forced write.
 
 Child -> supervisor frames (``kind``):
 
@@ -35,22 +32,14 @@ from __future__ import annotations
 
 import asyncio
 import json
-import struct
 from typing import Any, Optional
 
 from repro.db.recovery import LocalRecoveryReport
 from repro.errors import ReproError
-from repro.packing import PackError, pack_value, unpack_value
 
 #: Control frame size cap — a summary of a large store is the biggest
 #: legitimate frame; anything larger is a protocol bug.
 MAX_CONTROL_LINE = 16 * 1024 * 1024
-
-#: Binary control framing: u32 big-endian length, then a tag byte +
-#: packed frame dict. The tag can never begin a JSON line, so a codec
-#: mix-up dies on the first frame instead of hanging on a readline.
-CONTROL_TAG = 0xB3
-_CONTROL_HEADER = struct.Struct(">I")
 
 
 class ProcessControlError(ReproError):
@@ -58,87 +47,26 @@ class ProcessControlError(ReproError):
     frame, or an op raised inside the child."""
 
 
-def encode_control(frame: dict[str, Any], codec: str = "json") -> bytes:
-    """One frame as a JSON line (``json``) or a length-prefixed packed
-    dict (``binary``)."""
-    if codec == "json":
-        return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
-    if codec == "binary":
-        try:
-            body = bytes((CONTROL_TAG,)) + pack_value(frame)
-        except PackError as exc:
-            raise ProcessControlError(f"control frame not binary-encodable: {exc}")
-        return _CONTROL_HEADER.pack(len(body)) + body
-    raise ProcessControlError(f"unknown control codec {codec!r}")
+def encode_control(frame: dict[str, Any]) -> bytes:
+    """One frame as a JSON line."""
+    return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-async def read_control(
-    reader: asyncio.StreamReader, codec: str = "json"
-) -> Optional[dict[str, Any]]:
+async def read_control(reader: asyncio.StreamReader) -> Optional[dict[str, Any]]:
     """Read one frame; ``None`` on EOF (peer process gone).
 
     Raises:
-        ProcessControlError: on a malformed or oversized frame, or a
-            frame from a peer running the other control codec.
+        ProcessControlError: on a malformed or oversized frame.
     """
-    if codec == "binary":
-        return await _read_control_binary(reader)
-    if codec != "json":
-        raise ProcessControlError(f"unknown control codec {codec!r}")
     try:
         line = await reader.readline()
     except (asyncio.LimitOverrunError, ValueError) as exc:
         raise ProcessControlError(f"oversized control frame: {exc}")
     if not line:
         return None
-    if line[0] == 0:
-        # A binary length prefix starts with 0x00 for any frame under
-        # 16 MiB; a JSON line never starts with a NUL byte.
-        raise ProcessControlError(
-            "peer sent a binary control frame to a json-codec supervisor; "
-            "both ends must run with the same --codec"
-        )
     try:
         frame = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProcessControlError(f"malformed control frame: {exc}")
-    if not isinstance(frame, dict):
-        raise ProcessControlError(f"control frame is not an object: {frame!r}")
-    return frame
-
-
-async def _read_control_binary(
-    reader: asyncio.StreamReader,
-) -> Optional[dict[str, Any]]:
-    try:
-        header = await reader.readexactly(_CONTROL_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProcessControlError("connection closed mid-header")
-    (length,) = _CONTROL_HEADER.unpack(header)
-    if length > MAX_CONTROL_LINE:
-        if header[:1] == b"{":
-            raise ProcessControlError(
-                "peer sent a json control frame to a binary-codec "
-                "supervisor; both ends must run with the same --codec"
-            )
-        raise ProcessControlError(
-            f"control frame announces {length} bytes, "
-            f"over the {MAX_CONTROL_LINE}-byte limit"
-        )
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProcessControlError("connection closed mid-frame")
-    if not body or body[0] != CONTROL_TAG:
-        raise ProcessControlError(
-            f"binary control frame missing its tag byte "
-            f"(got {body[:1]!r})"
-        )
-    try:
-        frame = unpack_value(body[1:])
-    except PackError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not text at all
         raise ProcessControlError(f"malformed control frame: {exc}")
     if not isinstance(frame, dict):
         raise ProcessControlError(f"control frame is not an object: {frame!r}")

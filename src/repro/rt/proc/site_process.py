@@ -1,16 +1,15 @@
 """One protocol site as its own OS process.
 
-``python -m repro.rt.proc.site_process <config.json>`` boots a single
-:class:`~repro.mdbs.site.Site` — the unmodified engines — inside a
-dedicated process, mirroring the reference implementations where each
-transaction manager is a daemon *entered from its RECOVERY state*:
+``python -m repro.rt.proc.site_process <config.json>`` hosts a single
+site inside a dedicated process, mirroring the reference
+implementations where each transaction manager is a daemon *entered
+from its RECOVERY state*. The process boundary adds a control
+connection and nothing else:
 
-* if the WAL file already exists, the site runs
-  :meth:`~repro.mdbs.site.Site.cold_recover` before serving anything —
-  log analysis, redo against the durable store snapshot, re-adoption of
-  in-doubt transactions. A fresh directory boots without a recovery
-  pass, same as a first boot under simulation.
-* the data plane is the ordinary :class:`~repro.rt.transport.LiveTransport`
+* the site is a :class:`~repro.rt.host.SiteHost`, the class the
+  in-process cluster hosts its sites with, booted by the same
+  :meth:`~repro.rt.host.SiteHost.start` — recovery first iff the WAL
+  file already exists. Its data plane is the host's ordinary transport
   (peers talk protocol messages straight to this process; the
   supervisor is not on that path);
 * a control connection back to the supervisor streams trace events and
@@ -39,7 +38,8 @@ Op table (see ``repro.rt.proc.control`` for framing):
                 replies with the count collected and the backlog
 ``summary``     durable footprint: stable records, store snapshot
 ``ping``        heartbeat
-``shutdown``    orderly exit: close WAL, stop transport, exit 0
+``shutdown``    orderly exit: stop transport, close WAL
+                (:meth:`~repro.rt.host.SiteHost.close`), exit 0
 ==============  ==========================================================
 """
 
@@ -52,11 +52,10 @@ import sys
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.mdbs.site import Site
 from repro.mdbs.system import begin_participant_work
 from repro.mdbs.transaction import GlobalTransaction
 from repro.rt.codec import wire_codec
-from repro.rt.host import WAL_FILE, build_site
+from repro.rt.host import SiteHost
 from repro.rt.proc.config import SiteProcessConfig
 from repro.rt.proc.control import (
     MAX_CONTROL_LINE,
@@ -65,10 +64,8 @@ from repro.rt.proc.control import (
     recovery_to_dict,
 )
 from repro.rt.runtime import LiveRuntime
-from repro.rt.transport import LiveTransport
 from repro.sim.tracing import TraceEvent
-from repro.storage.file_log import FileStableLog, record_to_json
-from repro.storage.pcp import CommitProtocolDirectory
+from repro.storage.file_log import record_to_json
 from repro.workloads.failure_schedules import (
     acceptor_crash_points,
     coordinator_crash_points,
@@ -99,10 +96,7 @@ class SiteProcess:
 
     def __init__(self, config: SiteProcessConfig) -> None:
         self.config = config
-        self.data_dir = Path(config.data_dir)
-        self.rt: Optional[LiveRuntime] = None
-        self.transport: Optional[LiveTransport] = None
-        self.site: Optional[Site] = None
+        self.host: Optional[SiteHost] = None
         self._outbox: asyncio.Queue[dict[str, Any]] = asyncio.Queue()
         self._pump_busy = False
         self._writer: Optional[asyncio.StreamWriter] = None
@@ -113,17 +107,17 @@ class SiteProcess:
 
     async def run(self) -> None:
         config = self.config
-        self.rt = LiveRuntime(
+        site_id = config.site.site_id
+        rt = LiveRuntime(
             time_scale=config.time_scale,
             seed=config.seed,
             wall_epoch=config.wall_epoch,
         )
-        kill = config.kill_spec()
-        if kill is not None:
-            self._kill_predicate = CRASH_POINTS[kill.point].make_predicate(
-                config.site_id, kill.txn
+        if config.kill is not None:
+            self._kill_predicate = CRASH_POINTS[config.kill.point].make_predicate(
+                site_id, config.kill.txn
             )
-        self.rt.trace.subscribe(self._stream_trace_event)
+        rt.trace.subscribe(self._stream_trace_event)
 
         reader, writer = await asyncio.open_connection(
             config.control_host, config.control_port, limit=MAX_CONTROL_LINE
@@ -131,52 +125,31 @@ class SiteProcess:
         self._writer = writer
         pump = asyncio.ensure_future(self._pump())
 
-        pcp = CommitProtocolDirectory()
-        for site_id, protocol in config.site_protocols.items():
-            pcp.register_site(site_id, protocol)
-        for site_id in config.coordinator_sites:
-            pcp.register_coordinator(site_id)
         directory = {
-            site_id: (host, port)
-            for site_id, (host, port) in config.directory.items()
+            peer_id: (host, port)
+            for peer_id, (host, port) in config.directory.items()
         }
-        self.transport = LiveTransport(
-            self.rt,
-            config.site_id,
+        self.host = SiteHost(
+            rt,
             directory,
+            config.pcp(),
+            config.site,
             host=config.host,
             port=config.port,
-            codec=wire_codec(config.codec, intern=sorted(directory)),
+            wire_codec=wire_codec(config.site.codec, intern=sorted(directory)),
         )
-        await self.transport.start()
-
         # Recovery-first boot: an existing WAL means a previous
         # incarnation died here — analyze/redo/re-adopt before serving.
-        recovering = (self.data_dir / WAL_FILE).exists()
-        self.site = build_site(
-            self.rt,
-            self.transport,
-            pcp,
-            config.site_id,
-            config.protocol,
-            self.data_dir,
-            coordinator=config.coordinator,
-            timeouts=config.timeout_config(),
-            read_only_optimization=config.read_only_optimization,
-            fsync=config.fsync,
-            group_commit=config.group_commit_config(),
-            replication=config.replication_config(),
-            codec=config.codec,
-        )
-        recovery = self.site.cold_recover() if recovering else None
+        recovery = await self.host.start()
 
-        (self.data_dir / PID_FILE).write_text(str(os.getpid()), encoding="utf-8")
+        pid_file = Path(config.site.data_dir) / PID_FILE
+        pid_file.write_text(str(os.getpid()), encoding="utf-8")
         self._emit(
             {
                 "kind": "hello",
-                "site": config.site_id,
+                "site": site_id,
                 "pid": os.getpid(),
-                "port": self.transport.port,
+                "port": self.host.transport.port,
                 "recovery": None if recovery is None else recovery_to_dict(recovery),
             }
         )
@@ -201,13 +174,10 @@ class SiteProcess:
             frame = await self._outbox.get()
             self._pump_busy = True
             try:
-                codec = self.config.codec
-                chunks = [encode_control(frame, codec)]
+                chunks = [encode_control(frame)]
                 while True:
                     try:
-                        chunks.append(
-                            encode_control(self._outbox.get_nowait(), codec)
-                        )
+                        chunks.append(encode_control(self._outbox.get_nowait()))
                     except asyncio.QueueEmpty:
                         break
                 self._writer.write(b"".join(chunks))
@@ -242,9 +212,9 @@ class SiteProcess:
             # inbound delivery synchronously (a frame arriving now is
             # lost, as at a crashed receiver), then flush what was
             # already sent and pull the trigger.
-            assert self.transport is not None and self.site is not None
-            self.transport.register(
-                self.site.site_id, self.site.deliver, is_up=lambda: False
+            assert self.host is not None and self.host.site is not None
+            self.host.transport.register(
+                self.host.site_id, self.host.site.deliver, is_up=lambda: False
             )
             asyncio.ensure_future(self._die())
 
@@ -264,8 +234,8 @@ class SiteProcess:
             os.kill(os.getpid(), signal.SIGKILL)
 
     async def _flush_for_death(self) -> None:
-        assert self.transport is not None and self._writer is not None
-        await self.transport.drain_outbound()
+        assert self.host is not None and self._writer is not None
+        await self.host.transport.drain_outbound()
         while not self._outbox.empty() or self._pump_busy:
             await asyncio.sleep(0)
         await self._writer.drain()
@@ -274,7 +244,7 @@ class SiteProcess:
 
     async def _serve(self, reader: asyncio.StreamReader) -> None:
         while True:
-            frame = await read_control(reader, self.config.codec)
+            frame = await read_control(reader)
             if frame is None:
                 return  # supervisor died: nothing to serve for
             if frame.get("kind") != "cmd":
@@ -294,12 +264,14 @@ class SiteProcess:
             self._emit({"kind": "reply", "id": cmd_id, **result})
             if frame["op"] == "shutdown":
                 await self._flush_for_death()
+                assert self.host is not None
+                await self.host.close()
                 return
 
     def _dispatch(self, frame: dict[str, Any]) -> dict[str, Any]:
-        assert self.site is not None and self.transport is not None
+        assert self.host is not None and self.host.site is not None
         op = frame["op"]
-        site = self.site
+        site, transport = self.host.site, self.host.transport
         if op == "ping":
             return {}
         if op == "begin_work":
@@ -321,13 +293,12 @@ class SiteProcess:
             return {
                 "is_up": site.is_up,
                 "retained": sorted(site.retained_transactions()),
-                "backlog": self.transport.backlog,
-                "buffered": site.log.buffered_record_count,
+                "backlog": transport.backlog,
             }
         if op == "flush_gc":
             return {
                 "collected": site.flush_and_gc(),
-                "backlog": self.transport.backlog,
+                "backlog": transport.backlog,
             }
         if op == "summary":
             return {
@@ -342,17 +313,12 @@ class SiteProcess:
                 # Transport counters: `msg` trace events stay inside the
                 # child (too chatty for the control stream), so the
                 # end-of-run totals travel in the summary instead.
-                "messages_sent": self.transport.sent_count,
-                "messages_delivered": self.transport.delivered_count,
-                "messages_dropped": self.transport.dropped_count,
+                "messages_sent": transport.sent_count,
+                "messages_delivered": transport.delivered_count,
+                "messages_dropped": transport.dropped_count,
             }
         if op == "shutdown":
-            # The replicated leader's log is the decision-log wrapper
-            # around the file log; close the file underneath it.
-            log = getattr(site.log, "inner", site.log)
-            if isinstance(log, FileStableLog):
-                log.close()
-            return {"status": "bye"}
+            return {"status": "bye"}  # _serve closes the host and exits
         raise ValueError(f"unknown control op {op!r}")
 
 

@@ -61,12 +61,7 @@ from repro.mdbs.transaction import GlobalTransaction
 from repro.protocols.base import participant_spec
 from repro.rt.cluster import ClusterDriver
 from repro.rt.host import STORE_FILE, WAL_FILE
-from repro.rt.proc.config import (
-    KillSpec,
-    SiteProcessConfig,
-    group_commit_to_dict,
-    timeouts_to_dict,
-)
+from repro.rt.proc.config import KillSpec, SiteProcessConfig
 from repro.rt.proc.control import (
     MAX_CONTROL_LINE,
     ProcessControlError,
@@ -161,15 +156,9 @@ class RemoteSite:
 class _ChildHandle:
     """Supervisor-side state for one site process."""
 
-    def __init__(
-        self,
-        site_id: str,
-        protocol: str,
-        config: SiteProcessConfig,
-        config_path: Path,
-    ) -> None:
-        self.site_id = site_id
-        self.protocol = protocol
+    def __init__(self, config: SiteProcessConfig, config_path: Path) -> None:
+        self.site_id = config.site.site_id
+        self.protocol = config.site.protocol
         self.config = config
         self.config_path = config_path
         self.popen: Optional[subprocess.Popen] = None
@@ -247,10 +236,10 @@ class ProcessCluster(ClusterDriver):
         )
         self._control_port = self._server.sockets[0].getsockname()[1]
 
-        layout = sorted(self._layout.values(), key=lambda spec: spec.site_id)
-        site_protocols = {spec.site_id: spec.protocol for spec in layout}
+        layout = sorted(self._layout.values(), key=lambda site: site.site_id)
+        site_protocols = {site.site_id: site.protocol for site in layout}
         coordinator_sites = [
-            spec.site_id for spec in layout if spec.coordinator is not None
+            site.site_id for site in layout if site.coordinator is not None
         ]
         # Pre-allocate every data port up front so the complete address
         # directory goes into every child's config — addresses survive
@@ -258,13 +247,10 @@ class ProcessCluster(ClusterDriver):
         directory = {
             site_id: ["127.0.0.1", _free_port()] for site_id in site_protocols
         }
-        for spec in layout:
-            site_id = spec.site_id
-            kill = self._kills.get(site_id)
+        for site in layout:
+            site_id = site.site_id
             config = SiteProcessConfig(
-                site_id=site_id,
-                protocol=spec.protocol,
-                data_dir=str(self.data_dir / site_id),
+                site=site,
                 host=directory[site_id][0],
                 port=directory[site_id][1],
                 control_host="127.0.0.1",
@@ -272,27 +258,14 @@ class ProcessCluster(ClusterDriver):
                 directory=directory,
                 site_protocols=site_protocols,
                 coordinator_sites=coordinator_sites,
-                coordinator=spec.coordinator,
                 time_scale=self._time_scale,
                 wall_epoch=self._wall_epoch,
                 seed=self._seed,
-                fsync=self._fsync,
-                read_only_optimization=self._read_only_optimization,
-                group_commit=group_commit_to_dict(self._group_commit),
-                timeouts=timeouts_to_dict(self._timeouts),
-                kill=None if kill is None else {"point": kill.point, "txn": kill.txn},
-                replication=(
-                    None
-                    if spec.replication is None
-                    else spec.replication.to_dict()
-                ),
-                codec=self.codec,
+                kill=self._kills.get(site_id),
             )
-            config_path = self.data_dir / site_id / "proc.json"
+            config_path = Path(site.data_dir) / "proc.json"
             config.save(config_path)
-            self._children[site_id] = _ChildHandle(
-                site_id, spec.protocol, config, config_path
-            )
+            self._children[site_id] = _ChildHandle(config, config_path)
         for handle in self._children.values():
             self._spawn(handle)
         await asyncio.gather(
@@ -406,7 +379,7 @@ class ProcessCluster(ClusterDriver):
         self._handlers.add(task)
         try:
             while True:
-                frame = await read_control(reader, self.codec)
+                frame = await read_control(reader)
                 if frame is None:
                     break
                 kind = frame.get("kind")
@@ -487,9 +460,7 @@ class ProcessCluster(ClusterDriver):
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         handle.pending[cmd_id] = future
         handle.writer.write(
-            encode_control(
-                {"kind": "cmd", "id": cmd_id, "op": op, **kw}, self.codec
-            )
+            encode_control({"kind": "cmd", "id": cmd_id, "op": op, **kw})
         )
         try:
             await handle.writer.drain()

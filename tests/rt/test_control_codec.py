@@ -1,8 +1,8 @@
-"""Supervisor <-> child control-plane framing under both codecs.
+"""Supervisor <-> child control-plane framing.
 
-Pure framing tests over in-memory streams: JSON lines vs length-
-prefixed packed dicts, and the loud failure when the two ends disagree
-on ``--codec`` (a config bug that must never hang a readline).
+Pure framing tests over in-memory streams: newline JSON round trips,
+and the loud failure on anything that is not a JSON object line
+(a framing bug must never hang a readline or pass for a frame).
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rt.proc.control import (
-    CONTROL_TAG,
-    MAX_CONTROL_LINE,
     ProcessControlError,
     encode_control,
     read_control,
@@ -27,14 +25,14 @@ frames = st.dictionaries(
 )
 
 
-def roundtrip(data: bytes, codec: str):
+def roundtrip(data: bytes, limit: int = 2**16):
     async def go():
-        reader = asyncio.StreamReader()
+        reader = asyncio.StreamReader(limit=limit)
         reader.feed_data(data)
         reader.feed_eof()
         out = []
         while True:
-            frame = await read_control(reader, codec)
+            frame = await read_control(reader)
             if frame is None:
                 return out
             out.append(frame)
@@ -46,79 +44,35 @@ class TestControlRoundTrip:
     @settings(deadline=None)
     @given(frame=frames)
     def test_json_round_trip(self, frame):
-        assert roundtrip(encode_control(frame, "json"), "json") == [frame]
+        assert roundtrip(encode_control(frame)) == [frame]
 
-    @settings(deadline=None)
-    @given(frame=frames)
-    def test_binary_round_trip(self, frame):
-        assert roundtrip(encode_control(frame, "binary"), "binary") == [frame]
-
-    def test_many_binary_frames_in_sequence(self):
+    def test_many_frames_in_sequence(self):
         batch = [{"kind": "cmd", "id": i, "op": "ping"} for i in range(3)]
-        stream = b"".join(encode_control(f, "binary") for f in batch)
-        assert roundtrip(stream, "binary") == batch
-
-    def test_binary_frame_is_tagged_and_length_prefixed(self):
-        raw = encode_control({"kind": "cmd"}, "binary")
-        assert raw[4] == CONTROL_TAG
-        assert int.from_bytes(raw[:4], "big") == len(raw) - 4
+        assert roundtrip(b"".join(encode_control(f) for f in batch)) == batch
 
     def test_eof_returns_none(self):
-        assert roundtrip(b"", "json") == []
-        assert roundtrip(b"", "binary") == []
+        assert roundtrip(b"") == []
 
 
 class TestControlRejection:
-    def test_unknown_codec_rejected_on_encode(self):
-        with pytest.raises(ProcessControlError, match="unknown control codec"):
-            encode_control({}, "msgpack")
+    def test_oversized_frame_rejected(self):
+        raw = encode_control({"kind": "reply", "records": "x" * 4096})
+        with pytest.raises(ProcessControlError, match="oversized control frame"):
+            roundtrip(raw, limit=1024)
 
-    def test_unknown_codec_rejected_on_read(self):
-        with pytest.raises(ProcessControlError, match="unknown control codec"):
-            roundtrip(b"{}\n", "msgpack")
+    def test_malformed_frame_rejected(self):
+        with pytest.raises(ProcessControlError, match="malformed control frame"):
+            roundtrip(b'{"kind": "hel\n')
 
-    def test_unencodable_frame_rejected(self):
-        with pytest.raises(ProcessControlError, match="not binary-encodable"):
-            encode_control({"keys": {1, 2}}, "binary")
+    def test_non_object_frame_rejected(self):
+        with pytest.raises(ProcessControlError, match="not an object"):
+            roundtrip(b'["not", "a", "dict"]\n')
 
     def test_json_reader_rejects_binary_peer(self):
-        raw = encode_control({"kind": "hello"}, "binary")
-        with pytest.raises(ProcessControlError, match="binary control frame"):
-            roundtrip(raw, "json")
-
-    def test_binary_reader_rejects_json_peer(self):
-        # A JSON line's first 4 bytes read as a huge length whose first
-        # byte is '{' — the reader names the mix-up instead of the cap.
-        raw = encode_control({"kind": "hello"}, "json")
-        with pytest.raises(ProcessControlError, match="json control frame"):
-            roundtrip(raw, "binary")
-
-    def test_oversized_binary_announcement_rejected(self):
-        header = (MAX_CONTROL_LINE + 1).to_bytes(4, "big")
-        with pytest.raises(ProcessControlError, match="over the"):
-            roundtrip(header, "binary")
-
-    def test_truncated_binary_body_rejected(self):
-        raw = encode_control({"kind": "hello"}, "binary")
-        with pytest.raises(ProcessControlError, match="mid-frame"):
-            roundtrip(raw[:-1], "binary")
-
-    def test_missing_tag_rejected(self):
-        body = b"\x00junk"
-        raw = len(body).to_bytes(4, "big") + body
-        with pytest.raises(ProcessControlError, match="missing its tag"):
-            roundtrip(raw, "binary")
-
-    def test_non_dict_binary_frame_rejected(self):
-        from repro.packing import pack_value
-
-        body = bytes((CONTROL_TAG,)) + pack_value(["not", "a", "dict"])
-        raw = len(body).to_bytes(4, "big") + body
-        with pytest.raises(ProcessControlError, match="not an object"):
-            roundtrip(raw, "binary")
-
-    def test_malformed_binary_payload_rejected(self):
-        body = bytes((CONTROL_TAG, 0xC1))
-        raw = len(body).to_bytes(4, "big") + body
-        with pytest.raises(ProcessControlError, match="malformed control frame"):
-            roundtrip(raw, "binary")
+        # What the retired packed control format put on the wire: a u32
+        # length prefix (leading NUL) before a 0xB3-tagged body. Neither
+        # byte can begin a JSON line, and neither may surface as a bare
+        # UnicodeDecodeError.
+        for raw in (b"\x00\x00\x00\x08\xb3\x81\xa4kind\n", b"\xb3\x81\xa4kind\n"):
+            with pytest.raises(ProcessControlError, match="malformed control frame"):
+                roundtrip(raw)

@@ -138,8 +138,12 @@ def test_spawn_and_clean_teardown(tmp_path):
             assert int(pidfile.read_text()) == handle.pid
             assert handle.alive
         await cluster.shutdown()
-        for handle in handles.values():
-            assert handle.popen.poll() is not None  # exited, reaped
+        for site_id, handle in handles.items():
+            # The shutdown op ran to completion (transport stopped, WAL
+            # closed): exit 0, not the SIGKILL escalation, and nothing
+            # the child's teardown had to complain about.
+            assert handle.popen.poll() == 0
+            assert "Traceback" not in (tmp_path / site_id / "child.log").read_text()
         # No control-connection handler is left for asyncio.run() to
         # cancel (each would log a CancelledError traceback).
         return asyncio.all_tasks() - {asyncio.current_task()}

@@ -18,16 +18,19 @@ the restart completed, so its outcome exercises the *recovered* site.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
 from repro.rt.cluster import LIVE_TIMEOUTS, LiveCluster
+from repro.rt.proc import CRASH_POINTS, KillSpec, ProcessCluster
 from repro.workloads.generator import (
     COORDINATOR_ID,
     WorkloadSpec,
     generate_transactions,
 )
 from repro.workloads.mixes import homogeneous
+from tests.conformance.harness import equivalence_summary
 
 N_TRANSACTIONS = 10
 FIRST_WAVE = 4
@@ -168,3 +171,69 @@ def test_coordinator_killed_mid_protocol_recovers(tmp_path):
     assert cluster.quiescent()
     reports = cluster.check()
     assert reports.all_hold, reports
+
+
+@pytest.mark.parametrize("cluster_cls", (LiveCluster, ProcessCluster))
+def test_new_cluster_over_an_old_directory_boots_recovery_first(
+    cluster_cls, tmp_path
+):
+    """Booting is one path for both runtimes: whoever starts over a
+    directory that holds a WAL analyses it and resolves what is in
+    doubt, whether the previous incarnation died in this run or in an
+    earlier one."""
+    mix = homogeneous("PrA", 3)
+    spec = dataclasses.replace(SPEC, n_transactions=3, abort_fraction=0.0)
+    wave = list(generate_transactions(spec, sorted(mix.site_protocols())))
+    target = wave[0]
+    victim = sorted(target.writes)[0]
+    point = "part-after-prepared"
+    options = dict(
+        coordinator="PrA", timeouts=LIVE_TIMEOUTS, time_scale=0.005, fsync=False
+    )
+
+    async def die_in_doubt():
+        """Run the wave until the victim dies holding a stable prepared
+        record, then leave without finalizing."""
+        # A child arms the crash point inside itself; the in-process
+        # victim is killed from a trace subscription (the crash lands
+        # before its loop handles any further message).
+        in_child = (
+            {"kills": {victim: KillSpec(point, target.txn_id)}}
+            if cluster_cls is ProcessCluster
+            else {}
+        )
+        cluster = cluster_cls(mix, tmp_path, **in_child, **options)
+        await cluster.start()
+        try:
+            if not in_child:
+                at_prepared = CRASH_POINTS[point].make_predicate(victim, target.txn_id)
+                cluster.sim.trace.subscribe(
+                    lambda event: at_prepared(event)
+                    and asyncio.ensure_future(cluster.kill(victim))
+                )
+            for txn in wave:
+                cluster.submit(txn, immediate=True)
+            while cluster.sim.trace.first("site", "crash", site=victim) is None:
+                await asyncio.sleep(0.01)
+        finally:
+            await cluster.shutdown()
+
+    async def come_back():
+        cluster = cluster_cls(mix, tmp_path, **options)
+        await cluster.start()
+        try:
+            recovered = cluster.sim.trace.first("site", "recover", site=victim)
+            await cluster.run(until=cluster.sim.now + 500.0)
+            await cluster.finalize()
+        finally:
+            await cluster.shutdown()
+        return cluster, recovered
+
+    asyncio.run(die_in_doubt())
+    cluster, recovered = asyncio.run(come_back())
+
+    assert recovered is not None
+    summary = equivalence_summary(cluster)
+    # The victim's in-doubt transaction was resolved by inquiry.
+    assert victim in summary["enforcements"].get(target.txn_id, {})
+    assert all(summary["checks"].values()), summary["checks"]
