@@ -4,7 +4,7 @@
 # ("Exception in callback ... CancelledError") does not change an exit
 # code, so without the grep it could come back unnoticed.
 #
-#   bash scripts/no_traceback.sh python -m repro live --bench --check
+#   bash scripts/no_traceback.sh python -m repro bench --suite live --check
 set -u
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT

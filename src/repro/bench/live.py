@@ -1,10 +1,13 @@
 """Live bench rows: the closed-batch row type, the open-loop sweep and
 the codec microbenchmark.
 
-The simulator rows (:mod:`repro.bench.sim`) measure how fast the
-simulator burns virtual work; these measure the same commit workload
-end to end over real sockets and fsync'd logs — seconds of wall clock
-per committed transaction, not events per second.
+The simulator rows (:mod:`repro.bench.sim`) run a commit workload in
+virtual time; these run the same workload end to end over real sockets
+and fsync'd logs. What such a run *counts* from its seed (transactions,
+outcomes, topology, frame sizes) goes into ``detail`` and the golden
+``BENCH_live.json``; what it *times* (latency percentiles, rates, a
+real cluster's trace and message totals, which its scheduling decides)
+goes into ``timed`` and is only printed.
 
 * :class:`ClosedBatch` — a generated PrAny workload run to quiescence
   over one cluster shape: in-process or one OS process per site, paced
@@ -14,13 +17,6 @@ per committed transaction, not events per second.
   (:mod:`repro.workloads.openloop`) over one wire/WAL codec.
 * :func:`run_codec` — encode/decode round trips of a protocol-message
   mix through one codec, no sockets.
-
-Transactions/sec is *not* size-invariant (cluster startup and the
-abort-path inquiry tail are fixed costs a small workload cannot
-amortize — the smoke variant measures ~0.2x the full-size number on
-the same machine), so ``--check`` skips rows whose workload sizes
-differ and the CI gate runs the full-size workload (a few wall seconds)
-under the live suite's deliberately generous threshold.
 
 Nothing here imports :mod:`repro.rt` at module level: the table
 (:mod:`repro.bench.scenarios`) stays importable without the asyncio
@@ -94,6 +90,7 @@ class ClosedBatch:
         topology: where the coordinators live.
         describe: ``cluster -> dict`` of what this row adds to the
             common ``detail`` keys.
+        measure: ``cluster -> dict`` of what it adds to ``timed``.
     """
 
     transactions: tuple[int, int]
@@ -103,15 +100,16 @@ class ClosedBatch:
     group_commit: Optional[GroupCommitConfig] = None
     topology: Topology = Topology()
     describe: Callable[[Any], dict[str, Any]] = lambda cluster: {}
+    measure: Callable[[Any], dict[str, Any]] = lambda cluster: {}
 
     def run(self, smoke: bool = False) -> ScenarioResult:
         """Run the row and fold the finished cluster into a scenario
         result.
 
-        ``messages`` is the cluster-wide sent total of the sites' transport
-        counters (each child of a process cluster ships its own in its
-        ``summary`` reply), so rows are comparable on message volume across
-        runtimes.
+        The timed ``messages`` is the cluster-wide sent total of the
+        sites' transport counters (each child of a process cluster ships
+        its own in its ``summary`` reply), so rows are comparable on
+        message volume across runtimes.
         """
         from repro.rt.cluster import LiveCluster, run_workload
         from repro.rt.proc import ProcessCluster
@@ -146,32 +144,35 @@ class ClosedBatch:
             "transactions": n_transactions,
             "decided": len(outcomes),
             "committed": sum(1 for d in outcomes.values() if d == "commit"),
+            "codec": cluster.codec,
         }
+        timed: dict[str, Any] = {}
         if self.multiprocess:
             detail["processes"] = len(cluster.sites)
         if self.pipeline is not None:
             detail["pipeline_depth"] = self.pipeline
-            detail["latency_ms"] = latency_percentiles(
+            timed["latency_ms"] = latency_percentiles(
                 list(cluster.decision_latencies().values()), scale=1000.0
             )
-        detail.update(
+        timed.update(
             virtual_units=round(cluster.sim.now, 1),
+            trace_events=len(cluster.sim.trace),
+            messages=counts["sent"],
             messages_dropped=counts["dropped"],
-            codec=cluster.codec,
-            **self.describe(cluster),
+            **self.measure(cluster),
         )
         return ScenarioResult(
             events=n_transactions,
-            trace_events=len(cluster.sim.trace),
-            messages=counts["sent"],
             checks_passed=reports.all_hold and len(outcomes) == n_transactions,
-            detail=detail,
+            detail={**detail, **self.describe(cluster)},
+            timed=timed,
         )
 
 
 def fsync_counters(cluster) -> dict[str, Any]:
-    """Force requests vs device forces over an in-process cluster's
-    WALs: the group-commit amortization."""
+    """``measure`` of the throughput row: force requests vs device
+    forces over an in-process cluster's WALs, the group-commit
+    amortization."""
     logs = [site.log for site in cluster.sites.values()]
     return {
         "fsync_forces": sum(log.force_count for log in logs),
@@ -196,7 +197,8 @@ def run_openloop(codec: str, smoke: bool = False) -> ScenarioResult:
     clocks on both halves — the only degree of freedom is the encoding
     on the wire and in the WALs, so the two curves (and the headline
     transactions/sec over the whole sweep) quantify the binary fast
-    path under load."""
+    path under load. The curve and the knee are timed; the sweep's
+    shape is what the golden file pins."""
     from repro.rt.cluster import LIVE_TIMEOUTS, LiveCluster
     from repro.workloads.openloop import OpenLoopSpec, run_rate_sweep
 
@@ -238,8 +240,6 @@ def run_openloop(codec: str, smoke: bool = False) -> ScenarioResult:
     decided = sum(row["decided"] for row in rows)
     return ScenarioResult(
         events=total,
-        trace_events=0,
-        messages=0,
         checks_passed=decided == total and all(r["checks_ok"] for r in rows),
         detail={
             "codec": codec,
@@ -247,7 +247,10 @@ def run_openloop(codec: str, smoke: bool = False) -> ScenarioResult:
             "transactions_per_rate": spec.n_transactions,
             "clients": spec.clients,
             "arrival": spec.arrival,
-            "rows": rows,
+        },
+        timed={
+            "p95_ms_by_rate": {f"{r['rate']:g}": r["p95_ms"] for r in rows},
+            "achieved_by_rate": {f"{r['rate']:g}": r["achieved"] for r in rows},
             "knee": sweep["knee"],
         },
     )
@@ -257,10 +260,9 @@ def run_codec(codec: str, smoke: bool = False) -> ScenarioResult:
     """One half of the encode/decode microbenchmark pair: a
     representative protocol-message mix pushed through one wire codec —
     encode to the framed bytes, decode back, assert the round trip —
-    with no sockets or engines in the loop. The headline events/sec is
-    message round trips per second of pure codec work; ``detail``
-    records the framed bytes per message, which is the wire-volume half
-    of the win."""
+    with no sockets or engines in the loop. ``detail`` records the
+    framed bytes per message, the wire-volume half of the binary codec's
+    win; round trips per second of pure codec work is timed."""
     from repro.net.message import Message
     from repro.rt.codec import HEADER, wire_codec
 
@@ -301,9 +303,9 @@ def run_codec(codec: str, smoke: bool = False) -> ScenarioResult:
             "codec": codec,
             "message_shapes": len(shapes),
             "bytes_per_message": round(bytes_total / frames, 1),
-            "round_trips_per_second": round(frames / elapsed)
-            if elapsed > 0
-            else 0,
+        },
+        timed={
+            "round_trips_per_second": round(frames / elapsed) if elapsed > 0 else 0
         },
     )
 

@@ -1,282 +1,70 @@
-"""The bench reports: schema, emission, regression check.
+"""The bench reports: golden files of counts.
 
-Each suite (:data:`SUITES`) has one committed perf baseline at the repo
-root — ``BENCH_sim.json`` for the simulator rows, ``BENCH_live.json``
-for the wall-clock rows — in one schema. The schema is versioned
-(:data:`SCHEMA_VERSION`); readers must reject files whose ``schema``
-field they do not understand rather than guess.
+Each suite has one committed report at the repo root —
+``BENCH_sim.json`` for the simulator rows, ``BENCH_live.json`` for the
+live rows — holding only what a rerun reproduces byte for byte: per row
+its description, seed, tags, ``events``, ``checks_passed`` and every
+counter that is a pure function of the seed. Nothing in it was timed;
+wall-clock claims belong to ``perf/`` (``BENCHMARK.json``). The schema
+is versioned (:data:`SCHEMA_VERSION`); readers reject files whose
+``schema`` field they do not understand rather than guess.
 
-Top-level shape (see docs/BENCHMARKS.md for the full field reference)::
+Shape (see docs/BENCHMARKS.md for the field reference)::
 
     {
-      "schema": "repro-bench/v1",
-      "config": {"reps": 3, "warmup": 1, "smoke": false},
-      "host": {"python": "3.11.7", "platform": "Linux-..."},
+      "schema": "repro-bench/v2",
+      "smoke": false,
       "scenarios": {
         "kernel-dispatch": {
           "description": "...", "seed": 7, "tags": ["micro", "kernel"],
           "events": 200099, "trace_events": 0, "messages": 0,
           "checks_passed": true,
-          "wall_seconds": {"median": ..., "iqr": ..., "min": ..., "max": ...},
-          "events_per_second": {...}, "messages_per_second": {...},
-          "peak_rss_kb": 38912, "detail": {...}
+          "detail": {"target_events": 200000, "callbacks_fired": 200099}
         }, ...
-      },
-      "optimizations": [ {pinned before/after record per optimized hot path} ]
+      }
     }
 
-Timing numbers are machine-dependent; the committed file records the
-trajectory on the reference machine, and ``repro bench --check``
-compares like with like (same machine, fresh run vs committed file).
+``repro bench --check`` has one rule for every row of both suites:
+the fresh entry equals the committed one (:func:`count_diff`).
 """
 
 from __future__ import annotations
 
 import json
-import platform
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator
 
-from repro.bench.runner import BenchConfig, ScenarioMeasurement, Stats
+from repro.bench.rows import Scenario, ScenarioResult
 from repro.errors import ReproError
 
 #: Bump when a field changes meaning, a scenario seed changes, or a
 #: scenario's workload is resized — anything that breaks comparability.
-SCHEMA_VERSION = "repro-bench/v1"
-
-#: Pinned before/after measurements for the hot paths optimized in this
-#: repo's history. ``before``/``after`` are median events/sec of the
-#: named scenario on the reference machine, measured in the same
-#: working tree immediately before and after each change landed. These
-#: are historical records — regenerating the report carries them
-#: forward unchanged; the live numbers live under ``scenarios``.
-OPTIMIZATION_HISTORY: list[dict[str, Any]] = [
-    {
-        "path": "src/repro/sim/kernel.py",
-        "change": (
-            "inlined the run() dispatch loop: direct heap access with "
-            "local bindings, fused peek/reap/pop, clock advanced without "
-            "per-event property+validation hops"
-        ),
-        "scenario": "kernel-dispatch",
-        "metric": "events_per_second.median",
-        "before": 582962.1,
-        "after": 818781.7,
-        "speedup": 1.40,
-    },
-    {
-        "path": "src/repro/sim/tracing.py",
-        "change": (
-            "slotted TraceEvent (was a frozen dataclass), dropped the "
-            "redundant details copy, interned site/category/name, "
-            "subscriber fan-out guarded, optional category filtering"
-        ),
-        "scenario": "trace-record",
-        "metric": "events_per_second.median",
-        "before": 392404.0,
-        "after": 1287963.9,
-        "speedup": 3.28,
-    },
-    {
-        "path": "src/repro/core/history.py",
-        "change": (
-            "indexed History by kind, txn and (kind, txn) at construction; "
-            "of_kind/events_for/transactions were linear scans invoked once "
-            "per transaction per invariant, making oracle passes quadratic "
-            "in run length"
-        ),
-        "scenario": "commit-storm-prany",
-        "metric": "events_per_second.median",
-        "before": 6371.7,
-        "after": 12650.0,
-        "speedup": 1.99,
-    },
-    {
-        "path": "src/repro/storage/group_commit.py",
-        "change": (
-            "group-commit engine: GroupCommitLog coalesces concurrent "
-            "force_append_async requests into one device force per window "
-            "(with BatchingNetwork piggybacking same-destination deliveries). "
-            "before/after here are the ungrouped and grouped members of the "
-            "commit-storm-log pair — the same storm of commit-record force "
-            "requests with identical work counters, differing only in the "
-            "log engine"
-        ),
-        "scenario": "commit-storm-log-grouped",
-        "baseline_scenario": "commit-storm-log",
-        "metric": "events_per_second.median",
-        "before": 216584.0,
-        "after": 355939.4,
-        "speedup": 1.64,
-    },
-]
-
-
-#: The live suite's ledger: before/after measurements for the
-#: live-runtime hot paths optimized in PR 5, all in median
-#: transactions/sec of the
-#: ``live-prany-throughput`` workload (128 transactions, fsync on,
-#: reference machine). Each row toggles exactly one optimization off
-#: while keeping the other two on, so ``before`` is the ablated run and
-#: ``after`` the full configuration. Historical records — regenerating
-#: the report carries them forward unchanged.
-LIVE_OPTIMIZATION_HISTORY: list[dict[str, Any]] = [
-    {
-        "path": "src/repro/storage/file_log.py",
-        "change": (
-            "group-commit fsync coalescing: GroupCommitFileLog layers the "
-            "PR-3 window engine over the JSONL WAL — concurrent "
-            "force_append_async requests within one 0.1-unit window are "
-            "persisted by a single blob write + one os.fsync "
-            "(all-or-nothing under crash), cutting device forces ~4x "
-            "(661 force requests -> 167 fsyncs in this workload). before "
-            "= the same pipelined run with a plain FileStableLog (one "
-            "fsync per force request); the wall-clock gain is modest on "
-            "the reference machine's ~0.2 ms fsyncs and grows with fsync "
-            "cost"
-        ),
-        "scenario": "live-prany-throughput",
-        "metric": "events_per_second.median",
-        "before": 77.5,
-        "after": 81.3,
-        "speedup": 1.05,
-    },
-    {
-        "path": "src/repro/rt/transport.py",
-        "change": (
-            "socket write batching: each per-peer writer wakeup drains the "
-            "whole outbound queue — every pending frame written back to "
-            "back, flushed by a single drain() — and frames are encoded "
-            "once, reused by the reconnect retry. before = one "
-            "get/write/drain round trip per message; within noise on "
-            "loopback RTTs, the syscall reduction is the point on real "
-            "links"
-        ),
-        "scenario": "live-prany-throughput",
-        "metric": "events_per_second.median",
-        "before": 80.0,
-        "after": 81.3,
-        "speedup": 1.02,
-    },
-    {
-        "path": "src/repro/rt/cluster.py",
-        "change": (
-            "pipelined in-flight transactions + event-driven completion: "
-            "run_pipelined keeps PIPELINE_DEPTH transactions outstanding "
-            "(slot freed by each decision's asyncio.Event) and run()/"
-            "finalize() wake on trace events instead of sleep-polling. "
-            "before = same batched run at pipeline depth 1 (closed loop); "
-            "vs the PR-4 paced, polling baseline (live-prany-commit at "
-            "16.9 txn/s) the full configuration is ~4.8x"
-        ),
-        "scenario": "live-prany-throughput",
-        "metric": "events_per_second.median",
-        "before": 59.2,
-        "after": 81.3,
-        "speedup": 1.37,
-    },
-    {
-        "path": "src/repro/rt/codec.py",
-        "change": (
-            "binary wire/WAL codec behind the codec seam: struct-packed "
-            "length-prefixed frames with handshake-interned routing "
-            "strings and msgpack-style value packing (src/repro/packing.py "
-            "with bounded string memoization) replace UTF-8 JSON bodies "
-            "when --codec binary is selected. before/after are the "
-            "live-codec-json and live-codec-binary members of the "
-            "microbenchmark pair — the same protocol-message mix encoded "
-            "and decoded through each codec; binary frames are also "
-            "3.3x smaller (100.8 -> 30.8 bytes/message), which the "
-            "socketless microbenchmark does not credit"
-        ),
-        "scenario": "live-codec-binary",
-        "baseline_scenario": "live-codec-json",
-        "metric": "events_per_second.median",
-        "before": 31401.5,
-        "after": 41930.2,
-        "speedup": 1.34,
-    },
-]
-
-
-@dataclass(frozen=True)
-class Suite:
-    """What a row reports into (:attr:`repro.bench.rows.Scenario.suite`).
-
-    Attributes:
-        title: heading of the CLI's result listing.
-        threshold: ``--check`` flags a drop of more than this fraction
-            in median events/sec on any scenario present in both
-            reports.
-        optimizations: the ledger that rides along in every report.
-    """
-
-    title: str
-    threshold: float
-    optimizations: list[dict[str, Any]]
-
-
-#: The simulator suite compares like with like on one quiet machine; the
-#: live threshold is generous on purpose — its gate compares a
-#: single-rep run on a shared CI host against the reference-machine
-#: median, and wall-clock numbers there are noisy.
-SUITES: dict[str, Suite] = {
-    "sim": Suite("bench", 0.20, OPTIMIZATION_HISTORY),
-    "live": Suite("live bench", 0.50, LIVE_OPTIMIZATION_HISTORY),
-}
+SCHEMA_VERSION = "repro-bench/v2"
 
 
 def build_report(
-    measurements: list[ScenarioMeasurement],
-    config: BenchConfig,
-    optimizations: list[dict[str, Any]] = OPTIMIZATION_HISTORY,
+    results: list[tuple[Scenario, ScenarioResult]], smoke: bool = False
 ) -> dict[str, Any]:
-    """Assemble the schema-versioned report dict."""
+    """Assemble the schema-versioned report dict from one run per row."""
     scenarios: dict[str, Any] = {}
-    for m in measurements:
-        scenarios[m.scenario.name] = {
-            "description": m.scenario.description,
-            "seed": m.scenario.seed,
-            "tags": list(m.scenario.tags),
-            "reps": m.reps,
-            "warmup": m.warmup,
-            "smoke": m.smoke,
-            "events": m.result.events,
-            "trace_events": m.result.trace_events,
-            "messages": m.result.messages,
-            "checks_passed": m.result.checks_passed,
-            "wall_seconds": _stats_dict(m.wall_seconds),
-            "events_per_second": _stats_dict(m.events_per_second),
-            "messages_per_second": _stats_dict(m.messages_per_second),
-            "peak_rss_kb": m.peak_rss_kb,
-            "detail": m.result.detail,
+    for scenario, result in results:
+        entry = {
+            "description": scenario.description,
+            "seed": scenario.seed,
+            "tags": scenario.tags,
+            "events": result.events,
+            "trace_events": result.trace_events,
+            "messages": result.messages,
+            "checks_passed": result.checks_passed,
+            "detail": result.detail,
         }
-        if m.profile_top:
-            scenarios[m.scenario.name]["profile_top"] = list(m.profile_top)
-    return {
-        "schema": SCHEMA_VERSION,
-        "config": {
-            "reps": config.reps,
-            "warmup": config.warmup,
-            "smoke": config.smoke,
-        },
-        "host": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
-        "scenarios": scenarios,
-        "optimizations": optimizations,
-    }
-
-
-def _stats_dict(stats: Stats) -> dict[str, float]:
-    return {
-        "median": stats.median,
-        "iqr": stats.iqr,
-        "min": stats.min,
-        "max": stats.max,
-    }
+        scenarios[scenario.name] = {
+            key: value for key, value in entry.items() if value is not None
+        }
+    report = {"schema": SCHEMA_VERSION, "smoke": smoke, "scenarios": scenarios}
+    # Through JSON, so that what --check compares is what a file holds
+    # (tuples become lists).
+    return json.loads(json.dumps(report))
 
 
 def write_report(report: dict[str, Any], path: Path | str) -> Path:
@@ -305,23 +93,30 @@ def load_report(path: Path | str) -> dict[str, Any]:
     return report
 
 
-_STATS_KEYS = frozenset({"median", "iqr", "min", "max"})
-_REQUIRED_SCENARIO_KEYS = frozenset(
-    {
-        "events",
-        "trace_events",
-        "messages",
-        "checks_passed",
-        "wall_seconds",
-        "events_per_second",
-        "messages_per_second",
-        "peak_rss_kb",
-    }
-)
+def load_baseline(path: Path | str, smoke: bool) -> dict[str, Any]:
+    """Load the report a ``--check`` run of size ``smoke`` compares
+    against.
+
+    Raises:
+        ReproError: the file holds counts of the other workload size
+            (``--smoke`` against a full-size file), where no row could
+            be equal.
+    """
+    baseline = load_report(path)
+    sizes = {True: "smoke", False: "full"}
+    if baseline.get("smoke") is not smoke:
+        raise ReproError(
+            f"{path} holds {sizes[bool(baseline.get('smoke'))]}-size counts "
+            f"and this run is {sizes[smoke]}-size; counts are only equal at "
+            "equal sizes"
+        )
+    return baseline
 
 
 def validate_report(report: Any) -> list[str]:
-    """Structural validation; returns human-readable problems (empty = valid)."""
+    """Structural validation; returns human-readable problems (empty =
+    valid). A row whose correctness gate failed makes the report
+    invalid: a golden file never records a broken run."""
     problems: list[str] = []
     if not isinstance(report, dict):
         return ["report is not a JSON object"]
@@ -336,126 +131,56 @@ def validate_report(report: Any) -> list[str]:
     for name, entry in scenarios.items():
         if not isinstance(entry, dict):
             problems.append(f"scenario {name!r} is not an object")
-            continue
-        missing = _REQUIRED_SCENARIO_KEYS - set(entry)
-        if missing:
-            problems.append(f"scenario {name!r} missing keys {sorted(missing)}")
-            continue
-        for metric in ("wall_seconds", "events_per_second", "messages_per_second"):
-            stats = entry[metric]
-            if not isinstance(stats, dict) or set(stats) != _STATS_KEYS:
-                problems.append(f"scenario {name!r}: malformed {metric} stats")
-        if not entry["checks_passed"]:
-            problems.append(f"scenario {name!r}: correctness checks failed")
+        elif entry.get("checks_passed") is not True:
+            problems.append(f"scenario {name!r}: checks_passed is not true")
     return problems
 
 
-@dataclass(frozen=True)
-class Regression:
-    """One scenario that got slower than the committed baseline allows."""
-
-    scenario: str
-    baseline_eps: float
-    current_eps: float
-
-    @property
-    def ratio(self) -> float:
-        """current/baseline events-per-second (1.0 = unchanged)."""
-        if self.baseline_eps <= 0:
-            return 1.0
-        return self.current_eps / self.baseline_eps
-
-    def __str__(self) -> str:
-        return (
-            f"{self.scenario}: {self.current_eps:,.0f} ev/s vs baseline "
-            f"{self.baseline_eps:,.0f} ev/s ({self.ratio:.2f}x)"
-        )
+def _fields(value: Any, path: str = "") -> Iterator[tuple[str, Any]]:
+    """``value``'s leaves by dotted path (``detail.kernel_steps``)."""
+    if isinstance(value, dict) and value:
+        for key, inner in value.items():
+            yield from _fields(inner, f"{path}.{key}" if path else key)
+    else:
+        yield path, value
 
 
-def scenario_diff(
-    current: dict[str, Any],
-    baseline: dict[str, Any],
-) -> tuple[list[str], list[str], list[str]]:
-    """Scenario-set drift between two reports, by name.
+def count_diff(
+    current: dict[str, Any], baseline: dict[str, Any], whole_suite: bool = True
+) -> list[str]:
+    """Every way ``current`` differs from ``baseline``, one line each,
+    naming the row and the field; empty when the runs are equal.
 
-    Returns ``(added, missing, codec_mismatched)``: scenario names
-    measured now but absent from the baseline, names in the baseline
-    that were not measured now, and shared scenarios whose recorded
-    ``detail.codec`` differs between the two reports. All sorted. The
-    ``--check`` gates fail on any of the three — a size-only comparison
-    would pass silently when one scenario was added and another removed,
-    and a json-codec baseline compared against a binary-codec run (or
-    vice versa) would grade the codec swap as a perf regression/win
-    instead of refusing the apples-to-oranges comparison. Scenarios that
-    do not record a codec (the sim bench, pre-codec baselines) are never
-    flagged.
-
+    Rows are compared field by field, exactly. A row run now and absent
+    from the baseline is a difference; a baseline row not run now is
+    one only when ``whole_suite`` (a partial ``--scenario`` selection
+    legitimately skips the rest).
     """
-    current_names = set(current["scenarios"])
-    baseline_names = set(baseline["scenarios"])
-    codec_mismatched: list[str] = []
-    for name in sorted(current_names & baseline_names):
-        cur_codec = _entry_codec(current["scenarios"][name])
-        base_codec = _entry_codec(baseline["scenarios"][name])
-        if cur_codec is not None and base_codec is not None:
-            if cur_codec != base_codec:
-                codec_mismatched.append(
-                    f"{name}: baseline ran the {base_codec} codec, "
-                    f"this run the {cur_codec} codec"
+    lines: list[str] = []
+    ran, committed = current["scenarios"], baseline["scenarios"]
+    for name, entry in ran.items():
+        if name not in committed:
+            lines.append(f"{name}: run now, absent from the baseline")
+            continue
+        now, then = dict(_fields(entry)), dict(_fields(committed[name]))
+        for field in sorted(now.keys() | then.keys()):
+            if field not in then:
+                lines.append(
+                    f"{name}: {field} is {now[field]!r}, baseline has no such field"
                 )
-    return (
-        sorted(current_names - baseline_names),
-        sorted(baseline_names - current_names),
-        codec_mismatched,
-    )
-
-
-def _entry_codec(entry: Any) -> Optional[str]:
-    """The codec a scenario entry was measured under, if recorded."""
-    if not isinstance(entry, dict):
-        return None
-    detail = entry.get("detail")
-    if not isinstance(detail, dict):
-        return None
-    codec = detail.get("codec")
-    return codec if isinstance(codec, str) else None
-
-
-def compare_reports(
-    current: dict[str, Any],
-    baseline: dict[str, Any],
-    threshold: float = SUITES["sim"].threshold,
-) -> tuple[list[Regression], list[str]]:
-    """Regressions and notes from comparing two valid reports.
-
-    Only scenarios present in both reports are compared, and only when
-    they did the same amount of work (same ``events``): a simulated
-    row's work count changes only when the row itself did, and live
-    transactions/sec is not size-invariant (cluster startup and the
-    abort-path inquiry tail are fixed costs), so a smoke run against a
-    full-size baseline would always read as a regression. Either way
-    the timing comparison is meaningless (noted, not flagged).
-    """
-    regressions: list[Regression] = []
-    notes: list[str] = []
-    for name, base_entry in baseline["scenarios"].items():
-        cur_entry = current["scenarios"].get(name)
-        if cur_entry is None:
-            notes.append(f"{name}: in baseline but not measured now (skipped)")
-            continue
-        if cur_entry.get("smoke") != base_entry.get("smoke") or (
-            cur_entry["events"] != base_entry["events"]
-        ):
-            notes.append(
-                f"{name}: workload sizes differ "
-                f"({base_entry['events']} baseline vs "
-                f"{cur_entry['events']} current events) — skipped"
-            )
-            continue
-        base_eps = float(base_entry["events_per_second"]["median"])
-        cur_eps = float(cur_entry["events_per_second"]["median"])
-        if base_eps > 0 and cur_eps < base_eps * (1.0 - threshold):
-            regressions.append(
-                Regression(scenario=name, baseline_eps=base_eps, current_eps=cur_eps)
-            )
-    return regressions, notes
+            elif field not in now:
+                lines.append(
+                    f"{name}: {field} is {then[field]!r} in the baseline, "
+                    "not reported now"
+                )
+            elif now[field] != then[field]:
+                lines.append(
+                    f"{name}: {field} is {now[field]!r}, baseline {then[field]!r}"
+                )
+    if whole_suite:
+        lines.extend(
+            f"{name}: in the baseline, not in the table"
+            for name in committed
+            if name not in ran
+        )
+    return lines

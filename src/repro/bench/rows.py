@@ -9,7 +9,7 @@ types here, which import nothing from either runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from repro.analysis.metrics import quantile
 
@@ -21,8 +21,11 @@ BENCH_SEED = 7
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """What one execution of a scenario did (deterministic per seed on
-    the simulator).
+    """What one execution of a scenario did.
+
+    ``events``, ``trace_events``, ``messages``, ``checks_passed`` and
+    ``detail`` are pure functions of the seed: the report writes them
+    and ``--check`` compares them exactly. ``timed`` is everything else.
 
     Attributes:
         events: kernel events dispatched (``Simulator.steps_executed``),
@@ -31,19 +34,23 @@ class ScenarioResult:
             is one half of a pair (force requests for
             ``commit-storm-log*``, transactions for the dense storms and
             every live row) — pair members must report identical
-            ``events`` so their events/sec are directly comparable.
-        trace_events: total trace events recorded.
-        messages: network messages sent.
-        checks_passed: the scenario's own correctness gate — benchmarks
-            must never trade correctness for speed silently.
-        detail: free-form scenario-specific counters.
+            ``events``.
+        trace_events: total trace events recorded; ``None`` where a
+            real cluster's scheduling decides it.
+        messages: network messages sent; ``None`` likewise.
+        checks_passed: the scenario's own correctness gate.
+        detail: scenario-specific counters that repeat exactly.
+        timed: what the run measured and a rerun will not repeat
+            (latency percentiles, rates, a real cluster's trace and
+            message totals): printed, never written.
     """
 
     events: int
-    trace_events: int
-    messages: int
     checks_passed: bool
+    trace_events: Optional[int] = None
+    messages: Optional[int] = None
     detail: dict[str, Any] = field(default_factory=dict)
+    timed: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -69,19 +76,9 @@ class Scenario:
 
     @property
     def suite(self) -> str:
-        """The report a row belongs to (a key of
-        :data:`repro.bench.report.SUITES`): the ``"live"`` tag marks
+        """The report a row belongs to: the ``"live"`` tag marks
         ``BENCH_live.json`` rows, everything else is ``BENCH_sim.json``."""
         return "live" if "live" in self.tags else "sim"
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether reps must report identical work counters: every
-        simulated row, and the live ``micro`` rows (no cluster, no
-        sockets). Real sockets make a cluster row's trace and message
-        counts rep-dependent, so the runner skips its cross-rep identity
-        assertion there."""
-        return self.suite == "sim" or "micro" in self.tags
 
 
 def latency_percentiles(values: list[float], scale: float = 1.0) -> dict[str, float]:

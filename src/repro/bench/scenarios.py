@@ -1,5 +1,5 @@
-"""The bench scenario table: every row ``repro bench`` and
-``repro live --bench`` can measure, and the one way to select from it.
+"""The bench scenario table: every row ``repro bench`` can run, and the
+one way to select from it.
 
 A row is a :class:`~repro.bench.rows.Scenario`: a name, a description,
 tags and a ``run``. Most rows are values of a row type —
@@ -7,13 +7,13 @@ tags and a ``run``. Most rows are values of a row type —
 simulated MDBS) or :class:`~repro.bench.live.ClosedBatch` (the same
 through a live cluster) — that declare only what differs from their
 family's base row; the micro workloads are plain functions. A row
-reports into the suite its tags name (:attr:`Scenario.suite`,
-:data:`repro.bench.report.SUITES`): the ``live``-tagged rows into
-``BENCH_live.json``, the rest into ``BENCH_sim.json``.
+reports into the suite its tags name (:attr:`Scenario.suite`): the
+``live``-tagged rows into ``BENCH_live.json``, the rest into
+``BENCH_sim.json``.
 
 Pairs (``_pair``) run the *same* workload with one mechanism off
 (baseline, first) and on. Pair members report identical ``events`` (the
-shared unit of logical work) so their events/sec medians are directly
+shared unit of logical work), so their other counters are directly
 comparable, and name each other in ``detail["counterpart"]``.
 """
 
@@ -299,7 +299,7 @@ _ROWS: tuple[Scenario, ...] = (
         ("live", "system"),
         ClosedBatch(
             transactions=(8, 24),
-            describe=lambda c: {"timers_fired": c.sim.steps_executed},
+            measure=lambda c: {"timers_fired": c.sim.steps_executed},
         ).run,
     ),
     # The optimized path measured for the PR-5 ledger.
@@ -311,7 +311,7 @@ _ROWS: tuple[Scenario, ...] = (
         "(wall clock; transactions/sec + decision-latency percentiles)",
         ("live", "system", "throughput"),
         replace(
-            _PIPELINED, transactions=(16, 128), describe=live.fsync_counters
+            _PIPELINED, transactions=(16, 128), measure=live.fsync_counters
         ).run,
     ),
     # Process isolation's price tag: control-plane round trips per

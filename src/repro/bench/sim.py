@@ -1,11 +1,10 @@
 """Simulator bench rows: the storm row type and the micro workloads.
 
 Every row here is deterministic: running it twice produces the same
-event count, the same message count and the same trace — only the
-wall-clock time varies. That is what makes the numbers in
-``BENCH_sim.json`` comparable across commits: a change in *work done*
-(events, messages) is a behaviour change and is flagged as such, while
-a change in *seconds* is a performance change.
+event count, the same message count and the same trace. That is what
+``BENCH_sim.json`` pins across commits: a change in *work done*
+(events, messages, any ``detail`` counter) is a behaviour change and
+``repro bench --check`` names it.
 
 * :class:`SimStorm` — one generated workload through one simulated
   MDBS (:func:`repro.workloads.generator.run_workload`). The
@@ -301,26 +300,6 @@ def trace_record(smoke: bool = False) -> ScenarioResult:
     )
 
 
-# Pre-built commit records for the log storms, shared across reps so
-# the warmup rep pays for construction and the timed reps measure the
-# log path only. Reuse is safe: append() reassigns lsn and force() only
-# sets the forced flag, so a record behaves identically on every rep.
-_STORM_RECORDS: dict[int, list] = {}
-
-
-def _storm_records(n_requests: int) -> list:
-    from repro.storage.log_records import LogRecord, RecordType
-
-    records = _STORM_RECORDS.get(n_requests)
-    if records is None:
-        records = [
-            LogRecord(type=RecordType.COMMIT, txn_id=f"t{i:06d}")
-            for i in range(n_requests)
-        ]
-        _STORM_RECORDS[n_requests] = records
-    return records
-
-
 def log_force_storm(grouped: bool, smoke: bool = False) -> ScenarioResult:
     """Storm of concurrent commit-record force requests on one log.
 
@@ -334,6 +313,7 @@ def log_force_storm(grouped: bool, smoke: bool = False) -> ScenarioResult:
     """
     from repro.sim.kernel import Simulator
     from repro.storage.group_commit import GroupCommitConfig, GroupCommitLog
+    from repro.storage.log_records import LogRecord, RecordType
     from repro.storage.stable_log import StableLog
 
     burst = 64
@@ -346,7 +326,10 @@ def log_force_storm(grouped: bool, smoke: bool = False) -> ScenarioResult:
         if grouped
         else StableLog(sim, "tm")
     )
-    records = _storm_records(n_requests)
+    records = [
+        LogRecord(type=RecordType.COMMIT, txn_id=f"t{i:06d}")
+        for i in range(n_requests)
+    ]
     completed = [0]
 
     def on_stable() -> None:

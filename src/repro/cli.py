@@ -10,8 +10,8 @@ Examples::
     python -m repro all                  # everything, in order
     python -m repro explore --seeds 0:200 --protocol u2pc
     python -m repro explore --replay tests/explore/artifacts/<file>.json
-    python -m repro bench --scenario all --reps 3
     python -m repro bench --check
+    python -m repro bench --suite live --check
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ def _cmd_list(args: argparse.Namespace) -> str:
         "  all                everything above, in order",
         "  explore            fuzz adversarial schedules (VOPR-style; "
         "--sharded / --replicated N topologies)",
-        "  bench              measure simulator throughput (BENCH_sim.json)",
+        "  bench              run the seed-pinned count rows (BENCH_sim.json; "
+        "--suite live: BENCH_live.json)",
         "  live               run the engines over real TCP sockets (asyncio; "
         "--multiprocess, --sharded, --replicated N, --codec binary)",
         "  loadgen            open-loop traffic generator: latency vs "
@@ -280,177 +281,73 @@ def _cmd_explore(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _append_scenario_drift(
-    lines: list,
-    args: argparse.Namespace,
-    added: list,
-    missing: list,
-    baseline_path: Path,
-    codec_mismatched: list = (),
-) -> None:
-    """Fail a ``--check`` gate on scenario-set drift, by name.
-
-    ``added`` scenarios were measured but have no baseline entry (the
-    committed file is stale — regenerate it); ``missing`` ones are in
-    the baseline but were not measured (a scenario was removed or
-    renamed without regenerating); ``codec_mismatched`` ones were
-    measured under a different codec than the baseline recorded (the
-    timing delta would be the codec swap, not a regression — rerun with
-    the baseline's codec or regenerate the baseline). Any of the three
-    prints the named diff and exits the gate nonzero.
-    """
-    if not added and not missing and not codec_mismatched:
-        return
-    args.exit_code = 1
-    lines.append(f"  SCENARIO DRIFT vs {baseline_path}:")
-    if added:
-        lines.append(
-            "    added (measured now, absent from baseline — "
-            "regenerate it): " + ", ".join(added)
-        )
-    if missing:
-        lines.append(
-            "    missing (in baseline but not measured now): "
-            + ", ".join(missing)
-        )
-    for mismatch in codec_mismatched:
-        lines.append(f"    codec mismatch (not comparable): {mismatch}")
-
-
-def _run_bench(
-    args: argparse.Namespace,
-    suite_name: str,
-    selector: str,
-    warmup: int,
-    output: str,
-    profile: Optional[str] = None,
-) -> str:
-    """Measure ``selector``'s rows of the suite (``--reps``,
-    ``--smoke``); then write the report to ``output`` or, with
-    ``--check``, gate it against ``--baseline``. The one body behind
-    ``repro bench`` and ``repro live --bench``."""
+def _cmd_bench(args: argparse.Namespace) -> str:
+    """Run ``--scenario``'s rows of ``--suite`` once each; then write
+    their counts to ``--output`` or, with ``--check``, compare them
+    exactly against the file there."""
     # Imported lazily, like the explorer: the scenario table pulls in
     # the whole workload/explore stack.
     from repro.bench import (
-        SUITES,
-        BenchConfig,
         build_report,
-        compare_reports,
+        count_diff,
         get_scenarios,
-        load_report,
-        run_bench,
-        scenario_diff,
+        load_baseline,
+        measure_scenario,
         write_report,
     )
 
-    try:
-        scenarios = get_scenarios(selector, suite_name)
-        config = BenchConfig(
-            reps=args.reps,
-            warmup=warmup,
-            smoke=args.smoke,
-            profile_dir=Path(profile) if profile is not None else None,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
-
-    def progress(scenario) -> None:
-        print(f"  ... measuring {scenario.name}", file=sys.stderr, flush=True)
-
-    measurements = run_bench(scenarios, config, progress=progress)
-    suite = SUITES[suite_name]
-    report = build_report(measurements, config, suite.optimizations)
-
-    lines = [
-        f"{suite.title} — {len(measurements)} scenario(s), "
-        f"reps={config.reps}, warmup={config.warmup}"
-        + (", smoke" if config.smoke else ""),
-    ]
-    for m in measurements:
-        # Live rows count transactions (their codec microbenchmarks,
-        # messages); simulator rows count kernel events or a pair's
-        # shared unit of work.
-        unit, units = "ev", "events"
-        if suite_name == "live":
-            unit = "msg" if "micro" in m.scenario.tags else "txn"
-            units = f"{unit}s"
-        lines.append(
-            f"  {m.scenario.name:<30} {m.events_per_second.median:>12,.1f} {unit}/s"
-            f"  (wall {m.wall_seconds.median:.3f}s ± {m.wall_seconds.iqr:.3f} IQR,"
-            f" {m.result.events:,} {units},"
-            f" {m.messages_per_second.median:,.0f} msg/s,"
-            f" rss {m.peak_rss_kb} KiB,"
-            f" checks={'ok' if m.result.checks_passed else 'FAILED'})"
-        )
-        detail = m.result.detail
-        if "latency_ms" in detail:
-            percentiles = detail["latency_ms"]
-            lines.append(
-                f"    decision latency: p50 {percentiles['p50']}ms, "
-                f"p95 {percentiles['p95']}ms, p99 {percentiles['p99']}ms"
-            )
-        if "knee" in detail:
-            knee = detail["knee"]
-            knee_text = (
-                f"{knee:g} txn/s offered" if knee is not None else "beyond the sweep"
-            )
-            curve = ", ".join(
-                f"{row['rate']:g}:{row['p95_ms']}ms" for row in detail["rows"]
-            )
-            lines.append(f"    p95 by offered rate: {curve}; knee {knee_text}")
-        if not m.result.checks_passed:
-            args.exit_code = 1
-
-    if args.check:
-        baseline_path = Path(args.baseline)
-        try:
-            baseline = load_report(baseline_path)
-        except ReproError as exc:
-            raise SystemExit(f"--check: {exc}")
-        regressions, notes = compare_reports(report, baseline, suite.threshold)
-        for note in notes:
-            lines.append(f"  note: {note}")
-        added, missing, codec_mismatched = scenario_diff(report, baseline)
-        if selector != "all":
-            # A partial selection legitimately skips baseline entries;
-            # only names unknown to the baseline still fail.
-            missing = []
-        _append_scenario_drift(
-            lines, args, added, missing, baseline_path, codec_mismatched
-        )
-        if regressions:
-            args.exit_code = 1
-            lines.append(
-                f"  REGRESSION vs {baseline_path} (>{suite.threshold:.0%} slower):"
-            )
-            lines.extend(f"    {regression}" for regression in regressions)
-        else:
-            lines.append(f"  no regressions vs {baseline_path}")
-    else:
-        path = write_report(report, Path(output))
-        lines.append(f"  wrote {path}")
-    if profile is not None:
-        lines.append(f"  profiles under {profile}/")
-    return "\n".join(lines)
-
-
-def _cmd_bench(args: argparse.Namespace) -> str:
     if args.list:
-        from repro.bench import get_scenarios
-
-        lines = ["Registered bench scenarios:", ""]
-        for scenario in get_scenarios("all"):
+        lines = [f"Registered bench scenarios ({args.suite} suite):", ""]
+        for scenario in get_scenarios("all", args.suite):
             tags = ",".join(scenario.tags)
             lines.append(f"  {scenario.name:<20} [{tags}] {scenario.description}")
         return "\n".join(lines)
-    return _run_bench(
-        args,
-        "sim",
-        args.scenario,
-        warmup=args.warmup,
-        output=args.output,
-        profile=args.profile,
-    )
+    path = Path(args.output or f"BENCH_{args.suite}.json")
+    try:
+        scenarios = get_scenarios(args.scenario, args.suite)
+        baseline = load_baseline(path, args.smoke) if args.check else None
+    except ReproError as exc:
+        raise SystemExit(str(exc))
+    profile_dir = Path(args.profile) if args.profile is not None else None
+    lines = [
+        f"bench — {args.suite} suite, {len(scenarios)} scenario(s)"
+        + (", smoke" if args.smoke else ""),
+    ]
+    results = []
+    for scenario in scenarios:
+        print(f"  ... running {scenario.name}", file=sys.stderr, flush=True)
+        result, wall = measure_scenario(scenario, args.smoke, profile_dir)
+        results.append((scenario, result))
+        lines.append(
+            f"  {scenario.name:<30} {result.events:>9,} events in {wall:.3f}s"
+            f"  checks={'ok' if result.checks_passed else 'FAILED'}"
+        )
+        # What the run timed: for the terminal only, never written.
+        if result.timed:
+            lines.append(
+                "    timed: "
+                + ", ".join(f"{key} {value}" for key, value in result.timed.items())
+            )
+    report = build_report(results, args.smoke)
+    gates_hold = all(result.checks_passed for _, result in results)
+    if not gates_hold:
+        args.exit_code = 1
+
+    if baseline is not None:
+        diff = count_diff(report, baseline, whole_suite=args.scenario == "all")
+        if diff:
+            args.exit_code = 1
+            lines.append(f"  COUNT DIFF vs {path}:")
+            lines.extend(f"    {line}" for line in diff)
+        else:
+            lines.append(f"  counts equal {path}")
+    elif not gates_hold:
+        lines.append(f"  not writing {path}: a correctness gate failed")
+    else:
+        lines.append(f"  wrote {write_report(report, path)}")
+    if profile_dir is not None:
+        lines.append(f"  profiles under {profile_dir}/")
+    return "\n".join(lines)
 
 
 def _topology_from_args(args: argparse.Namespace):
@@ -537,15 +434,6 @@ def _cmd_live(args: argparse.Namespace) -> str:
     from repro.workloads.generator import WorkloadSpec, generate_transactions
 
     mix, topology, pool, make_cluster, mode = _cluster_from_args(args, "live")
-
-    if args.bench:
-        # --sharded / --replicated N measure only their pair.
-        selector = (
-            "sharding" if args.sharded else "replication" if args.replicated else "all"
-        )
-        return _run_bench(
-            args, "live", selector, warmup=1, output=args.bench_output
-        )
 
     n_transactions = 6 if args.smoke else args.transactions
     spec = WorkloadSpec(
@@ -801,27 +689,6 @@ def _add_cluster_flags(
     )
 
 
-def _add_gate_flags(
-    command: argparse.ArgumentParser, baseline: str, threshold: int, scope: str = ""
-) -> None:
-    """``--reps`` / ``--check`` / ``--baseline``: what :func:`_run_bench`
-    reads, for the suite whose committed report is ``baseline``."""
-    command.add_argument(
-        "--reps", type=int, default=3, help=scope + "timed repetitions per scenario"
-    )
-    command.add_argument(
-        "--check",
-        action="store_true",
-        help=scope + "compare against the committed baseline instead of "
-        f"writing; exit 1 on >{threshold}%% median events/sec regressions",
-    )
-    command.add_argument(
-        "--baseline",
-        default=baseline,
-        help=f"baseline file for --check (default: {baseline})",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -931,16 +798,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="measure simulator throughput and write/compare BENCH_sim.json",
+        help="run the seed-pinned bench rows and write/compare their counts "
+        "(BENCH_sim.json, BENCH_live.json)",
+    )
+    bench.add_argument(
+        "--suite",
+        choices=("sim", "live"),
+        default="sim",
+        help="sim: the simulator rows; live: the rows over real sockets "
+        "and fsync'd logs (latency and rates are printed, not written)",
     )
     bench.add_argument(
         "--scenario",
         default="all",
         help="'all', or comma-separated scenario names/tags (see --list)",
-    )
-    _add_gate_flags(bench, "BENCH_sim.json", 20)
-    bench.add_argument(
-        "--warmup", type=int, default=1, help="untimed warmup runs per scenario"
     )
     bench.add_argument(
         "--smoke",
@@ -948,18 +819,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI preset: shrink every scenario to its small variant",
     )
     bench.add_argument(
-        "--profile",
-        default=None,
-        metavar="DIR",
-        help="also dump per-scenario cProfile artifacts into DIR",
+        "--check",
+        action="store_true",
+        help="compare against the report at --output instead of writing "
+        "it; exit 1 on any count that differs, naming the row and the field",
     )
     bench.add_argument(
         "--output",
-        default="BENCH_sim.json",
-        help="report path (default: BENCH_sim.json at the repo root)",
+        default=None,
+        help="report path (default: BENCH_<suite>.json at the repo root)",
     )
     bench.add_argument(
-        "--list", action="store_true", help="list registered scenarios and exit"
+        "--profile",
+        default=None,
+        metavar="DIR",
+        help="run each scenario under cProfile and dump the artifacts into DIR",
+    )
+    bench.add_argument(
+        "--list", action="store_true", help="list the suite's scenarios and exit"
     )
     bench.set_defaults(handler=_cmd_bench)
 
@@ -988,30 +865,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill the first participant at its first prepared record, "
         "restart it 30 virtual units later (crash-recovery round)",
     )
-    _add_topology_flags(
-        live,
-        sharded_note="; with --bench, measure only the single-vs-sharded "
-        "scenario pair",
-        replicated_note="; with --bench, measure only the "
-        "plain-vs-replicated scenario pair",
-    )
+    _add_topology_flags(live)
     live.add_argument(
-        "--bench",
-        action="store_true",
-        help="measure the live bench scenarios instead and write "
-        "BENCH_live.json (wall-clock transactions/sec + latency "
-        "percentiles)",
-    )
-    live.add_argument(
-        "--bench-output",
-        default="BENCH_live.json",
-        help="report path for --bench (default: BENCH_live.json)",
-    )
-    _add_gate_flags(live, "BENCH_live.json", 50, "with --bench: ")
-    live.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI preset: 6 transactions (or the small bench variant)",
+        "--smoke", action="store_true", help="CI preset: 6 transactions"
     )
     live.set_defaults(handler=_cmd_live)
 

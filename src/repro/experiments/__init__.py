@@ -1,8 +1,9 @@
 """Experiment harnesses — one module per reproduced figure/theorem/table.
 
 See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-recorded results. Every experiment is callable as a plain function and
-is also wrapped by a benchmark in ``benchmarks/``.
+recorded results. Every experiment is callable as a plain function,
+rendered by a ``repro`` subcommand (``repro all`` runs them in order)
+and asserted under ``tests/experiments``.
 """
 
 from repro.experiments.ablation import render_ablation, run_ablation

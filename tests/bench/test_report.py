@@ -1,4 +1,5 @@
-"""Report schema round-trip and regression detection."""
+"""Report schema round-trip and the one ``--check`` rule: exact equality
+with the committed golden file, row by row and field by field."""
 
 import json
 from pathlib import Path
@@ -6,54 +7,34 @@ from pathlib import Path
 import pytest
 
 from repro.bench.report import (
-    OPTIMIZATION_HISTORY,
     SCHEMA_VERSION,
     build_report,
-    compare_reports,
+    count_diff,
+    load_baseline,
     load_report,
-    scenario_diff,
     validate_report,
     write_report,
 )
-from repro.bench.runner import BenchConfig, ScenarioMeasurement, Stats
 from repro.bench.rows import ScenarioResult
 from repro.bench.scenarios import SCENARIOS, get_scenarios
+from repro.cli import main
 from repro.errors import ReproError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
-def fake_measurement(
-    name="kernel-dispatch",
-    events=1000,
-    wall=0.5,
-    messages=0,
-    checks_passed=True,
-) -> ScenarioMeasurement:
-    scenario = SCENARIOS[name]
+def make_report(
+    name="kernel-dispatch", events=1000, messages=0, checks_passed=True, smoke=True
+):
     result = ScenarioResult(
         events=events,
         trace_events=0,
         messages=messages,
         checks_passed=checks_passed,
-        detail={},
+        detail={"target_events": events},
+        timed={"latency_ms": {"p50": 1.0}},
     )
-    walls = [wall, wall * 1.1, wall * 0.9]
-    return ScenarioMeasurement(
-        scenario=scenario,
-        result=result,
-        wall_seconds=Stats.over(walls),
-        events_per_second=Stats.over([events / w for w in walls]),
-        messages_per_second=Stats.over([messages / w for w in walls]),
-        peak_rss_kb=1234,
-        reps=3,
-        warmup=1,
-        smoke=True,
-    )
-
-
-def make_report(**kwargs):
-    return build_report([fake_measurement(**kwargs)], BenchConfig(reps=3, smoke=True))
+    return build_report([(SCENARIOS[name], result)], smoke)
 
 
 class TestSchemaRoundTrip:
@@ -64,23 +45,35 @@ class TestSchemaRoundTrip:
 
     def test_report_carries_schema_version_and_sections(self):
         report = make_report()
+        assert set(report) == {"schema", "smoke", "scenarios"}
         assert report["schema"] == SCHEMA_VERSION
-        assert "kernel-dispatch" in report["scenarios"]
-        assert report["optimizations"] == OPTIMIZATION_HISTORY
+        # Only what a rerun reproduces: nothing timed reaches the file.
+        assert set(report["scenarios"]["kernel-dispatch"]) == {
+            "description",
+            "seed",
+            "tags",
+            "events",
+            "trace_events",
+            "messages",
+            "checks_passed",
+            "detail",
+        }
+        assert "latency_ms" not in json.dumps(report)
 
-    def test_stats_shape(self):
-        entry = make_report()["scenarios"]["kernel-dispatch"]
-        for metric in ("wall_seconds", "events_per_second", "messages_per_second"):
-            assert set(entry[metric]) == {"median", "iqr", "min", "max"}
+    def test_counters_a_row_cannot_reproduce_are_left_out(self):
+        result = ScenarioResult(events=8, checks_passed=True)
+        entry = build_report([(SCENARIOS["live-prany-commit"], result)])
+        entry = entry["scenarios"]["live-prany-commit"]
+        assert "trace_events" not in entry and "messages" not in entry
 
     def test_validate_rejects_wrong_schema(self):
         report = make_report()
-        report["schema"] = "repro-bench/v999"
+        report["schema"] = "repro-bench/v1"
         assert validate_report(report)
 
     def test_validate_rejects_failed_checks(self):
         report = make_report(checks_passed=False)
-        assert any("correctness" in p for p in validate_report(report))
+        assert any("checks_passed" in p for p in validate_report(report))
 
     def test_write_refuses_invalid_report(self, tmp_path):
         report = make_report()
@@ -95,136 +88,217 @@ class TestSchemaRoundTrip:
             load_report(path)
 
     def test_committed_baseline_is_schema_valid(self):
-        # The file at the repo root is the baseline --check reads; it
-        # must always satisfy the current schema.
-        report = load_report(REPO_ROOT / "BENCH_sim.json")
-        assert report["schema"] == SCHEMA_VERSION
-        assert set(report["scenarios"]) == {s.name for s in get_scenarios("all")}
+        # The files at the repo root are what --check reads; they hold
+        # the table's rows at full size and nothing a rerun cannot
+        # reproduce.
+        def keys(value):
+            if isinstance(value, dict):
+                for key, inner in value.items():
+                    yield key
+                    yield from keys(inner)
 
-    def test_committed_optimization_history_shows_kernel_speedup(self):
-        report = load_report(REPO_ROOT / "BENCH_sim.json")
-        by_scenario = {o["scenario"]: o for o in report["optimizations"]}
-        kernel = by_scenario["kernel-dispatch"]
-        assert kernel["after"] / kernel["before"] >= 1.3
-        tracing = by_scenario["trace-record"]
-        assert tracing["after"] / tracing["before"] >= 1.3
+        for suite in ("sim", "live"):
+            report = load_baseline(REPO_ROOT / f"BENCH_{suite}.json", smoke=False)
+            assert set(report["scenarios"]) == {
+                s.name for s in get_scenarios("all", suite)
+            }
+            assert not set(keys(report)) & {
+                "config",
+                "host",
+                "optimizations",
+                "reps",
+                "wall_seconds",
+                "events_per_second",
+                "messages_per_second",
+                "peak_rss_kb",
+                "latency_ms",
+                "knee",
+                "rows",
+                "virtual_units",
+                "round_trips_per_second",
+            }
 
 
 class TestRegressionDetection:
-    def test_synthetic_slow_run_is_flagged(self):
-        baseline = make_report(wall=0.5)
-        # 3x slower than baseline: well past the 20% threshold.
-        current = make_report(wall=1.5)
-        regressions, notes = compare_reports(current, baseline)
-        assert [r.scenario for r in regressions] == ["kernel-dispatch"]
-        assert regressions[0].ratio < 0.5
-        assert not notes
+    """A count that differs from the golden file is the only regression
+    the gate knows."""
 
     def test_equal_runs_are_clean(self):
-        baseline = make_report(wall=0.5)
-        regressions, notes = compare_reports(make_report(wall=0.5), baseline)
-        assert not regressions and not notes
+        assert count_diff(make_report(), make_report()) == []
 
-    def test_small_slowdown_within_threshold_passes(self):
-        baseline = make_report(wall=0.5)
-        regressions, _ = compare_reports(make_report(wall=0.55), baseline)
-        assert not regressions
-
-    def test_speedup_never_flags(self):
-        baseline = make_report(wall=0.5)
-        regressions, _ = compare_reports(make_report(wall=0.1), baseline)
-        assert not regressions
-
-    def test_changed_workload_is_noted_not_flagged(self):
-        baseline = make_report(events=1000, wall=0.5)
-        current = make_report(events=2000, wall=5.0)
-        regressions, notes = compare_reports(current, baseline)
-        assert not regressions
-        assert any("workload sizes differ" in n for n in notes)
+    def test_changed_workload_is_flagged(self):
+        diff = count_diff(make_report(events=2000), make_report(events=1000))
+        assert diff == [
+            "kernel-dispatch: detail.target_events is 2000, baseline 1000",
+            "kernel-dispatch: events is 2000, baseline 1000",
+        ]
 
     def test_missing_scenario_is_noted(self):
+        # A baseline row that was not run: a difference for a whole-suite
+        # run, legitimately skipped by a partial --scenario selection.
         baseline = make_report()
         current = json.loads(json.dumps(baseline))
         current["scenarios"] = {}
-        # Current with no scenarios at all: baseline entries are noted.
-        regressions, notes = compare_reports(current, baseline)
-        assert not regressions
-        assert any("not measured" in n for n in notes)
+        assert count_diff(current, baseline, whole_suite=False) == []
+        assert count_diff(current, baseline) == [
+            "kernel-dispatch: in the baseline, not in the table"
+        ]
+
+    def test_size_mismatch_is_refused(self, tmp_path):
+        # The vacuous gate: a smoke run against a full-size file used to
+        # skip every row and report "no regressions".
+        path = write_report(make_report(smoke=False), tmp_path / "full.json")
+        assert load_baseline(path, smoke=False)
+        with pytest.raises(ReproError, match="full-size.*smoke-size"):
+            load_baseline(path, smoke=True)
 
 
 class TestScenarioDiff:
-    """The named added/missing diff behind the ``--check`` gates.
-
-    ``compare_reports`` only compares the intersection; a scenario
-    added without regenerating the baseline (or removed while its
-    baseline entry lingered) used to slip through any gate that merely
-    compared what overlapped. ``scenario_diff`` names the drift so the
-    CLI can fail on it.
-    """
+    """The named added/missing diff behind ``--check``: a scenario added
+    without regenerating the baseline (or removed while its baseline
+    entry lingered) fails by name."""
 
     @staticmethod
     def with_scenarios(names):
         report = make_report()
         entry = report["scenarios"]["kernel-dispatch"]
-        report = json.loads(json.dumps(report))
-        report["scenarios"] = {name: entry for name in names}
+        report["scenarios"] = {name: json.loads(json.dumps(entry)) for name in names}
         return report
 
     def test_identical_sets_are_clean(self):
         current = self.with_scenarios(["a", "b"])
         baseline = self.with_scenarios(["b", "a"])
-        assert scenario_diff(current, baseline) == ([], [], [])
+        assert count_diff(current, baseline) == []
 
     def test_added_scenario_is_named(self):
         current = self.with_scenarios(["a", "b", "commit-storm-replicated-prany"])
         baseline = self.with_scenarios(["a", "b"])
-        added, missing, mismatched = scenario_diff(current, baseline)
-        assert added == ["commit-storm-replicated-prany"]
-        assert missing == []
-        assert mismatched == []
+        assert count_diff(current, baseline) == [
+            "commit-storm-replicated-prany: run now, absent from the baseline"
+        ]
 
     def test_missing_scenario_is_named(self):
         current = self.with_scenarios(["a"])
         baseline = self.with_scenarios(["a", "retired-scenario"])
-        added, missing, mismatched = scenario_diff(current, baseline)
-        assert added == []
-        assert missing == ["retired-scenario"]
-        assert mismatched == []
+        assert count_diff(current, baseline) == [
+            "retired-scenario: in the baseline, not in the table"
+        ]
 
     def test_rename_shows_both_sides_sorted(self):
         # The same-size trap: one added + one removed keeps the count
         # equal, which is exactly what a size-only comparison missed.
-        current = self.with_scenarios(["a", "z-new", "b-new"])
-        baseline = self.with_scenarios(["a", "z-old", "b-old"])
-        added, missing, mismatched = scenario_diff(current, baseline)
-        assert added == ["b-new", "z-new"]
-        assert missing == ["b-old", "z-old"]
-        assert mismatched == []
+        current = self.with_scenarios(["a", "b-new"])
+        baseline = self.with_scenarios(["a", "b-old"])
+        assert count_diff(current, baseline) == [
+            "b-new: run now, absent from the baseline",
+            "b-old: in the baseline, not in the table",
+        ]
 
     def test_committed_baseline_matches_registry(self):
         # The gate the CI job runs: the committed file must cover the
-        # registry exactly, or `repro bench --check` exits 1.
+        # table exactly, or `repro bench --check` exits 1.
         baseline = load_report(REPO_ROOT / "BENCH_sim.json")
-        current = self.with_scenarios([s.name for s in get_scenarios("all")])
-        assert scenario_diff(current, baseline) == ([], [], [])
+        assert list(baseline["scenarios"]) == sorted(
+            s.name for s in get_scenarios("all")
+        )
 
     def test_codec_mismatch_is_refused(self):
-        # The sim gate shares scenario_diff with the live gate: a
-        # baseline measured under one wire codec must not be compared
-        # against a run measured under the other.
+        # `codec` is one more exact value: a baseline run under one wire
+        # codec never equals a run under the other.
         current = self.with_scenarios(["a"])
         baseline = self.with_scenarios(["a"])
         current["scenarios"]["a"]["detail"] = {"codec": "binary"}
         baseline["scenarios"]["a"]["detail"] = {"codec": "json"}
-        added, missing, mismatched = scenario_diff(current, baseline)
-        assert (added, missing) == ([], [])
-        assert mismatched == [
-            "a: baseline ran the json codec, this run the binary codec"
+        assert count_diff(current, baseline) == [
+            "a: detail.codec is 'binary', baseline 'json'"
         ]
 
-    def test_codec_absent_from_baseline_is_tolerated(self):
+    def test_codec_absent_from_baseline_is_flagged(self):
         current = self.with_scenarios(["a"])
         baseline = self.with_scenarios(["a"])
-        current["scenarios"]["a"]["detail"] = {"codec": "binary"}
-        baseline["scenarios"]["a"].pop("detail", None)
-        assert scenario_diff(current, baseline)[2] == []
+        current["scenarios"]["a"]["detail"]["codec"] = "binary"
+        assert count_diff(current, baseline) == [
+            "a: detail.codec is 'binary', baseline has no such field"
+        ]
+
+
+#: Cheap at full size (~0.2 s) and has every kind of field.
+ROW = "commit-storm-log-grouped"
+
+
+def _drop_detail_key(entry):
+    del entry["detail"]["kernel_steps"]
+
+
+def _drop_detail(entry):
+    del entry["detail"]
+
+
+class TestTamperedBaseline:
+    """``repro bench --check`` against tampered copies of the committed
+    file: each exits 1 and names the row and the field."""
+
+    def check(self, capsys, tmp_path, tamper):
+        baseline = json.loads((REPO_ROOT / "BENCH_sim.json").read_text())
+        tamper(baseline["scenarios"])
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(baseline))
+        code = main(["bench", "--scenario", ROW, "--check", "--output", str(path)])
+        return code, capsys.readouterr().out
+
+    def test_untampered_copy_passes(self, capsys, tmp_path):
+        code, out = self.check(capsys, tmp_path, lambda scenarios: None)
+        assert code == 0
+        assert "counts equal" in out and "COUNT DIFF" not in out
+
+    @pytest.mark.parametrize(
+        "tamper,expected",
+        [
+            (
+                lambda entry: entry.update(messages=1),
+                f"{ROW}: messages is 0, baseline 1",
+            ),
+            (
+                _drop_detail_key,
+                f"{ROW}: detail.kernel_steps is 1280, baseline has no such field",
+            ),
+            (
+                _drop_detail,
+                f"{ROW}: detail.forces_performed is 640, baseline has no such field",
+            ),
+            (
+                lambda entry: entry["tags"].append("fast"),
+                f"{ROW}: tags is ['micro', 'storage', 'group-commit'], "
+                "baseline ['micro', 'storage', 'group-commit', 'fast']",
+            ),
+            (
+                lambda entry: entry.update(seed=8),
+                f"{ROW}: seed is 7, baseline 8",
+            ),
+        ],
+        ids=["messages", "detail-key", "detail", "tag", "seed"],
+    )
+    def test_changed_field_is_named(self, capsys, tmp_path, tamper, expected):
+        code, out = self.check(
+            capsys, tmp_path, lambda scenarios: tamper(scenarios[ROW])
+        )
+        assert code == 1
+        assert "COUNT DIFF" in out and expected in out
+
+    def test_renamed_row_is_named(self, capsys, tmp_path):
+        def rename(scenarios):
+            scenarios["commit-storm-log-batched"] = scenarios.pop(ROW)
+
+        code, out = self.check(capsys, tmp_path, rename)
+        assert code == 1
+        assert f"{ROW}: run now, absent from the baseline" in out
+
+    def test_failed_gate_in_the_file_is_refused(self, capsys, tmp_path):
+        # A golden file never records a broken run; the file is invalid
+        # before any row runs.
+        def fail(scenarios):
+            scenarios[ROW]["checks_passed"] = False
+
+        with pytest.raises(SystemExit) as exit_info:
+            self.check(capsys, tmp_path, fail)
+        assert f"'{ROW}': checks_passed is not true" in str(exit_info.value)

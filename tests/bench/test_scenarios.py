@@ -2,18 +2,17 @@
 
 Every simulator row runs once at smoke size and must pass its own
 correctness gate and reproduce identical work counters on a second
-run — the property the whole perf trajectory rests on — and once at
-full size against the committed ``BENCH_sim.json``.
+run, and once at full size against the committed ``BENCH_sim.json``.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.bench import BENCH_SEED, SCENARIOS, get_scenarios, load_report
+from repro.bench import BENCH_SEED, SCENARIOS, get_scenarios
+from repro.cli import main
 from repro.errors import ReproError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -75,8 +74,7 @@ class TestRegistry:
             get_scenarios("kernel-dispatch", "live")
 
     def test_tags_select_within_a_suite(self):
-        # `repro live --bench --sharded / --replicated N` select by the
-        # tags the simulator pairs carry too.
+        # The live pairs carry the tags of their simulator twins.
         assert [s.name for s in get_scenarios("sharding", "live")] == [
             "live-prany-single",
             "live-prany-sharded",
@@ -112,26 +110,15 @@ class TestRegistry:
 
 
 class TestRowsUnchanged:
-    """The committed baseline pins the table: a row whose work counters
-    drift from its ``BENCH_sim.json`` entry is a behaviour change, not
-    a note. (The live rows' twin is in ``tests/rt/test_bench.py``.)"""
+    """The committed golden file pins the table: regenerating it, by the
+    command a user would run, must produce the same bytes. (The live
+    rows' twin is in ``tests/rt/test_bench.py``.)"""
 
-    def test_sim_rows_reproduce_committed_baseline(self):
-        baseline = load_report(REPO_ROOT / "BENCH_sim.json")["scenarios"]
-        assert set(SIM) == set(baseline)
-        for name, row in SIM.items():
-            result = row.run(False)
-            fresh = {
-                "description": row.description,
-                "seed": row.seed,
-                "tags": list(row.tags),
-                "events": result.events,
-                "trace_events": result.trace_events,
-                "messages": result.messages,
-                # Through JSON, like the baseline: tuples become lists.
-                "detail": json.loads(json.dumps(result.detail)),
-            }
-            assert fresh == {key: baseline[name][key] for key in fresh}, name
+    def test_sim_rows_reproduce_committed_baseline(self, tmp_path, capsys):
+        out = tmp_path / "BENCH_sim.json"
+        assert main(["bench", "--output", str(out)]) == 0
+        assert out.read_bytes() == (REPO_ROOT / "BENCH_sim.json").read_bytes()
+        assert f"wrote {out}" in capsys.readouterr().out
 
 
 class TestScenarioRuns:

@@ -152,8 +152,8 @@ def test_spawn_and_clean_teardown(tmp_path):
 
 
 def test_workload_teardown_leaves_no_traceback_on_stderr(tmp_path):
-    # Several clusters in one interpreter, the way `repro live --bench`
-    # runs its reps: that is where shutdown() used to return with
+    # Several clusters in one interpreter, the way `repro bench --suite
+    # live` runs its rows: that is where shutdown() used to return with
     # handlers still blocked on their control streams.
     script = (
         "import asyncio, sys\n"

@@ -112,39 +112,49 @@ class TestLiveCLI:
         # The victim's WAL actually exists on disk.
         assert list(tmp_path.glob("*/wal.jsonl"))
 
-    def test_live_bench_writes_report(self, capsys, tmp_path):
+    def test_bench_live_suite_writes_counts_and_prints_timings(
+        self, capsys, tmp_path
+    ):
+        # One cheap row proves the --suite live plumbing; the suite
+        # itself runs once in tests/rt/test_bench.py.
         report_path = tmp_path / "BENCH_live.json"
         code, out = run_cli(
-            capsys, "live", "--bench", "--smoke", "--reps", "2",
-            "--bench-output", str(report_path),
+            capsys, "bench", "--suite", "live", "--scenario", "live-codec-json",
+            "--output", str(report_path),
         )
         assert code == 0
-        assert "live bench" in out
-        assert "txn/s" in out
-        assert "decision latency: p50" in out
+        assert "live suite" in out
+        assert "timed: round_trips_per_second" in out
         from repro.bench.report import load_report
 
-        report = load_report(report_path)
-        assert "live-prany-commit" in report["scenarios"]
-        throughput = report["scenarios"]["live-prany-throughput"]
-        assert set(throughput["detail"]["latency_ms"]) == {"p50", "p95", "p99"}
-        # The ablation ledger rides along in every regenerated report.
-        assert {opt["path"] for opt in report["optimizations"]} == {
-            "src/repro/storage/file_log.py",
-            "src/repro/rt/transport.py",
-            "src/repro/rt/cluster.py",
-            "src/repro/rt/codec.py",
-        }
-
-    def test_live_bench_check_skips_size_mismatch(self, capsys, tmp_path):
-        # A smoke run checked against a full-size baseline must skip the
-        # comparison (live txn/s is not size-invariant), not fail.
+        entry = load_report(report_path)["scenarios"]["live-codec-json"]
+        assert entry["detail"]["bytes_per_message"] == 100.8
+        assert "round_trips_per_second" not in entry["detail"]
+        # Full size, so the row also equals its committed entry.
         code, out = run_cli(
-            capsys, "live", "--bench", "--smoke", "--reps", "1", "--check",
+            capsys, "bench", "--suite", "live", "--scenario", "live-codec-json",
+            "--check",
         )
         assert code == 0
-        assert "workload sizes differ" in out
-        assert "no regressions" in out
+        assert "counts equal BENCH_live.json" in out
+
+    def test_bench_live_suite_check_refuses_size_mismatch(self, capsys):
+        # A smoke run checked against the full-size committed file used
+        # to skip every row and pass; it is an error naming both sizes.
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["bench", "--suite", "live", "--scenario", "live-codec-json",
+                 "--smoke", "--check"]
+            )
+        message = str(exit_info.value)
+        assert "BENCH_live.json holds full-size counts" in message
+        assert "this run is smoke-size" in message
+
+    def test_live_has_no_bench_mode(self, capsys):
+        for flag in ("--bench", "--bench-output", "--reps", "--check", "--baseline"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["live", flag])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_live_rejects_unknown_protocol(self):
         with pytest.raises(SystemExit):

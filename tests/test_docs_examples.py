@@ -158,9 +158,9 @@ class TestFlagDrift:
         import re
 
         documented = table_flags("docs/DEPLOYMENT.md", "python -m repro live")
-        # Flags argparse itself or the bench plumbing owns; everything
-        # an operator can pass to `repro live` must be in the table.
-        exempt = {"--help", "--bench-output", "--baseline", "--reps"}
+        # Everything an operator can pass to `repro live` must be in
+        # the table.
+        exempt = {"--help"}
         parser_flags = set(re.findall(r"--[a-z][a-z-]*", self.live_help()))
         undocumented = sorted(parser_flags - documented - exempt)
         assert not undocumented, (
@@ -235,10 +235,6 @@ class TestSmokeRuns:
             "bench",
             "--scenario",
             "kernel-dispatch",
-            "--reps",
-            "1",
-            "--warmup",
-            "0",
             "--smoke",
             "--output",
             str(tmp_path / "BENCH_sim.json"),
