@@ -61,8 +61,15 @@ def _pair(baseline: Scenario, name: str, description: str, run) -> list[Scenario
 # -- simulated storm families ------------------------------------------------
 
 #: One transaction every 5 units: sparse enough that nothing coalesces.
+#: Rolling crashes put the storm on the paper's failure model: a
+#: failure-free run leaves no participant in doubt after a forget, so it
+#: could not tell U2PC's incompatible presumptions from PrAny's.
 _SPARSE = SimStorm(
-    sim.storm_detail, transactions=(40, 400), inter_arrival=5.0, count_steps=True
+    sim.storm_detail,
+    transactions=(40, 400),
+    inter_arrival=5.0,
+    crashes=True,
+    count_steps=True,
 )
 
 #: Arrivals 10x denser, so transactions overlap. Timeouts are relaxed so
@@ -121,12 +128,13 @@ _PATIENT_GROUP = replace(
     retry_interval=10_000.0,
 )
 
-#: Drain of the replication pair: presumed-abort participants that voted
-#: Yes after the No already decided only learn the outcome from their
-#: own inquiry, one inquiry_timeout after PREPARE. Replication delays
-#: PREPARE by the registration round trip (up to ~1.2k units deep in the
-#: storm), so the window must cover storm + that delay + inquiry_timeout
-#: or the run gets cut off mid-drain.
+#: Drain of the replication pair. Replication delays PREPARE by the
+#: registration round trip (up to ~1.2k units deep in the storm); the
+#: replicated twin forgets its last transaction near unit 1.8k, the
+#: plain one near 0.8k, with no protocol timer on the way (a Yes that
+#: loses the race with a No is answered on arrival). The horizon is
+#: wider than that because the leader's heartbeats tick until it and
+#: their kernel steps are pinned counts.
 _REPLICATION_DRAIN = 11_000.0
 
 # -- live families -----------------------------------------------------------
@@ -158,7 +166,8 @@ _ROWS: tuple[Scenario, ...] = (
     ),
     Scenario(
         "commit-storm-prany",
-        "400 mixed-presumption transactions under the dynamic PrAny coordinator",
+        "400 mixed-presumption transactions under the dynamic PrAny "
+        "coordinator, every site crashing once",
         ("system", "protocol"),
         _SPARSE.run,
     ),

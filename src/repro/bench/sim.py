@@ -68,9 +68,10 @@ class SimStorm:
         build: ``build_mdbs`` options — ``service_time``,
             ``topology``.
         atomic: whether all three checkers must hold. False for U2PC
-            and C2PC, the paper's broken integrations: incompatible
-            presumptions mis-answer inquiries about forgotten aborts
-            even failure-free, so violations are *expected* there.
+            and C2PC, the paper's broken integrations: under crashes
+            U2PC mis-answers inquiries about forgotten aborts (Theorem
+            1), and C2PC retains what it can never forget (Theorem 2),
+            so violations are *expected* there.
         crashes: schedule deterministic rolling crashes — every
             participant, then the coordinator, goes down once for 40
             units, spread evenly over the arrival span. A submission to

@@ -151,13 +151,13 @@ class Site:
         elif kind in (COMMIT, ABORT):
             self.participant.on_decision(message)
         elif kind in (VOTE_YES, VOTE_NO, VOTE_READ):
+            if kind == VOTE_YES and self._deferred(message):
+                return
             self._require_coordinator().on_vote(message)
         elif kind == ACK:
             self._require_coordinator().on_ack(message)
         elif kind == INQUIRY:
-            if self.replication is not None and self.replication.defer_inquiry(
-                message
-            ):
+            if self._deferred(message):
                 return
             self._require_coordinator().on_inquiry(message)
         elif kind == CL_RECOVER:
@@ -177,6 +177,13 @@ class Site:
             raise ProtocolError(
                 f"site {self._site_id!r} received unknown message kind {kind!r}"
             )
+
+    def _deferred(self, message: Message) -> bool:
+        """Held until a restarted replicated leader's sweep lands (a
+        late Yes is answered like an inquiry, so it waits like one)."""
+        return self.replication is not None and self.replication.defer_inquiry(
+            message
+        )
 
     def _require_coordinator(self) -> CoordinatorEngine:
         if self.coordinator is None:

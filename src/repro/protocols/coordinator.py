@@ -22,6 +22,9 @@ Key behavioural points taken from the paper:
 * Inquiries about forgotten transactions are answered from the
   policy's presumption — for PrAny, the presumption of the *inquiring*
   participant's protocol.
+* A Yes vote that arrives after the decision is an inquiry in all but
+  name: its sender is prepared and in doubt. It is answered like one
+  unless the decision phase already covers the sender.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.protocols.base import (
     COMMIT,
     DECISION_KINDS,
     PREPARE,
+    VOTE_YES,
     TimeoutConfig,
     outcome_of_kind,
     participant_spec,
@@ -216,6 +220,8 @@ class CoordinatorEngine:
         """Handle VOTE_YES / VOTE_NO / VOTE_READ."""
         entry = self._live_entry(message.txn_id)
         if entry is None or entry.state is not CoordinatorState.VOTING:
+            if message.kind == VOTE_YES:
+                self._on_late_yes(message, entry)
             return
         if message.kind == "VOTE_NO":
             self._decide(entry, Outcome.ABORT)
@@ -236,6 +242,36 @@ class CoordinatorEngine:
             entry.yes_votes.add(message.sender)
         if self._votes_complete(entry):
             self._decide_from_votes(entry)
+
+    def _on_late_yes(
+        self, message: Message, entry: Optional[CoordinatorEntry]
+    ) -> None:
+        """A Yes for a transaction already decided (or forgotten).
+
+        Typically a No overtook it: the abort went to the counted Yes
+        voters and the expected ackers only, so a presumed-abort sender
+        would sit prepared until its inquiry timer fired. Answer it now,
+        the way :meth:`on_inquiry` would — but only if nothing else
+        will, since a duplicate decision costs a message and an ack.
+        """
+        sender = message.sender
+        if entry is not None:
+            if not entry.decision_stable:
+                # The decision phase has not sent anything yet:
+                # _complete_decision sends the abort to every yes-voter.
+                entry.yes_votes.add(sender)
+                return
+            if sender in entry.yes_votes or sender in entry.acks_pending:
+                return
+            entry.yes_votes.add(sender)
+        else:
+            protocol = self._pcp.protocol_of(sender)
+            policy = self._selector.select({sender: protocol})
+            if policy.ack_expected(protocol, Outcome.ABORT):
+                # The coordinator forgot only after this sender's ack,
+                # so it already holds the decision.
+                return
+        self._answer(message.txn_id, sender, entry)
 
     def _votes_complete(self, entry: CoordinatorEntry) -> bool:
         return entry.yes_votes | entry.read_only == set(entry.participants)
@@ -274,12 +310,24 @@ class CoordinatorEngine:
                 # too): the participant stays blocked and will inquire
                 # again.
                 return
-            self._respond(txn_id, inquirer, entry.decision, presumed=False)
+        self._answer(txn_id, inquirer, entry)
+
+    def _answer(
+        self, txn_id: str, participant: str, entry: Optional[CoordinatorEntry]
+    ) -> None:
+        """Tell an in-doubt participant the stable decision, or — the
+        transaction forgotten — the policy's presumption for its
+        protocol."""
+        if entry is not None:
+            assert entry.decision is not None
+            self._respond(txn_id, participant, entry.decision, presumed=False)
             return
-        policy = self._selector.select({inquirer: self._pcp.protocol_of(inquirer)})
-        outcome = policy.respond_unknown(self._pcp.protocol_of(inquirer))
+        protocol = self._pcp.protocol_of(participant)
+        policy = self._selector.select({participant: protocol})
         self.presumed_responses += 1
-        self._respond(txn_id, inquirer, outcome, presumed=True)
+        self._respond(
+            txn_id, participant, policy.respond_unknown(protocol), presumed=True
+        )
 
     # -- coordinator-log support -----------------------------------------------------
 

@@ -268,17 +268,19 @@ class SiteReplication:
         self._completer.start()
 
     def defer_inquiry(self, message: Message) -> bool:
-        """True if this INQUIRY must wait for the recovery sweep.
+        """True if this INQUIRY (or late VOTE_YES) must wait for the
+        recovery sweep.
 
         The engine answers an inquiry about an unknown transaction by
-        the *inquirer's* presumption. That is sound only once the sweep
+        the *inquirer's* presumption, and a Yes about one the same way.
+        That is sound only once the sweep
         has proven the quorum holds no chosen value for it — before
         that, "unknown" may just mean the crash erased the local
         context, and a presumed-commit participant told "commit" while
         the sweep resolves the instance to the default abort diverges
         the enforced outcomes. Transactions the engine still has in its
         table answer from real state and pass straight through; the
-        rest are held and replayed when the sweep lands.
+        rest are held and redelivered when the sweep lands.
         """
         engine = self._site.coordinator
         if not self._recovering or engine is None:
@@ -292,6 +294,7 @@ class SiteReplication:
             "inquiry_deferred",
             txn=message.txn_id,
             inquirer=message.sender,
+            kind=message.kind,
         )
         return True
 
@@ -304,11 +307,9 @@ class SiteReplication:
             "replicated_sweep_done",
             completed=completed,
         )
-        engine = self._site.coordinator
         held, self._held_inquiries = self._held_inquiries, []
         for message in held:
-            if engine is not None:
-                engine.on_inquiry(message)
+            self._site.deliver(message)
 
     def _locally_complete(self, txn_id: str) -> bool:
         engine = self._site.coordinator

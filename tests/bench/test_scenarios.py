@@ -134,8 +134,9 @@ class TestScenarioRuns:
         )
 
     def test_commit_storm_reports_expected_violation_shape(self):
-        # PrAny is clean; U2PC's failure-free storm shows the paper's
-        # incompatible-presumption violations as recorded data.
+        # PrAny is clean; under the same rolling crashes U2PC's storm
+        # shows the paper's incompatible-presumption violations
+        # (Theorem 1) as recorded data.
         prany = SIM["commit-storm-prany"].run(True)
         u2pc = SIM["commit-storm-u2pc"].run(True)
         assert prany.detail["atomicity_violations"] == 0

@@ -9,6 +9,11 @@ schedule only — the whole point is that the verdict changed.
 
 from repro.explore.adversary import ScenarioSpec
 from repro.explore.runner import execute_scenario
+from repro.mdbs.topology import Topology
+from repro.mdbs.transaction import simple_transaction
+from repro.net.message import Message
+from repro.workloads.generator import build_mdbs
+from repro.workloads.mixes import mixed_pra_prc
 
 # Seed 20 (atomicity): the leader crashes right after sending t0000's
 # COMMIT, restarts inside t0001's inquiry-retry window, and its
@@ -113,3 +118,48 @@ def test_gc_leak_is_topology_independent():
     plain = dict(GC_LEAK_SPEC, replicated=0)
     verdict = _run(plain)
     assert verdict.holds, verdict.describe()
+
+
+def test_restart_sweep_defers_a_late_yes():
+    """A late Yes is answered like an inquiry, so it must wait like one.
+
+    The leader dies right after fanning out t1's PREPAREs, so both
+    votes are lost. It restarts, and while its quorum sweep is in
+    flight a Yes for t1 — unknown to the table until the sweep lands —
+    reaches it. Answered at once it would get the sender's presumption;
+    held, it is answered from the swept decision.
+    """
+    mix = mixed_pra_prc()
+    mdbs = build_mdbs(
+        mix, "dynamic", seed=3, topology=Topology.from_flags(replicated=3)
+    )
+    pra, prc = sorted(mix.site_protocols())
+    mdbs.submit(simple_transaction("t1", "tm", [pra, prc]))
+    mdbs.failures.crash_when(
+        "tm",
+        lambda e: e.matches("msg", "send", site="tm", kind="PREPARE", to=prc),
+        down_for=5.0,
+    )
+
+    def late_yes_at_sweep(event) -> None:
+        if event.matches("recovery", "replicated_sweep", site="tm"):
+            mdbs.sim.schedule(
+                0.0,
+                lambda: mdbs.network.send(Message("VOTE_YES", pra, "tm", "t1")),
+            )
+
+    mdbs.sim.trace.subscribe(late_yes_at_sweep)
+    mdbs.run(until=400.0)
+    mdbs.finalize()
+    trace = mdbs.sim.trace
+    deferred = trace.first(
+        category="replication", name="inquiry_deferred", kind="VOTE_YES"
+    )
+    assert deferred is not None and deferred.details["inquirer"] == pra
+    swept = trace.first(category="recovery", name="replicated_sweep_done")
+    assert swept is not None and deferred.seq < swept.seq
+    answer = trace.first(category="protocol", name="respond", to=pra, txn="t1")
+    assert answer is not None and answer.seq > swept.seq
+    assert answer.details["presumed"] is False
+    assert answer.details["decision"] == mdbs.history().decision("t1").value
+    assert mdbs.check().all_hold
