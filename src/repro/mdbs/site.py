@@ -11,7 +11,9 @@ A :class:`Site` bundles everything that lives at one node of the MDBS:
 Message dispatch: the network delivers every message addressed to the
 site to :meth:`deliver`, which routes by message kind — votes, acks and
 inquiries to the coordinator engine; prepares and decisions to the
-participant engine.
+participant engine. A live transport also reports a peer's lost or
+restored connection (:meth:`peer_down`/:meth:`peer_up`), and both
+engines then fire the timers waiting on that peer early.
 """
 
 from __future__ import annotations
@@ -122,7 +124,13 @@ class Site:
         self.replication: Optional[SiteReplication] = None
         if replication is not None:
             self.replication = SiteReplication(sim, network, replication, self)
-        network.register(site_id, self.deliver, is_up=lambda: self._up)
+        network.register(
+            site_id,
+            self.deliver,
+            is_up=lambda: self._up,
+            peer_down=self.peer_down,
+            peer_up=self.peer_up,
+        )
 
     # -- identity / status ------------------------------------------------------
 
@@ -177,6 +185,28 @@ class Site:
             raise ProtocolError(
                 f"site {self._site_id!r} received unknown message kind {kind!r}"
             )
+
+    # -- connection events (live runtimes only) -----------------------------------
+
+    def peer_down(self, peer: str) -> None:
+        """``peer``'s connection closed: fire now every timer that
+        waits on it to fail (its votes, its PREPAREs)."""
+        if not self._up:
+            return
+        self._sim.record(self._site_id, "site", "peer_down", peer=peer)
+        if self.coordinator is not None:
+            self.coordinator.peer_down(peer)
+        self.participant.peer_down(peer)
+
+    def peer_up(self, peer: str) -> None:
+        """``peer`` accepts connections again: send it now what the
+        resend and inquiry timers would send it later."""
+        if not self._up:
+            return
+        self._sim.record(self._site_id, "site", "peer_up", peer=peer)
+        if self.coordinator is not None:
+            self.coordinator.peer_up(peer)
+        self.participant.peer_up(peer)
 
     def _deferred(self, message: Message) -> bool:
         """Held until a restarted replicated leader's sweep lands (a

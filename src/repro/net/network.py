@@ -100,8 +100,12 @@ class Network:
         node_id: str,
         handler: Callable[[Message], None],
         is_up: Callable[[], bool] = lambda: True,
+        peer_down: Optional[Callable[[str], None]] = None,
+        peer_up: Optional[Callable[[str], None]] = None,
     ) -> None:
-        """Attach a node. ``handler`` is invoked on each delivery."""
+        """Attach a node. ``handler`` is invoked on each delivery.
+        ``peer_down``/``peer_up`` are never called: a simulated network
+        has no connections to lose (the live transport calls them)."""
         if node_id in self._nodes:
             raise NetworkError(f"node {node_id!r} is already registered")
         self._nodes[node_id] = _NodeEntry(handler, is_up)

@@ -30,6 +30,7 @@ from typing import Optional
 
 from repro.core.events import Outcome
 from repro.errors import UnknownProtocolError
+from repro.sim.kernel import Timer
 from repro.storage.log_records import RecordType
 
 # -- message kinds ----------------------------------------------------------
@@ -101,6 +102,16 @@ RELAXED_TIMEOUTS = TimeoutConfig(
     inquiry_retry=60.0,
     active_timeout=240.0,
 )
+
+
+def disarm(timer: Optional[Timer]) -> bool:
+    """Cancel ``timer`` if it is armed; whether it was. A connection
+    event fires a timer's handler early only through this, so the
+    handler runs at most once per arming."""
+    if timer is None or not timer.active:
+        return False
+    timer.cancel()
+    return True
 
 
 # -- participant behaviour ----------------------------------------------------

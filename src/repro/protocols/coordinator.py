@@ -25,6 +25,10 @@ Key behavioural points taken from the paper:
 * A Yes vote that arrives after the decision is an inquiry in all but
   name: its sender is prepared and in doubt. It is answered like one
   unless the decision phase already covers the sender.
+* On the live runtimes a peer's lost connection fires the vote timer
+  of each transaction awaiting its vote, and its restored connection
+  gets the decisions it has not acked — early, with every timer kept
+  as the backstop.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from repro.protocols.base import (
     PREPARE,
     VOTE_YES,
     TimeoutConfig,
+    disarm,
     outcome_of_kind,
     participant_spec,
 )
@@ -328,6 +333,41 @@ class CoordinatorEngine:
         self._respond(
             txn_id, participant, policy.respond_unknown(protocol), presumed=True
         )
+
+    # -- connection events -------------------------------------------------------------
+
+    def peer_down(self, peer: str) -> None:
+        """``peer``'s connection closed: fire the vote timer of every
+        transaction still waiting for its vote. Before deciding, a
+        coordinator may always abort."""
+        for entry in self._current_entries():
+            if (
+                entry.state is CoordinatorState.VOTING
+                and peer in entry.participants
+                and peer not in entry.yes_votes
+                and peer not in entry.read_only
+                and disarm(entry.vote_timer)
+            ):
+                self._on_vote_timeout(entry, peer)
+
+    def peer_up(self, peer: str) -> None:
+        """``peer`` is reachable again: send it now each stable decision
+        it has not acked. The resend timer stays armed for the others."""
+        for entry in self._current_entries():
+            if (
+                entry.state is CoordinatorState.DECIDED
+                and entry.decision_stable
+                and peer in entry.acks_pending
+            ):
+                assert entry.decision is not None
+                self._send(DECISION_KINDS[entry.decision], peer, entry.txn_id)
+
+    def _current_entries(self) -> list[CoordinatorEntry]:
+        return [
+            entry
+            for entry in self.table.entries().values()
+            if entry.epoch == self._epoch
+        ]
 
     # -- coordinator-log support -----------------------------------------------------
 
@@ -692,10 +732,15 @@ class CoordinatorEngine:
             participant in e.participants for e in self.table.entries().values()
         )
 
-    def _on_vote_timeout(self, entry: CoordinatorEntry) -> None:
+    def _on_vote_timeout(
+        self, entry: CoordinatorEntry, peer: Optional[str] = None
+    ) -> None:
+        """``peer``: the participant whose lost connection fired the
+        timer early, or ``None`` when the timer itself fired."""
         if entry.state is CoordinatorState.VOTING:
+            early = {} if peer is None else {"peer": peer}
             self._sim.record(
-                self._site_id, "protocol", "vote_timeout", txn=entry.txn_id
+                self._site_id, "protocol", "vote_timeout", txn=entry.txn_id, **early
             )
             self._decide(entry, Outcome.ABORT)
 

@@ -11,7 +11,9 @@ on top of the site's local transaction manager:
   forcing discipline, acknowledge if the spec says so, then forget;
 * a prepared participant that waits too long sends ``INQUIRY`` to its
   coordinator and retries until an answer arrives (the paper's
-  timeout-driven recovery);
+  timeout-driven recovery); on the live runtimes the coordinator's
+  lost connection fires the active timers and its restored one the
+  inquiry timers early;
 * footnote 5: a decision for a transaction this site has no memory of
   is acknowledged blindly — it must have been enforced and forgotten.
 """
@@ -35,6 +37,7 @@ from repro.protocols.base import (
     VOTE_NO,
     VOTE_READ,
     VOTE_YES,
+    disarm,
     outcome_of_kind,
 )
 from repro.sim.kernel import Simulator, Timer
@@ -326,6 +329,31 @@ class ParticipantEngine:
         for coordinator in coordinators:
             self._send(CL_CHECKPOINT, coordinator, "")
 
+    # -- connection events ---------------------------------------------------------
+
+    def peer_down(self, peer: str) -> None:
+        """Coordinator ``peer``'s connection closed: fire the active
+        timer of each subtransaction it coordinates. Before preparing, a
+        participant may always abort (an implicitly prepared one
+        inquires instead)."""
+        for entry in self._coordinated_by(peer):
+            if disarm(entry.active_timer):
+                self._on_active_timeout(entry, peer)
+
+    def peer_up(self, peer: str) -> None:
+        """Coordinator ``peer`` is reachable again: fire the inquiry
+        timer of each subtransaction in doubt about its decision."""
+        for entry in self._coordinated_by(peer):
+            if disarm(entry.inquiry_timer):
+                self._on_inquiry_timeout(entry)
+
+    def _coordinated_by(self, coordinator: str) -> list[ParticipantEntry]:
+        return [
+            entry
+            for entry in self.table.entries().values()
+            if entry.epoch == self._epoch and entry.coordinator == coordinator
+        ]
+
     # -- crash / recovery ----------------------------------------------------------
 
     def crash(self) -> None:
@@ -420,12 +448,17 @@ class ParticipantEngine:
         # Volatile TM state can go now; log records go via the GC sweep.
         self._tm.drop_volatile(txn_id)
 
-    def _on_active_timeout(self, entry: ParticipantEntry) -> None:
+    def _on_active_timeout(
+        self, entry: ParticipantEntry, peer: Optional[str] = None
+    ) -> None:
+        """``peer``: the coordinator whose lost connection fired the
+        timer early, or ``None`` when the timer itself fired."""
         txn = self._tm.transaction(entry.txn_id)
         if txn is None:
             return
+        early = {} if peer is None else {"peer": peer}
         self._sim.record(
-            self._site_id, "protocol", "active_timeout", txn=entry.txn_id
+            self._site_id, "protocol", "active_timeout", txn=entry.txn_id, **early
         )
         if self._spec.implicitly_prepared:
             # IYV: the decision is late; start inquiring instead of

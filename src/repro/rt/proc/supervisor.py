@@ -82,6 +82,15 @@ SPAWNED_PROCESSES: list[subprocess.Popen] = []
 #: Wall seconds a child gets to boot (and recover) before hello.
 HELLO_TIMEOUT = 30.0
 
+#: Wall seconds between checks that a booting child is still running.
+EXIT_POLL = 0.05
+
+#: Wall seconds an exited child's hello may still take to be read.
+EXIT_GRACE = 1.0
+
+#: Lines of ``child.log`` quoted when a child dies before its hello.
+LOG_TAIL_LINES = 12
+
 #: Default wall-second budget for one control command round trip.
 CALL_TIMEOUT = 60.0
 
@@ -298,9 +307,8 @@ class ProcessCluster(ClusterDriver):
         SPAWNED_PROCESSES.append(handle.popen)
 
     async def _await_hello(self, handle: _ChildHandle) -> LocalRecoveryReport:
-        assert handle.hello is not None
         try:
-            frame = await asyncio.wait_for(handle.hello, HELLO_TIMEOUT)
+            frame = await asyncio.wait_for(self._hello_or_exit(handle), HELLO_TIMEOUT)
         except asyncio.TimeoutError:
             raise ProcessControlError(
                 f"site process {handle.site_id!r} did not report in within "
@@ -313,6 +321,28 @@ class ProcessCluster(ClusterDriver):
             else LocalRecoveryReport()
         )
         return handle.recovery
+
+    async def _hello_or_exit(self, handle: _ChildHandle) -> dict[str, Any]:
+        """The child's hello frame; :class:`ProcessControlError` as soon
+        as the child has exited without one (a boot failure costs its
+        own duration, not :data:`HELLO_TIMEOUT`)."""
+        hello, popen = handle.hello, handle.popen
+        assert hello is not None and popen is not None
+        while not hello.done():
+            code = popen.poll()
+            if code is not None:
+                # A hello written before the exit is still in the stream.
+                await asyncio.wait({hello}, timeout=EXIT_GRACE)
+                if not hello.done() or hello.exception() is not None:
+                    log = self.data_dir / handle.site_id / "child.log"
+                    raise ProcessControlError(
+                        f"site process {handle.site_id!r} exited with code "
+                        f"{code} before reporting in; {handle.site_id}/child.log "
+                        f"ends:\n{_tail(log)}"
+                    )
+                break
+            await asyncio.wait({hello}, timeout=EXIT_POLL)
+        return hello.result()
 
     async def shutdown(self) -> None:
         """Orderly teardown: collect end-of-run footprints (if not done
@@ -757,6 +787,15 @@ class ProcessCluster(ClusterDriver):
             f"ProcessCluster(sites={len(self._children)}, live={live}, "
             f"txns={len(self.submitted)}, now={now})"
         )
+
+
+def _tail(path: Path) -> str:
+    """The last :data:`LOG_TAIL_LINES` lines of a child's log."""
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        return f"(unreadable: {exc})"
+    return "\n".join(text.splitlines()[-LOG_TAIL_LINES:])
 
 
 def _free_port() -> int:

@@ -14,8 +14,14 @@ class reproduces the same observable contract over asyncio streams:
   events/counters are unchanged — batching moves bytes, not semantics;
 * omission failures, not reliability — if a peer cannot be reached
   (killed site, closed port) the queued messages are *dropped* after a
-  small reconnect budget. The protocol engines' resend/inquiry timers
-  are the recovery mechanism, exactly as in the simulator's loss model;
+  small reconnect budget, exactly as in the simulator's loss model;
+* connection events as failure hints — an inbound connection that ends
+  by EOF or reset reports its sender *down*, and an outbound link that
+  lost its connection probes the peer until it answers again, then
+  reports it *up*. The site fires the protocol timers waiting on that
+  peer early (:meth:`~repro.mdbs.site.Site.peer_down`/``peer_up``);
+  the timers stay the recovery mechanism for failures that close no
+  socket (a partition, a hung process);
 * the same trace events (``msg.send`` / ``msg.deliver`` /
   ``msg.dropped`` / ``msg.lost_receiver_down``) and counters
   (``sent_count`` / ``delivered_count`` / ``dropped_count``) as
@@ -27,7 +33,8 @@ class reproduces the same observable contract over asyncio streams:
 
 ``register`` uses *replace* semantics, unlike the simulated network:
 restarting a killed site builds a fresh :class:`~repro.mdbs.site.Site`
-that re-registers its ``deliver`` over the dead one's.
+that re-registers its ``deliver`` and peer callbacks over the dead
+one's.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ class _PeerLink:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._watcher: Optional[asyncio.Task] = None
         self._task: Optional[asyncio.Task] = None
+        self._probe: Optional[asyncio.Task] = None
         #: True while a dequeued batch is being written — together with
         #: an empty queue, its negation means "everything handed to the
         #: OS", which is what :meth:`LiveTransport.drain_outbound` waits for.
@@ -87,7 +95,35 @@ class _PeerLink:
                 writer.write(preamble)
             self._watch(reader, writer)
             return writer
+        self._lost()
         return None
+
+    def _lost(self) -> None:
+        """The peer stopped answering: probe it until it is back."""
+        if self._probe is None or self._probe.done():
+            self._probe = asyncio.get_running_loop().create_task(
+                self._await_peer(),
+                name=f"probe:{self._transport.node_id}->{self._peer_id}",
+            )
+
+    async def _await_peer(self) -> None:
+        """Connect every ``CONNECT_BACKOFF`` until one succeeds, then
+        report the peer up once. The probe connection carries nothing:
+        the next send opens the link's own."""
+        host, port = self._transport.peer_address(self._peer_id)
+        while True:
+            await asyncio.sleep(CONNECT_BACKOFF)
+            try:
+                _, writer = await asyncio.open_connection(host, port)
+            except OSError:
+                continue
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (OSError, ConnectionError):
+                pass
+            self._transport._report(self._transport._peer_up, self._peer_id)
+            return
 
     def _watch(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         # Outbound links are one-way — the peer never sends bytes back —
@@ -109,6 +145,7 @@ class _PeerLink:
             if self._writer is writer:
                 self._writer = None
                 writer.close()
+                self._lost()
 
         self._watcher = asyncio.get_running_loop().create_task(
             watch(), name=f"watch:{self._transport.node_id}->{self._peer_id}"
@@ -153,6 +190,7 @@ class _PeerLink:
             return
         # The connection died under us (peer killed). One fresh
         # connect attempt for *this* batch, then drop it.
+        self._lost()
         await self._close_writer()
         writer = self._writer = await self._connect()
         if writer is None or not await self._write_frames(writer, frames):
@@ -199,6 +237,14 @@ class _PeerLink:
         while not self.queue.empty():
             self._transport._count_dropped(self.queue.get_nowait())
         await self._close_writer()
+        # Last, so nothing above can start a probe after this one.
+        if self._probe is not None:
+            self._probe.cancel()
+            try:
+                await self._probe
+            except asyncio.CancelledError:
+                pass
+            self._probe = None
 
 
 class LiveTransport:
@@ -237,6 +283,8 @@ class LiveTransport:
         self._server: Optional[asyncio.Server] = None
         self._handler: Optional[Callable[[Message], None]] = None
         self._is_up: Callable[[], bool] = lambda: True
+        self._peer_down: Optional[Callable[[str], None]] = None
+        self._peer_up: Optional[Callable[[str], None]] = None
         self._links: dict[str, _PeerLink] = {}
         self._inbound: set[asyncio.Task] = set()
         self._pending_local = 0
@@ -251,14 +299,19 @@ class LiveTransport:
         node_id: str,
         handler: Callable[[Message], None],
         is_up: Callable[[], bool] = lambda: True,
+        peer_down: Optional[Callable[[str], None]] = None,
+        peer_up: Optional[Callable[[str], None]] = None,
     ) -> None:
-        """Attach the local site's delivery handler (replace semantics)."""
+        """Attach the local site's delivery handler and its peer-down /
+        peer-up callbacks (replace semantics)."""
         if node_id != self.node_id:
             raise NetworkError(
                 f"transport for {self.node_id!r} cannot host {node_id!r}"
             )
         self._handler = handler
         self._is_up = is_up
+        self._peer_down = peer_down
+        self._peer_up = peer_up
 
     def peer_address(self, peer_id: str) -> tuple[str, int]:
         try:
@@ -363,6 +416,8 @@ class LiveTransport:
         assert task is not None
         self._inbound.add(task)
         decode = self.codec.body_decoder()
+        # The sender of this connection's frames: one peer's link.
+        peer: Optional[str] = None
         try:
             while True:
                 try:
@@ -374,12 +429,20 @@ class LiveTransport:
                         self.node_id, "msg", "codec_error", error=str(exc)
                     )
                     break
+                except ConnectionError:
+                    message = None  # a reset ends it like an EOF
                 if message is None:
+                    # The peer closed its link or died. Frames arrive in
+                    # TCP order, so all it wrote is delivered by now.
+                    if peer is not None:
+                        self._report(self._peer_down, peer)
                     break
+                peer = message.sender
                 self._deliver(message)
         except asyncio.CancelledError:
             # stop() tears the connection down; swallowing here keeps
-            # the cancellation out of asyncio's stream callbacks.
+            # the cancellation out of asyncio's stream callbacks. A
+            # local stop reports no peer down.
             pass
         finally:
             self._inbound.discard(task)
@@ -414,6 +477,11 @@ class LiveTransport:
             **message.payload,
         )
         self._handler(message)
+
+    def _report(self, callback: Optional[Callable[[str], None]], peer: str) -> None:
+        """Tell the local site a peer went down or came back up."""
+        if callback is not None and self._is_up():
+            callback(peer)
 
     async def drain_outbound(self, timeout: Optional[float] = None) -> bool:
         """Wait until every accepted message left this process.

@@ -16,13 +16,16 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.errors import SiteDownError
 from repro.rt import cluster as live
-from repro.rt.proc import ProcessCluster
+from repro.rt.proc import KillSpec, ProcessCluster
+from repro.rt.proc.control import ProcessControlError
+from repro.rt.proc.supervisor import HELLO_TIMEOUT
 from tests.conformance.harness import (
     CONFORMANCE_TIMEOUTS,
     PROTOCOL_SETUPS,
@@ -252,3 +255,27 @@ def test_auto_respawn_brings_crashed_child_back(tmp_path):
         return True
 
     assert asyncio.run(go())
+
+
+def test_a_child_that_dies_at_boot_fails_fast_with_its_log(tmp_path):
+    """A child that exits before reporting in fails ``start()`` as soon
+    as it is gone, naming the site, its exit code and the end of its
+    ``child.log`` — not after ``HELLO_TIMEOUT``."""
+    victim = sorted(PROTOCOL_SETUPS["PrAny"][0].site_protocols())[0]
+
+    async def go():
+        # An unknown crash point: the child raises while booting.
+        cluster = _cluster(tmp_path, kills={victim: KillSpec("no-such-point", "t1")})
+        started = time.monotonic()
+        try:
+            with pytest.raises(ProcessControlError) as failure:
+                await cluster.start()
+            elapsed = time.monotonic() - started
+        finally:
+            await cluster.shutdown()
+        return elapsed, str(failure.value)
+
+    elapsed, message = asyncio.run(go())
+    assert elapsed < HELLO_TIMEOUT / 3
+    assert f"site process {victim!r} exited with code 1" in message
+    assert "KeyError: 'no-such-point'" in message
