@@ -371,8 +371,9 @@ def _cluster_from_args(args: argparse.Namespace, command: str):
     policy, topology, runtime class and constructor options.
 
     Returns ``(mix, topology, pool, make_cluster, mode)``: ``pool`` is
-    how many sites one transaction may touch, ``make_cluster(data_dir)``
-    builds the (unstarted) cluster and ``mode`` describes it.
+    how many sites one transaction may touch, ``make_cluster(data_dir,
+    **options)`` builds the (unstarted) cluster and ``mode`` describes
+    it.
     """
     from repro.rt.cluster import LIVE_TIMEOUTS, LiveCluster
     from repro.workloads.mixes import homogeneous, three_way
@@ -399,7 +400,7 @@ def _cluster_from_args(args: argparse.Namespace, command: str):
     else:
         cluster_cls = LiveCluster
 
-    def make_cluster(data_dir):
+    def make_cluster(data_dir, **options):
         return cluster_cls(
             mix,
             data_dir,
@@ -410,6 +411,7 @@ def _cluster_from_args(args: argparse.Namespace, command: str):
             fsync=not args.no_fsync,
             topology=topology,
             codec=args.codec,
+            **options,
         )
 
     mode = "one OS process per site" if args.multiprocess else "in-process"
@@ -428,6 +430,11 @@ def _run_in_data_dir(args: argparse.Namespace, go):
         return asyncio.run(go(args.data_dir))
     with tempfile.TemporaryDirectory() as tmp:
         return asyncio.run(go(tmp))
+
+
+#: Wall seconds ``live --kill-restart`` waits after the run for a kill
+#: it has not seen yet, before it reports that nothing was killed.
+KILL_GRACE = 5.0
 
 
 def _cmd_live(args: argparse.Namespace) -> str:
@@ -451,51 +458,85 @@ def _cmd_live(args: argparse.Namespace) -> str:
         seed=args.seed,
     )
 
+    transactions = generate_transactions(
+        spec, sorted(mix.site_protocols()), placement=topology.placement
+    )
+    # The victim dies at its first stable prepared record — the moment
+    # it holds an in-doubt transaction.
+    victim = sorted(mix.site_protocols())[0]
+    options: dict = {}
+    if args.kill_restart and args.multiprocess:
+        # A process cluster's log events stay in each site's trace file
+        # until the run ends, so the victim's own process arms the kill.
+        from repro.rt.proc import KillSpec
+
+        target = next(
+            (
+                txn.txn_id
+                for txn in transactions
+                if victim in txn.writes and not txn.will_abort
+            ),
+            None,
+        )
+        if target is not None:
+            options["kills"] = {victim: KillSpec("part-after-prepared", target)}
+
     async def go(data_dir: str) -> list[str]:
-        cluster = make_cluster(data_dir)
+        cluster = make_cluster(data_dir, **options)
         await cluster.start()
         kill_notes: list[str] = []
-        kill_tasks: list[asyncio.Task] = []
+        killed_at: list[float] = []
+        kill_task: Optional[asyncio.Task] = None
         if args.kill_restart:
-            victim = sorted(mix.site_protocols())[0]
-            loop = asyncio.get_running_loop()
-            armed = [False]
+            prepared = asyncio.Event()
 
             async def kill_and_restart() -> None:
-                await cluster.kill(victim)
-                killed_at = cluster.sim.now
+                if args.multiprocess:
+                    await cluster.wait_for_crash(victim, timeout=None)
+                else:
+                    await prepared.wait()
+                    await cluster.kill(victim)
+                killed_at.append(cluster.sim.now)
                 await asyncio.sleep(cluster.sim.to_seconds(30.0))
                 report = await cluster.restart(victim)
                 kill_notes.append(
-                    f"  kill/restart: {victim} killed at {killed_at:.1f}u, "
+                    f"  kill/restart: {victim} killed at {killed_at[0]:.1f}u, "
                     f"restarted at {cluster.sim.now:.1f}u; recovered from "
                     f"disk: {len(report.committed)} committed, "
                     f"{len(report.in_doubt)} in doubt"
                 )
 
             def on_event(event) -> None:
-                # Kill at the victim's first stable prepared record —
-                # the moment it holds an in-doubt transaction.
                 if (
-                    not armed[0]
-                    and event.site == victim
+                    event.site == victim
                     and event.category == "log"
                     and event.name == "append"
                     and event.details.get("type") == "prepared"
                 ):
-                    armed[0] = True
-                    kill_tasks.append(loop.create_task(kill_and_restart()))
+                    prepared.set()
 
-            cluster.sim.trace.subscribe(on_event)
-        for txn in generate_transactions(
-            spec, sorted(mix.site_protocols()), placement=topology.placement
-        ):
+            if not args.multiprocess:
+                cluster.sim.trace.subscribe(on_event)
+            kill_task = asyncio.ensure_future(kill_and_restart())
+        for txn in transactions:
             cluster.submit(txn)
         await cluster.run(
             until=spec.inter_arrival * spec.n_transactions + RUN_MARGIN
         )
-        for task in kill_tasks:
-            await task
+        if kill_task is not None:
+            if not killed_at and "kills" in options:
+                # The run can end just before the armed crash is seen.
+                await asyncio.wait({kill_task}, timeout=KILL_GRACE)
+            if killed_at:
+                await kill_task
+            else:
+                kill_task.cancel()
+                await asyncio.gather(kill_task, return_exceptions=True)
+                kill_notes.append(
+                    f"  kill/restart: FAILED, {victim} was never killed "
+                    f"(it prepared no transaction)"
+                )
+                args.exit_code = 1
         await cluster.finalize()
         # Shut down first: the multiprocess cluster gathers its sites'
         # end-of-run footprints during shutdown (the in-process one

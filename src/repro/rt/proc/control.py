@@ -9,22 +9,30 @@ which carries no protocol message and no forced write.
 
 Child -> supervisor frames (``kind``):
 
-* ``hello`` — first frame after boot: pid, bound data port, and the
-  boot-recovery report (``null`` on a fresh WAL). Doubles as the
-  liveness announcement the supervisor's spawn/respawn paths await.
-* ``event`` — one trace event, streamed as it is recorded (every
-  category except the high-volume ``msg``, which the equivalence
-  footprint excludes anyway). Per-child FIFO order is preserved, which
-  is all the checkers need: every order-sensitive relation they query
-  is same-site.
+* ``hello`` — first frame after boot: pid, bound data port, the
+  boot-recovery report (``null`` on a fresh WAL) and the name of the
+  child's trace file. Doubles as the liveness announcement the
+  supervisor's spawn/respawn paths await.
+* ``event`` — one trace event, streamed as it is recorded, with the
+  child's own trace ``seq``: every category a live reader may wait on
+  (decisions, forgets, peer and recovery events). ``msg`` events stay
+  in the child (the equivalence footprint excludes them), and ``log``
+  and ``db`` events go to the child's trace file. The supervisor
+  merges stream and file by ``seq`` after the run, which restores the
+  child's full trace order; the checkers need no more, since every
+  order-sensitive relation they query is same-site.
 * ``reply`` — response to a command, echoing its ``id``. Replies share
-  the event stream, so all events a command caused are on the wire
-  before its reply.
+  the event stream, and the child writes its buffered trace-file rows
+  before any frame leaves, so all events a command caused are on the
+  wire or in the file before its reply.
 
 Supervisor -> child frames: ``cmd`` with an ``id`` and an ``op`` (see
 ``repro.rt.proc.site_process.SiteProcess`` for the op table).
 
-Everything here is a tiny helper over that wire format so both sides
+The child's trace file holds the rest of its trace: each line one JSON
+array of ``[seq, time, category, name, details]`` rows.
+
+Everything here is a tiny helper over those formats so both sides
 agree on one encoding.
 """
 
@@ -32,7 +40,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Optional
+from pathlib import Path
+from typing import Any, Iterator, Optional
 
 from repro.db.recovery import LocalRecoveryReport
 from repro.errors import ReproError
@@ -71,6 +80,29 @@ async def read_control(reader: asyncio.StreamReader) -> Optional[dict[str, Any]]
     if not isinstance(frame, dict):
         raise ProcessControlError(f"control frame is not an object: {frame!r}")
     return frame
+
+
+# -- the trace file -------------------------------------------------------------
+
+#: Trace categories a site process writes to its trace file instead of
+#: streaming them as ``event`` frames.
+TRACE_FILE_CATEGORIES = frozenset({"log", "db"})
+
+
+def encode_trace_rows(rows: list[tuple]) -> bytes:
+    """One trace-file line: ``[seq, time, category, name, details]``
+    rows as one JSON array."""
+    return (json.dumps(rows, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def read_trace_rows(path: Path) -> Iterator[list[Any]]:
+    """The rows of a trace file, read one line at a time. A last line
+    without its newline is a write the process's death cut short, and
+    is skipped."""
+    with open(path, "rb") as lines:
+        for line in lines:
+            if line.endswith(b"\n"):
+                yield from json.loads(line)
 
 
 # -- recovery-report wire form ------------------------------------------------

@@ -12,19 +12,32 @@ connection and nothing else:
   file already exists. Its data plane is the host's ordinary transport
   (peers talk protocol messages straight to this process; the
   supervisor is not on that path);
-* a control connection back to the supervisor streams trace events and
-  serves the op table below, and is the liveness channel: its EOF *is*
-  the death notification.
+* a control connection back to the supervisor streams the trace events
+  a live reader may wait on (every category but ``msg``, ``log`` and
+  ``db``) and serves the op table below, and is the liveness channel:
+  its EOF *is* the death notification;
+* the site's ``log`` and ``db`` trace events — most of the trace, and
+  nothing anyone waits on mid-run — go to a file in its data directory,
+  ``trace.<pid>.jsonl``, named in the hello. Each loop iteration that
+  recorded any appends one line: a JSON array of ``[seq, time,
+  category, name, details]`` rows, not fsynced. The buffer is also
+  written before any control frame leaves, so a reply still follows
+  every event its command caused. Live ``event`` frames carry the same
+  ``seq``, and the supervisor merges file and stream after the run
+  (:meth:`~repro.rt.proc.supervisor.ProcessCluster.collect`). The
+  child's own recorder keeps no events: nothing here reads them.
 
 Crash injection: when the config carries a kill spec, the first trace
 event matching the catalogued crash-point predicate arms self-death.
 Inbound delivery is blocked immediately (a message arriving after the
 crash instant is lost, as for a dead receiver), already-sent outbound
 frames are allowed to reach the OS — the simulator's model, where a
-scheduled delivery survives its sender — and then the process sends
-itself an unblockable ``SIGKILL``. No flush, no atexit, no log close:
-whatever the WAL's fsync discipline made durable is all that survives,
-which is precisely what the crash-matrix suite tests.
+scheduled delivery survives its sender — the buffered trace rows are
+written, and then the process sends itself an unblockable ``SIGKILL``.
+No flush, no atexit, no log close: whatever the WAL's fsync discipline
+made durable is all that survives, which is precisely what the
+crash-matrix suite tests. The trace file, like the control stream,
+keeps what reached the page cache.
 
 Op table (see ``repro.rt.proc.control`` for framing):
 
@@ -49,6 +62,7 @@ import asyncio
 import os
 import signal
 import sys
+from collections import deque
 from pathlib import Path
 from typing import Any, Optional
 
@@ -59,12 +73,14 @@ from repro.rt.host import SiteHost
 from repro.rt.proc.config import SiteProcessConfig
 from repro.rt.proc.control import (
     MAX_CONTROL_LINE,
+    TRACE_FILE_CATEGORIES,
     encode_control,
+    encode_trace_rows,
     read_control,
     recovery_to_dict,
 )
 from repro.rt.runtime import LiveRuntime
-from repro.sim.tracing import TraceEvent
+from repro.sim.tracing import TraceEvent, TraceRecorder
 from repro.storage.file_log import record_to_json
 from repro.workloads.failure_schedules import (
     acceptor_crash_points,
@@ -91,6 +107,15 @@ PID_FILE = "site.pid"
 DEATH_FLUSH_TIMEOUT = 0.5
 
 
+class _UnretainedTrace(TraceRecorder):
+    """A recorder that numbers every event and hands it to the
+    subscribers, and keeps none of them."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._events = deque(maxlen=0)  # type: ignore[assignment]
+
+
 class SiteProcess:
     """The in-child runtime: one site, one control connection."""
 
@@ -102,10 +127,23 @@ class SiteProcess:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._dying = False
         self._kill_predicate = None
+        self._trace_file: Optional[Any] = None
+        self._trace_rows: list[tuple] = []
 
     # -- boot ----------------------------------------------------------------
 
     async def run(self) -> None:
+        # Truncated on open: an existing file of this name was written
+        # by an earlier process that had this pid.
+        trace_name = f"trace.{os.getpid()}.jsonl"
+        trace_path = Path(self.config.site.data_dir) / trace_name
+        with open(trace_path, "wb", buffering=0) as self._trace_file:
+            try:
+                await self._run(trace_name)
+            finally:
+                self._write_trace()
+
+    async def _run(self, trace_name: str) -> None:
         config = self.config
         site_id = config.site.site_id
         rt = LiveRuntime(
@@ -113,11 +151,12 @@ class SiteProcess:
             seed=config.seed,
             wall_epoch=config.wall_epoch,
         )
+        rt.trace = _UnretainedTrace()
         if config.kill is not None:
             self._kill_predicate = CRASH_POINTS[config.kill.point].make_predicate(
                 site_id, config.kill.txn
             )
-        rt.trace.subscribe(self._stream_trace_event)
+        rt.trace.subscribe(self._on_trace_event)
 
         reader, writer = await asyncio.open_connection(
             config.control_host, config.control_port, limit=MAX_CONTROL_LINE
@@ -151,6 +190,7 @@ class SiteProcess:
                 "pid": os.getpid(),
                 "port": self.host.transport.port,
                 "recovery": None if recovery is None else recovery_to_dict(recovery),
+                "trace": trace_name,
             }
         )
 
@@ -167,8 +207,9 @@ class SiteProcess:
 
     async def _pump(self) -> None:
         """Single outbound writer: events and replies leave in the
-        order they were produced, so a reply never overtakes the events
-        its command caused."""
+        order they were produced, each write preceded by the buffered
+        trace rows, so a reply never overtakes the events its command
+        caused."""
         assert self._writer is not None
         while True:
             frame = await self._outbox.get()
@@ -180,6 +221,7 @@ class SiteProcess:
                         chunks.append(encode_control(self._outbox.get_nowait()))
                     except asyncio.QueueEmpty:
                         break
+                self._write_trace()
                 self._writer.write(b"".join(chunks))
                 await self._writer.drain()
             except (OSError, ConnectionError):
@@ -187,17 +229,34 @@ class SiteProcess:
             finally:
                 self._pump_busy = False
 
-    def _stream_trace_event(self, event: TraceEvent) -> None:
+    def _write_trace(self) -> None:
+        """Append the buffered rows to the trace file as one line."""
+        if self._trace_rows:
+            rows, self._trace_rows = self._trace_rows, []
+            assert self._trace_file is not None
+            self._trace_file.write(encode_trace_rows(rows))
+
+    def _on_trace_event(self, event: TraceEvent) -> None:
         # msg events are the transport's per-message bookkeeping — high
         # volume and deliberately outside the equivalence footprint.
-        # Everything the checkers and footprints consume is streamed.
-        if event.category != "msg":
+        # log and db events are buffered for the trace file; the rest
+        # is streamed, since live readers wait on decisions, forgets,
+        # peer and recovery events.
+        category = event.category
+        if category in TRACE_FILE_CATEGORIES:
+            if not self._trace_rows:
+                asyncio.get_running_loop().call_soon(self._write_trace)
+            self._trace_rows.append(
+                (event.seq, event.time, category, event.name, event.details)
+            )
+        elif category != "msg":
             self._emit(
                 {
                     "kind": "event",
+                    "seq": event.seq,
                     "time": event.time,
                     "site": event.site,
-                    "category": event.category,
+                    "category": category,
                     "name": event.name,
                     "details": event.details,
                 }
@@ -231,6 +290,9 @@ class SiteProcess:
         except asyncio.TimeoutError:
             pass
         finally:
+            # Even when the flush timed out: the event that fired the
+            # kill may still be in the buffer.
+            self._write_trace()
             os.kill(os.getpid(), signal.SIGKILL)
 
     async def _flush_for_death(self) -> None:

@@ -9,23 +9,30 @@ traffic flows site-process to site-process over the ordinary
 :class:`~repro.rt.transport.LiveTransport` sockets; the supervisor is
 only on the *control* plane:
 
-* it pre-allocates every site's data port, writes each child a complete
-  ``proc.json`` world view, and spawns the children (stdout/stderr to
+* it reserves every site's data port for the cluster's lifetime (a
+  bound, never listening ``SO_REUSEPORT`` socket the site's own
+  listener binds beside), writes each child a complete ``proc.json``
+  world view, and spawns the children (stdout/stderr to
   ``<site>/child.log``; pids registered in :data:`SPAWNED_PROCESSES`
   for the test-suite's orphan reaper);
-* each child holds one control connection back here, streaming its
-  trace events — which the supervisor merges into its own
-  :class:`~repro.rt.runtime.LiveRuntime` trace, so a finished cluster
-  satisfies the exact duck-typed surface the conformance suite's
-  ``equivalence_summary`` consumes (``.sim.trace``, ``.sites``,
-  ``.check()``) — and serving the command ops (begin work, begin
-  commit, status, flush+GC, summary, shutdown);
+* each child holds one control connection back here, streaming the
+  trace events live readers wait on (decisions, forgets, peer and
+  recovery events; not ``msg``, ``log`` or ``db``) into the
+  supervisor's own :class:`~repro.rt.runtime.LiveRuntime` trace, and
+  serving the command ops (begin work, begin commit, status, flush+GC,
+  summary, shutdown);
+* each child writes its ``log`` and ``db`` events to a trace file in
+  its data directory, and :meth:`ProcessCluster.collect` merges every
+  file into ``sim.trace``, so a finished cluster satisfies the exact
+  duck-typed surface the conformance suite's ``equivalence_summary``
+  consumes (``.sim.trace``, ``.sites``, ``.check()``). Mid-run,
+  ``sim.trace`` holds only the streamed categories;
 * liveness is the control connection itself plus a heartbeat: EOF on
   the stream is the death notification (a synthetic ``site/crash``
-  trace event is recorded *after* the stream is fully drained, so no
-  post-crash event can appear to follow the crash), and a child that
-  stops answering pings for ``heartbeat_misses`` beats is killed and
-  treated the same way;
+  trace event is recorded *after* the stream is fully drained, and the
+  merge places it after the last event of the process it ends), and a
+  child that stops answering pings for ``heartbeat_misses`` beats is
+  killed and treated the same way;
 * :meth:`kill` is a real ``SIGKILL`` (nothing flushes, nothing exits
   cleanly), and :meth:`restart` respawns the child over the same data
   directory — the child's recovery-first boot does the rest. Config
@@ -44,12 +51,14 @@ processes' own sockets.
 from __future__ import annotations
 
 import asyncio
+import heapq
 import json
 import os
 import socket
 import subprocess
 import sys
 import time
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
@@ -67,8 +76,10 @@ from repro.rt.proc.control import (
     ProcessControlError,
     encode_control,
     read_control,
+    read_trace_rows,
     recovery_from_dict,
 )
+from repro.sim.tracing import TraceEvent
 from repro.storage.file_log import load_wal_records, record_from_json
 from repro.storage.log_records import LogRecord
 from repro.workloads.mixes import ProtocolMix
@@ -162,6 +173,40 @@ class RemoteSite:
         return f"RemoteSite({self.site_id!r}, {self.protocol}, {state})"
 
 
+class _Incarnation:
+    """One spawned process of one site, as its trace sees it: the events
+    it streamed (with its own ``seq`` numbers), the trace file its hello
+    named, and the crash that ended it."""
+
+    def __init__(self, site_id: str) -> None:
+        self.site_id = sys.intern(site_id)
+        self.seqs: list[int] = []
+        self.events: list[TraceEvent] = []
+        self.trace_file: Optional[Path] = None
+        self.crash: Optional[TraceEvent] = None
+
+    def ordered_events(self) -> Iterator[TraceEvent]:
+        """Streamed events and file rows interleaved by the child's
+        ``seq``, the file read one line at a time; then the crash."""
+        site = self.site_id
+        rows = () if self.trace_file is None else read_trace_rows(self.trace_file)
+        from_file = (
+            (
+                row[0],
+                TraceEvent(
+                    row[1], row[0], site, sys.intern(row[2]), sys.intern(row[3]), row[4]
+                ),
+            )
+            for row in rows
+        )
+        for _, event in heapq.merge(
+            zip(self.seqs, self.events), from_file, key=itemgetter(0)
+        ):
+            yield event
+        if self.crash is not None:
+            yield self.crash
+
+
 class _ChildHandle:
     """Supervisor-side state for one site process."""
 
@@ -177,6 +222,8 @@ class _ChildHandle:
         self.pid: Optional[int] = None
         self.recovery: Optional[LocalRecoveryReport] = None
         self.hello: Optional[asyncio.Future] = None
+        #: The running (or last) process's trace; replaced by each spawn.
+        self.incarnation = _Incarnation(self.site_id)
         self.pending: dict[int, asyncio.Future] = {}
         #: Set when the control stream reaches EOF (process death seen
         #: and fully drained); reset by each (re)spawn.
@@ -229,6 +276,13 @@ class ProcessCluster(ClusterDriver):
         self._next_cmd_id = 0
         self._views: Optional[dict[str, RemoteSite]] = None
         self._shutting_down = False
+        #: Every process this cluster spawned, oldest first.
+        self._incarnations: list[_Incarnation] = []
+        #: The supervisor's own trace events other than crashes
+        #: (``txn_not_started``).
+        self._own_events: list[TraceEvent] = []
+        #: One bound, never listening socket per site's data port.
+        self._reserved_ports: list[socket.socket] = []
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -250,12 +304,15 @@ class ProcessCluster(ClusterDriver):
         coordinator_sites = [
             site.site_id for site in layout if site.coordinator is not None
         ]
-        # Pre-allocate every data port up front so the complete address
+        # Reserve every data port up front so the complete address
         # directory goes into every child's config — addresses survive
-        # any child's restart without renegotiation.
-        directory = {
-            site_id: ["127.0.0.1", _free_port()] for site_id in site_protocols
-        }
+        # any child's restart without renegotiation, and no other
+        # socket can take a port while its site is down.
+        directory = {}
+        for site_id in site_protocols:
+            reservation = _reserve_port()
+            self._reserved_ports.append(reservation)
+            directory[site_id] = ["127.0.0.1", reservation.getsockname()[1]]
         for site in layout:
             site_id = site.site_id
             config = SiteProcessConfig(
@@ -289,6 +346,8 @@ class ProcessCluster(ClusterDriver):
         handle.hello = asyncio.get_running_loop().create_future()
         handle.crashed = asyncio.Event()
         handle.closing = False
+        handle.incarnation = _Incarnation(handle.site_id)
+        self._incarnations.append(handle.incarnation)
         handle.log_fh = open(
             self.data_dir / handle.site_id / "child.log", "a", encoding="utf-8"
         )
@@ -389,6 +448,9 @@ class ProcessCluster(ClusterDriver):
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        for reservation in self._reserved_ports:
+            reservation.close()
+        self._reserved_ports.clear()
 
     # -- control plane -------------------------------------------------------
 
@@ -399,6 +461,8 @@ class ProcessCluster(ClusterDriver):
 
         Frames are routed by their ``site`` field, so a recovery-first
         boot may stream its recovery trace events *before* its hello.
+        Each streamed event is recorded now (live readers wait on it)
+        and kept with its ``seq`` for the merge in :meth:`collect`.
         EOF means the process died: only after the stream is fully
         drained is the synthetic ``site/crash`` recorded, preserving
         "no event follows the crash" in per-site trace order.
@@ -424,19 +488,27 @@ class ProcessCluster(ClusterDriver):
                         break
                     handle.writer = writer
                     handle.alive = True
+                # No respawn replaces it before this stream's EOF.
+                incarnation = handle.incarnation
                 if kind == "event":
                     assert self.sim is not None
                     # Details keys never collide with the positional
                     # trace fields (no engine passes time/site/category/
                     # name as a detail), so pass straight through.
-                    self.sim.trace.record(
+                    event = self.sim.trace.record(
                         frame["time"],
                         frame["site"],
                         frame["category"],
                         frame["name"],
                         **frame["details"],
                     )
+                    assert event is not None
+                    incarnation.seqs.append(frame["seq"])
+                    incarnation.events.append(event)
                 elif kind == "hello":
+                    incarnation.trace_file = (
+                        self.data_dir / handle.site_id / frame["trace"]
+                    )
                     if handle.hello is not None and not handle.hello.done():
                         handle.hello.set_result(frame)
                 elif kind == "reply":
@@ -467,7 +539,9 @@ class ProcessCluster(ClusterDriver):
             assert self.sim is not None
             # The same event Site.crash records, stamped at the moment
             # the supervisor finished draining the victim's stream.
-            self.sim.record(handle.site_id, "site", "crash")
+            handle.incarnation.crash = self.sim.record(
+                handle.site_id, "site", "crash"
+            )
             if self._auto_respawn:
                 asyncio.ensure_future(self.restart(handle.site_id))
         handle.crashed.set()
@@ -556,9 +630,7 @@ class ProcessCluster(ClusterDriver):
         wire = txn.to_dict()
         coordinator = self._children[txn.coordinator]
         if not coordinator.alive:
-            self.sim.record(
-                txn.coordinator, "system", "txn_not_started", txn=txn.txn_id
-            )
+            self._not_started(txn)
             return
         doomed = False
         for site_id in txn.participants:
@@ -592,9 +664,15 @@ class ProcessCluster(ClusterDriver):
             # txn_not_started here would contradict the WAL.
             return
         if reply.get("status") == "down":
+            self._not_started(txn)
+
+    def _not_started(self, txn: GlobalTransaction) -> None:
+        assert self.sim is not None
+        self._own_events.append(
             self.sim.record(
                 txn.coordinator, "system", "txn_not_started", txn=txn.txn_id
             )
+        )
 
     async def run(self, until: float, heartbeat: float = 0.25) -> None:
         """Advance until quiescence or ``until`` virtual units, waking
@@ -699,7 +777,9 @@ class ProcessCluster(ClusterDriver):
     async def collect(self) -> dict[str, RemoteSite]:
         """Gather every site's end-of-run footprint: live children via
         the ``summary`` op, dead ones from their on-disk WAL + snapshot
-        (what their next incarnation would recover from)."""
+        (what their next incarnation would recover from). Then merge
+        every site process's trace file into ``sim.trace``, which until
+        then holds only the streamed categories."""
         views: dict[str, RemoteSite] = {}
         for site_id, handle in self._children.items():
             if handle.alive:
@@ -724,7 +804,27 @@ class ProcessCluster(ClusterDriver):
                     pass
             views[site_id] = self._view_from_disk(site_id, handle)
         self._views = views
+        self._merge_trace()
         return views
+
+    def _merge_trace(self) -> None:
+        """Rebuild ``sim.trace`` from every process this cluster spawned
+        plus the supervisor's own events.
+
+        Within one process, streamed events and its trace file's rows
+        interleave by the child's ``seq``, and the synthetic crash
+        comes last. Processes and the supervisor's own events merge by
+        ``time`` (one clock epoch; ties keep spawn order). Each file is
+        read one line at a time straight into the new trace, and the
+        streamed events are kept apart from it, so a repeated collect
+        rebuilds the same trace with every event once. Only the files
+        this cluster's processes named in their hellos are read. A live
+        child's ``summary`` reply followed every row it wrote before.
+        """
+        assert self.sim is not None
+        streams = [inc.ordered_events() for inc in self._incarnations]
+        streams.append(iter(self._own_events))
+        self.sim.trace.replace(heapq.merge(*streams, key=attrgetter("time")))
 
     def _view_from_disk(self, site_id: str, handle: _ChildHandle) -> RemoteSite:
         """A dead child's durable footprint, read without mutating the
@@ -798,10 +898,14 @@ def _tail(path: Path) -> str:
     return "\n".join(text.splitlines()[-LOG_TAIL_LINES:])
 
 
-def _free_port() -> int:
-    """Reserve an ephemeral port by bind-then-close (the usual small
-    race, acceptable on loopback test hosts)."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
+def _reserve_port() -> socket.socket:
+    """A loopback port held for a site's data transport: bound with
+    ``SO_REUSEPORT`` and never listened on. The site's listener binds
+    beside it (:meth:`~repro.rt.transport.LiveTransport.start` sets
+    ``reuse_port``); any other bind gets ``EADDRINUSE``, the kernel
+    picks no connect's ephemeral source port from a bound port, and a
+    connect while the site is down is refused, as with no socket."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+    sock.bind(("127.0.0.1", 0))
+    return sock

@@ -330,11 +330,15 @@ class LiveTransport:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and publish our address."""
+        """Bind the listening socket and publish our address.
+
+        ``reuse_port`` lets the socket bind beside the never-listening
+        reservation a process cluster's supervisor holds on the port.
+        """
         if self._server is not None:
             raise NetworkError(f"transport for {self.node_id!r} already started")
         self._server = await asyncio.start_server(
-            self._on_connection, self._host, self._port
+            self._on_connection, self._host, self._port, reuse_port=True
         )
         self._port = self._server.sockets[0].getsockname()[1]
         self._directory[self.node_id] = (self._host, self._port)

@@ -29,7 +29,8 @@ class TraceEvent:
     """A single recorded occurrence in a simulation run.
 
     Treat instances as immutable: they are shared by every consumer of
-    the trace (checkers, histories, exports, subscribers).
+    the trace (checkers, histories, exports, subscribers). Only
+    :meth:`TraceRecorder.replace` renumbers them.
 
     Attributes:
         time: virtual time at which the event occurred.
@@ -187,6 +188,22 @@ class TraceRecorder:
             for subscriber in self._subscribers:
                 subscriber(event)
         return event
+
+    def replace(self, events: Iterable[TraceEvent]) -> None:
+        """Make ``events`` the whole trace, rewriting their ``seq`` to
+        the order given; subscribers are not called.
+
+        For a trace assembled after the fact from several recorders (a
+        process cluster merging its sites' trace files). ``events`` is
+        consumed after the old trace is dropped, so it must not be
+        drawn from this recorder.
+        """
+        self._events = []
+        append = self._events.append
+        for seq, event in enumerate(events):
+            event.seq = seq
+            append(event)
+        self._next_seq = len(self._events)
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Invoke ``callback`` for every subsequently recorded event."""

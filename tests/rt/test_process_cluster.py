@@ -12,8 +12,10 @@ footprint of the deterministic simulator.
 from __future__ import annotations
 
 import asyncio
+import errno
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -196,6 +198,37 @@ def test_kill_requires_running_child_and_restart_requires_dead(tmp_path):
             report = await cluster.restart(victim)
             assert report is not None
             assert cluster._children[victim].alive
+        finally:
+            await cluster.shutdown()
+        return True
+
+    assert asyncio.run(go())
+
+
+def test_a_killed_sites_data_port_stays_reserved(tmp_path):
+    """While a site process is dead no other socket can bind its data
+    port, with or without ``SO_REUSEADDR``; a connect is refused, as
+    with nothing bound; and the restarted site binds it again."""
+
+    async def go():
+        cluster = _cluster(tmp_path)
+        await cluster.start()
+        try:
+            victim = sorted(cluster._children)[0]
+            port = cluster._children[victim].config.port
+            await cluster.kill(victim)
+            for reuse_address in (0, 1):
+                with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+                    sock.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_REUSEADDR, reuse_address
+                    )
+                    with pytest.raises(OSError) as failure:
+                        sock.bind(("127.0.0.1", port))
+                    assert failure.value.errno == errno.EADDRINUSE
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=5.0).close()
+            await cluster.restart(victim)
+            socket.create_connection(("127.0.0.1", port), timeout=5.0).close()
         finally:
             await cluster.shutdown()
         return True

@@ -248,8 +248,10 @@ def test_sigkill_recovery_from_binary_wal(protocol, point, tmp_path):
 
 def test_sigkill_during_finalize_recovers_to_the_sim_footprint(tmp_path):
     """Process death inside the GC sweep. The victim is SIGKILLed while
-    ``finalize()`` is still sweeping — as soon as the supervisor sees it
-    collect its first transaction — then respawned and swept again. The
+    ``finalize()`` is still sweeping — as soon as the supervisor reads
+    its first ``flush_gc`` reply that collected something (its ``log.gc``
+    events are in its trace file by then, not on the control stream) —
+    then respawned and swept again. The
     oracle is the simulator given the same schedule: a crash of the
     same site once its sweep is through, the same outage, a second
     ``finalize()``. What the first sweep collected stays collected,
@@ -288,7 +290,6 @@ def test_sigkill_during_finalize_recovers_to_the_sim_footprint(tmp_path):
             for txn in transactions:
                 cluster.submit(txn)
             await cluster.run(until=cluster.sim.now + WAVE_BUDGET)
-            sweep = asyncio.ensure_future(cluster.finalize())
             kills: list[asyncio.Task] = []
             mid_sweep: list[bool] = []
 
@@ -296,16 +297,22 @@ def test_sigkill_during_finalize_recovers_to_the_sim_footprint(tmp_path):
                 mid_sweep.append(not sweep.done())
                 await cluster.kill(victim)
 
-            def on_event(event: TraceEvent) -> None:
+            call = cluster._call
+
+            async def call_then_kill(site_id: str, op: str, **kw) -> dict:
+                reply = await call(site_id, op, **kw)
                 if (
                     not kills
-                    and event.site == victim
-                    and (event.category, event.name) == ("log", "gc")
+                    and (site_id, op) == (victim, "flush_gc")
+                    and reply["collected"]
                 ):
                     kills.append(asyncio.ensure_future(kill()))
+                return reply
 
-            cluster.sim.trace.subscribe(on_event)
+            cluster._call = call_then_kill
+            sweep = asyncio.ensure_future(cluster.finalize())
             await sweep
+            del cluster._call
             assert kills, "the victim collected nothing"
             await kills[0]
             assert mid_sweep == [True]

@@ -112,6 +112,32 @@ class TestLiveCLI:
         # The victim's WAL actually exists on disk.
         assert list(tmp_path.glob("*/wal.jsonl"))
 
+    def test_live_kill_restart_multiprocess_smoke(self, capsys, tmp_path):
+        # The victim's own process arms the kill: a process cluster's
+        # log events reach the supervisor only after the run.
+        code, out = run_cli(
+            capsys, "live", "--protocol", "pra", "--participants", "4",
+            "--smoke", "--no-fsync", "--kill-restart", "--multiprocess",
+            "--data-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert "kill/restart: site0_pra killed at" in out
+        assert "recovered from disk" in out
+        assert "terminated: 6/6" in out
+
+    def test_live_kill_restart_fails_when_nothing_was_killed(
+        self, capsys, tmp_path
+    ):
+        # The victim, the lowest site id, is the No voter of every
+        # transaction it is in, so it never prepares.
+        code, out = run_cli(
+            capsys, "live", "--protocol", "pra", "--participants", "4",
+            "--smoke", "--no-fsync", "--kill-restart",
+            "--abort-fraction", "1.0", "--data-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "kill/restart: FAILED, site0_pra was never killed" in out
+
     def test_bench_live_suite_writes_counts_and_prints_timings(
         self, capsys, tmp_path
     ):
