@@ -83,48 +83,41 @@ def cost_breakdown(
 ) -> CostBreakdown:
     """Measure one transaction's commit-processing costs from the trace.
 
-    A log append is counted as *forced* if a force on the same site
-    follows it before any other append on that site — which is exactly
-    how the engines write records (``force_append``). UPDATE records
-    are excluded by default: they are data-plane cost, identical across
-    protocols, and the paper's comparison is about protocol records.
+    A log append is counted as *forced* if the next log event on the
+    same site is a force — which is exactly how the engines write
+    records (``force_append_async``: append, then force). A lazy record
+    that a later force sweeps out along with another record is written,
+    not forced, also when the force is a neighbour transaction's.
+    UPDATE records are excluded by default: they are data-plane cost,
+    identical across protocols, and the paper's comparison is about
+    protocol records.
+
+    On a live trace the file log records the ``log.force`` events of a
+    tick after all of that tick's appends, so there only the last
+    forced record of each tick counts as forced.
     """
     breakdown = CostBreakdown(txn_id=txn_id, coordinator=coordinator)
-    # Pass 1: map (site, lsn) appends of this txn; find which became
-    # stable via a force *immediately* following (per force_append).
-    pending: dict[str, list[tuple[int, str]]] = {}  # site -> [(seq, type)]
+    # site -> whether its last log event appended a counted record of
+    # this transaction.
+    last_is_ours: dict[str, bool] = {}
     for event in trace:
         if event.category != "log":
             continue
         site = event.site
-        if event.name == "append":
-            if event.details.get("txn") != txn_id:
-                # A force after this append no longer immediately covers
-                # our earlier appends — but force flushes everything, so
-                # buffered records of our txn are still forced with it.
-                # Track appends regardless of txn, tagging ours.
-                pending.setdefault(site, []).append((event.seq, ""))
-                continue
+        ours = False
+        if event.name == "append" and event.details.get("txn") == txn_id:
             record_type = event.details.get("type", "")
-            if exclude_update_records and record_type == "update":
-                continue
-            pending.setdefault(site, []).append((event.seq, record_type))
-            is_coordinator = site == coordinator
-            if is_coordinator:
+            ours = not (exclude_update_records and record_type == "update")
+            if ours and site == coordinator:
                 breakdown.coordinator_writes += 1
-            else:
+            elif ours:
                 breakdown.participant_writes += 1
-        elif event.name == "force":
-            for __, record_type in pending.get(site, []):
-                if not record_type:
-                    continue
-                if site == coordinator:
-                    breakdown.coordinator_forced += 1
-                else:
-                    breakdown.participant_forced += 1
-            pending[site] = []
-        elif event.name == "crash":
-            pending[site] = []
+        elif event.name == "force" and last_is_ours.get(site):
+            if site == coordinator:
+                breakdown.coordinator_forced += 1
+            else:
+                breakdown.participant_forced += 1
+        last_is_ours[site] = ours
     counts = message_counts(trace, txn_id=txn_id)
     breakdown.messages = counts.total
     breakdown.message_kinds = dict(counts.by_kind)

@@ -80,9 +80,9 @@ class LocalTransactionManager:
     ) -> None:
         self._sim = sim
         self._site_id = site_id
-        # Every force here is synchronous. The only deferring log (a
-        # replicated leader's) belongs to a site that coordinates and
-        # never hosts a subtransaction, so this TM never writes to it.
+        # Every force goes through ``force_append_async``, and whatever
+        # presumes the record durable runs in its completion: at once
+        # on the in-memory log, after the tick's fsync on a file log.
         self._log = log
         self._store = store
         self._locks = locks if locks is not None else LockManager()
@@ -149,7 +149,9 @@ class LocalTransactionManager:
         if not self._logless:
             record = update_record(txn_id, key, before, value)
             if self._force_updates:
-                self._log.force_append(record)
+                # Nothing is sent on its stability: the coordinator
+                # counts an implicitly prepared site's Yes unasked.
+                self._log.force_append_async(record)
             else:
                 self._log.append(record)
         self._sim.record(self._site_id, "db", "write", txn=txn_id, key=key)
@@ -192,23 +194,37 @@ class LocalTransactionManager:
 
         Forces the log so the PREPARED record *and every update record
         before it* are durable — the write-ahead rule participants rely
-        on to redo after a crash.
+        on to redo after a crash. The transaction is PREPARED from the
+        request on; ``db.prepared`` is traced once the record is
+        stable.
 
         Args:
             on_stable: invoked once the PREPARED record is stable — the
                 point at which a vote may be sent. It runs before this
-                method returns (logless sites write nothing).
+                method returns on a synchronous log or a logless site,
+                after the fsync of the current tick on a file log, and
+                not at all if the transaction was aborted in between (a
+                crash drops the completion with the log's buffer).
         """
         self._require_up()
         txn = self._txns.get(txn_id)
         if txn is None or txn.status is not TxnStatus.ACTIVE:
             return False
-        if not self._logless:
-            self._log.force_append(prepared_record(txn_id, txn.coordinator))
         txn.status = TxnStatus.PREPARED
-        self._sim.record(self._site_id, "db", "prepared", txn=txn_id)
-        if on_stable is not None:
-            on_stable()
+
+        def stable() -> None:
+            if txn.status is not TxnStatus.PREPARED:
+                return  # aborted while the force was pending
+            self._sim.record(self._site_id, "db", "prepared", txn=txn_id)
+            if on_stable is not None:
+                on_stable()
+
+        if self._logless:
+            stable()
+        else:
+            self._log.force_append_async(
+                prepared_record(txn_id, txn.coordinator), stable
+            )
         return True
 
     def commit(
@@ -225,7 +241,12 @@ class LocalTransactionManager:
                 PrC participants: no).
             on_stable: invoked once the decision record is as durable as
                 the protocol demands — the point at which an ACK may be
-                sent. It runs before this method returns.
+                sent. A lazy record needs no wait, so it runs before
+                this method returns; a forced one runs it after the
+                force completes (at once on a synchronous log, after
+                the tick's fsync on a file log). The decision is
+                enforced (store, locks, status) from the request on;
+                ``db.commit`` is traced when ``on_stable`` runs.
         """
         self._require_up()
         txn = self._txns.get(txn_id)
@@ -244,7 +265,6 @@ class LocalTransactionManager:
                 f"txn {txn_id!r} already aborted at {self._site_id!r}; "
                 f"cannot commit"
             )
-        self._log_decision(txn, "commit", force_decision)
         if not txn.updates_in_store:
             # Post-recovery redo: re-apply after-images.
             for key, __, after in txn.updates:
@@ -252,9 +272,7 @@ class LocalTransactionManager:
             txn.updates_in_store = True
         txn.status = TxnStatus.COMMITTED
         self._release(txn)
-        self._sim.record(self._site_id, "db", "commit", txn=txn_id)
-        if on_stable is not None:
-            on_stable()
+        self._log_decision(txn, "commit", force_decision, on_stable)
 
     def abort(
         self,
@@ -288,12 +306,9 @@ class LocalTransactionManager:
                 else:
                     self._store.write(key, before)
             txn.updates_in_store = False
-        self._log_decision(txn, "abort", force_decision)
         txn.status = TxnStatus.ABORTED
         self._release(txn)
-        self._sim.record(self._site_id, "db", "abort", txn=txn_id)
-        if on_stable is not None:
-            on_stable()
+        self._log_decision(txn, "abort", force_decision, on_stable)
 
     def committed_snapshot(self) -> dict[str, Any]:
         """Current store state with all *live* transactions undone.
@@ -401,20 +416,36 @@ class LocalTransactionManager:
     # -- internals ----------------------------------------------------------------
 
     def _log_decision(
-        self, txn: LocalTransaction, outcome: str, force_decision: bool
+        self,
+        txn: LocalTransaction,
+        outcome: str,
+        force_decision: bool,
+        on_stable: Optional[Callable[[], None]],
     ) -> None:
-        """Write the decision record with the protocol's discipline and
-        mark it stable once it is (logless sites need no record)."""
+        """Write the decision record with the protocol's discipline;
+        once it is as durable as that demands, mark it stable (unless
+        lazy), trace the enforcement and run ``on_stable``. Logless
+        sites need no record."""
         txn.decision_logged = True
-        if self._logless:
+
+        def enforced() -> None:
+            self._sim.record(self._site_id, "db", outcome, txn=txn.txn_id)
+            if on_stable is not None:
+                on_stable()
+
+        def stable() -> None:
             txn.decision_stable = True
+            enforced()
+
+        if self._logless:
+            stable()
             return
         record = decision_record(txn.txn_id, outcome)
         if force_decision:
-            self._log.force_append(record)
-            txn.decision_stable = True
+            self._log.force_append_async(record, stable)
         else:
             self._log.append(record)
+            enforced()
 
     def _release(self, txn: LocalTransaction) -> None:
         for callback in self._locks.release_all(txn.txn_id):

@@ -187,8 +187,8 @@ class CoordinatorEngine:
             # sent (a PrC/PrAny coordinator that crashes without it
             # would wrongly presume commit when a prepared participant
             # inquires), so voting starts from the force's completion —
-            # immediately on a synchronous log, at quorum on a
-            # replicated decision log.
+            # at once on the in-memory log, after the tick's fsync on a
+            # file log, at quorum on a replicated decision log.
             record = initiation_record(
                 txn_id,
                 participants,
@@ -593,15 +593,16 @@ class CoordinatorEngine:
         # phase concerns only the updaters.
         updaters = [p for p in entry.participants if p not in entry.read_only]
         policy = entry.policy
-        # When the decision record's force is deferred (a replicated
-        # decision log), the decision does not exist until that record
-        # is stable: a crash before the quorum must leave no evidence
-        # of it, so the decide trace is emitted from the stability
-        # callback instead of here.
+        # On a replicated decision log the decision does not exist
+        # until its record is stable at a quorum: a crash before the
+        # quorum must leave no evidence of it, so the decide trace is
+        # emitted from the stability callback instead of here. Any
+        # other log holds the record once it is appended, however late
+        # its force completes, so the decision exists now.
         defer_decide = (
             bool(updaters)
             and policy.forces_decision_record(outcome)
-            and self._log.defers_forces
+            and self._log.decides_at_stability
         )
         if not defer_decide:
             self._sim.record(
@@ -621,8 +622,9 @@ class CoordinatorEngine:
             return
         if policy.forces_decision_record(outcome):
             # Force-before-send: the decision messages go out from the
-            # force's completion callback — immediately on a synchronous
-            # log, at quorum on a replicated decision log.
+            # force's completion callback — at once on the in-memory
+            # log, after the tick's fsync on a file log, at quorum on a
+            # replicated decision log.
             self._log.force_append_async(
                 decision_record(
                     entry.txn_id,
@@ -640,9 +642,10 @@ class CoordinatorEngine:
         self._complete_decision(entry)
 
     def _stable_decide(self, entry: CoordinatorEntry) -> None:
-        """Deferred-force path: the decision record just became stable,
-        so the decision now officially exists — record it, then run the
-        decision phase."""
+        """Decide-at-stability path (a replicated decision log): the
+        decision record just became stable at a quorum, so the decision
+        now officially exists — record it, then run the decision
+        phase."""
         assert entry.decision is not None
         self._sim.record(
             self._site_id,

@@ -10,12 +10,12 @@ two record classes on the *leader's* log:
 * a coordinator decision record is first driven through Paxos phase 2
   at the leader's fast-path ballot ``[0, leader]`` — the decision
   exists once a majority accepted it, which is exactly when the
-  engine's decide-at-stability callback (``defers_forces``) fires; the
-  local force follows the quorum. A nack (some takeover promised a
-  higher ballot) demotes the leader to an ordinary proposer: phase 1,
-  adopt any previously accepted value — possibly *flipping* the
-  engine's own decision to the quorum's — then phase 2 at the higher
-  ballot.
+  engine's decide-at-stability callback (``decides_at_stability``)
+  fires; the local force follows the quorum. A nack (some takeover
+  promised a higher ballot) demotes the leader to an ordinary
+  proposer: phase 1, adopt any previously accepted value — possibly
+  *flipping* the engine's own decision to the quorum's — then phase 2
+  at the higher ballot.
 
 Everything else (prepared records, updates, END, participant-side
 decisions) passes straight through to the wrapped log.
@@ -59,7 +59,13 @@ class ReplicatedDecisionLog:
 
     @property
     def defers_forces(self) -> bool:
-        """Coordinator decisions are stable at quorum, not at force."""
+        """Coordinator records are stable at quorum, not at force."""
+        return True
+
+    @property
+    def decides_at_stability(self) -> bool:
+        """A coordinator decision is a proposal until a quorum accepts
+        it, and may come back flipped."""
         return True
 
     # -- the intercepted write path ------------------------------------------------

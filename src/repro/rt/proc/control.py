@@ -62,7 +62,7 @@ def encode_control(frame: dict[str, Any]) -> bytes:
 
 
 async def read_control(reader: asyncio.StreamReader) -> Optional[dict[str, Any]]:
-    """Read one frame; ``None`` on EOF (peer process gone).
+    """Read one frame; ``None`` on EOF or a reset (peer process gone).
 
     Raises:
         ProcessControlError: on a malformed or oversized frame.
@@ -71,6 +71,10 @@ async def read_control(reader: asyncio.StreamReader) -> Optional[dict[str, Any]]
         line = await reader.readline()
     except (asyncio.LimitOverrunError, ValueError) as exc:
         raise ProcessControlError(f"oversized control frame: {exc}")
+    except ConnectionResetError:
+        # A process SIGKILLed with control bytes still unread resets
+        # its connection instead of closing it.
+        return None
     if not line:
         return None
     try:

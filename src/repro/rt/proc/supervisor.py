@@ -463,9 +463,10 @@ class ProcessCluster(ClusterDriver):
         boot may stream its recovery trace events *before* its hello.
         Each streamed event is recorded now (live readers wait on it)
         and kept with its ``seq`` for the merge in :meth:`collect`.
-        EOF means the process died: only after the stream is fully
-        drained is the synthetic ``site/crash`` recorded, preserving
-        "no event follows the crash" in per-site trace order.
+        EOF (or a reset) means the process died: only after the stream
+        is fully drained is the synthetic ``site/crash`` recorded,
+        preserving "no event follows the crash" in per-site trace
+        order.
         """
         handle: Optional[_ChildHandle] = None
         task = asyncio.current_task()

@@ -2,10 +2,11 @@
 
 The protocol engines, local TM, stable log and protocol tables never
 import wall-clock time directly — they go through the ``Simulator``
-surface: ``now``, ``record``, ``schedule``, ``set_timer``. That is the
-whole seam the live runtime needs: :class:`LiveRuntime` implements the
-same four members on top of a running asyncio event loop, so the
-*unmodified* engines execute over real time and real sockets.
+surface: ``now``, ``record``, ``schedule``, ``set_timer`` and
+``after_tick``. That is the whole seam the live runtime needs:
+:class:`LiveRuntime` implements the same five members on top of a
+running asyncio event loop, so the *unmodified* engines execute over
+real time and real sockets.
 
 Virtual-time contract: the engines think in the paper's abstract time
 units (a network hop ~ 1 unit, timeouts in tens of units — see
@@ -176,6 +177,15 @@ class LiveRuntime:
     ) -> LiveTimer:
         """Like :meth:`schedule`; named to match ``Simulator.set_timer``."""
         return self.schedule(delay, action, label)
+
+    def after_tick(self, action: Callable[[], Any]) -> None:
+        """Run ``action`` after the callbacks already ready on the loop.
+
+        Not a timer: it neither counts toward :attr:`steps_executed`
+        nor takes a virtual delay. A file log queues the forces of one
+        tick behind it and syncs them with one fsync.
+        """
+        self._loop.call_soon(action)
 
     # -- conversions -----------------------------------------------------------
 

@@ -53,7 +53,14 @@ class FileBackedStore(KVStore):
         return self._path
 
     def checkpoint(self, state: dict[str, Any]) -> None:
-        """Persist ``state`` durably (atomic tmp + rename + fsync)."""
+        """Persist ``state`` durably (atomic tmp + rename + fsync).
+
+        A ``state`` equal to the durable snapshot already on disk
+        writes nothing: a sweep that follows no new commit costs no
+        fsync.
+        """
+        if state == self._durable:
+            return
         tmp_path = self._path.with_suffix(self._path.suffix + ".tmp")
         with open(tmp_path, "w", encoding="utf-8") as tmp:
             json.dump(state, tmp, sort_keys=True)

@@ -109,6 +109,16 @@ class Simulator:
         """Like :meth:`schedule`, but returns a cancellable :class:`Timer`."""
         return Timer(self.schedule(delay, action, label))
 
+    def after_tick(self, action: Callable[[], Any]) -> None:
+        """Run ``action`` once the work of the current tick is done.
+
+        A simulator step is instantaneous and nothing else can run
+        inside it, so ``action`` runs at once. The live runtime defers
+        it to the end of the event-loop iteration, which is what lets a
+        file log share one fsync among the forces of one tick.
+        """
+        action()
+
     def step(self) -> bool:
         """Fire the next pending event.
 

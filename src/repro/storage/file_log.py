@@ -9,10 +9,21 @@ layer believes is stable. A new instance opened on the same path
 reloads the stable records, which is exactly the view a restarted
 process gets.
 
-The simulator keeps using the in-memory base class by default; this
+Forces of one tick share one fsync. :meth:`FileStableLog.force_append_async`
+writes its record to the file at once and asks the runtime
+(``after_tick``) to run the log's tick when the current event-loop
+iteration is done. The tick fsyncs once for every force requested
+since the last one, then records their ``log.force`` events and runs
+their completions (votes, acks, PREPAREs, decision messages), in
+request order. No window, no knob: a lone force still costs one fsync
+and waits for nothing but it. The synchronous :meth:`~FileStableLog.force`
+and :meth:`~FileStableLog.flush` write and sync at once, taking any
+record a pending tick wrote along.
+
+The simulator keeps using the in-memory base class by default. Its
+``after_tick`` runs the tick at once, so under the simulator this
 subclass changes *where* stable records live, never *when* they become
-stable, so it can also run under the simulator (the unit tests do) with
-byte-identical protocol behaviour.
+stable (the unit tests rely on it): byte-identical protocol behaviour.
 
 Two on-disk encodings sit behind one seam (``codec=``):
 
@@ -33,14 +44,18 @@ holds a superset of memory, so a process that dies in between restarts
 as one that died before the sweep.
 
 Crash-tail discipline: each persist writes its whole batch as ONE blob
-(one buffered write, one flush, one fsync), so under process-crash
-semantics — the failure model of the live runtime, where whatever
-reached the OS page cache survives the process — a batch is on disk
-either whole or not at all. A *torn tail* (a trailing JSONL line that
-does not parse, or a trailing binary frame that is incomplete or fails
-its CRC — the residue of a device-level crash mid-write) is discarded
-and truncated away at load time instead of refusing to boot; a bad
-record anywhere *before* the tail still means corruption and raises.
+(one buffered write, one flush; the fsync follows, now or at the end of
+the tick), so under process-crash semantics — the failure model of the
+live runtime, where whatever reached the OS page cache survives the
+process — a batch is on disk either whole or not at all. The same
+semantics make the write-to-fsync window of a tick invisible to a
+process death: a written record survives it, and nothing was
+acknowledged on it before the fsync. A *torn tail* (a trailing JSONL
+line that does not parse, or a trailing binary frame that is
+incomplete or fails its CRC — the residue of a device-level crash
+mid-write) is discarded and truncated away at load time instead of
+refusing to boot; a bad record anywhere *before* the tail still means
+corruption and raises.
 """
 
 from __future__ import annotations
@@ -50,7 +65,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import StorageError
 from repro.packing import PackError, pack_value, unpack_value
@@ -268,13 +283,22 @@ def load_wal_records(path: Path | str) -> list[LogRecord]:
 class FileStableLog(StableLog):
     """A stable log whose stable portion is an fsync'd WAL file.
 
+    A forced record passes through three states: buffered (in memory,
+    lost by a crash), written (in the file, not yet fsynced: survives a
+    process death, counted in neither :attr:`buffered_record_count` nor
+    :attr:`stable_record_count`) and stable. It is written when its
+    force is requested and stable after the fsync of that tick, and
+    only then do :meth:`force_append_async` completions run.
+
     Args:
         sim: simulator or live runtime (anything with ``record``).
         site_id: owning site.
         path: the WAL file; created (with parents) if absent, loaded
             if present — loading *is* the restart story.
-        fsync: whether to ``os.fsync`` after each force/flush/compaction.
-            On by default; tests may disable it for speed.
+        fsync: whether to ``os.fsync`` in each tick, force, flush and
+            compaction. On by default; tests may disable it for speed.
+            Off skips the call and nothing else: forces still complete
+            at the end of the tick.
         codec: on-disk encoding, ``"json"`` (JSONL) or ``"binary"``.
             Opening a file written by the other codec raises.
     """
@@ -298,6 +322,12 @@ class FileStableLog(StableLog):
         self._codec = codec
         # Records were collected from memory since the file was written.
         self._stale = False
+        # Records in the file whose fsync is still to come.
+        self._written: list[LogRecord] = []
+        # Forces requested since the last tick: (records the request
+        # wrote, its completion).
+        self._forces: list[tuple[int, Optional[Callable[[], None]]]] = []
+        self._tick_pending = False
         self._path.parent.mkdir(parents=True, exist_ok=True)
         # A crash inside compaction, before the rename, leaves this.
         self._tmp_path.unlink(missing_ok=True)
@@ -308,6 +338,12 @@ class FileStableLog(StableLog):
     @property
     def path(self) -> Path:
         return self._path
+
+    @property
+    def defers_forces(self) -> bool:
+        """Completions run after the fsync at the end of the tick (at
+        once under the simulator, whose ticks end at once)."""
+        return True
 
     @property
     def codec(self) -> str:
@@ -347,18 +383,20 @@ class FileStableLog(StableLog):
 
     # -- durability ----------------------------------------------------------
 
-    def _persist_buffer(self) -> None:
-        """Write the volatile buffer to disk and fsync.
+    def _persist_buffer(self) -> int:
+        """Write the volatile buffer to the file; no fsync.
 
-        Called *before* the in-memory buffer→stable transition, so a
-        record is never reported stable without being on disk. The
-        whole buffer goes down as one blob — one buffered write, one
-        flush, one fsync — so a process crash anywhere inside this
-        method leaves the batch on disk either whole (the write reached
-        the OS) or absent, never a torn prefix of complete records.
+        The whole buffer goes down as one blob — one buffered write,
+        one flush — so a process crash anywhere inside this method
+        leaves the batch on disk either whole (the write reached the
+        OS) or absent, never a torn prefix of complete records. The
+        records are then *written*: :meth:`_sync` makes them stable.
+
+        Returns:
+            The number of records written.
         """
         if not self._buffer:
-            return
+            return 0
         if self._fh is None:
             raise StorageError(f"log file of {self._site_id!r} is closed")
         blob = encode_records(self._buffer, self._codec)
@@ -366,25 +404,82 @@ class FileStableLog(StableLog):
             blob = WAL_MAGIC + blob
         self._fh.write(blob)
         self._fh.flush()
+        written = len(self._buffer)
+        self._written.extend(self._buffer)
+        self._buffer.clear()
+        return written
+
+    def _sync(self) -> None:
+        """One fsync for every written record; they become stable."""
+        if not self._written:
+            return
         if self._fsync:
             os.fsync(self._fh.fileno())
+        self._stabilise(self._written)
+        self._written.clear()
 
     def force(self) -> None:
+        """The synchronous force: write the buffer and fsync now, with
+        whatever a pending tick has written."""
         self._require_open()
-        self._persist_buffer()
-        super().force()
+        flushed = self._persist_buffer()
+        self._sync()
+        self._count_force(flushed)
+
+    def force_append_async(
+        self,
+        record: LogRecord,
+        on_stable: Optional[Callable[[], None]] = None,
+    ) -> LogRecord:
+        """Append ``record``, write the buffer to the file now, and
+        fsync at the end of the current tick.
+
+        Every force requested in one tick shares that fsync; its
+        ``log.force`` event, its ``force_count`` and then ``on_stable``
+        follow the fsync, in request order.
+        """
+        self.append(record)
+        self._forces.append((self._persist_buffer(), on_stable))
+        if not self._tick_pending:
+            self._tick_pending = True
+            self._sim.after_tick(self._tick)
+        return record
+
+    def _tick(self) -> None:
+        """One fsync for the forces requested since the last tick, then
+        their ``log.force`` events, then their completions. A crash or
+        close in between dropped them."""
+        self._tick_pending = False
+        forces, self._forces = self._forces, []
+        if not forces:
+            return
+        self._sync()
+        for flushed, _ in forces:
+            self._count_force(flushed)
+        for _, on_stable in forces:
+            if on_stable is not None:
+                on_stable()
 
     def flush(self) -> int:
+        """Background flush: one write and one fsync for the buffered
+        records together with those a pending tick has written."""
         self._require_open()
-        self._persist_buffer()
-        return super().flush()
+        flushed = self._persist_buffer()
+        self._sync()
+        self._count_flush(flushed)
+        return flushed
 
     # -- crash / recovery -----------------------------------------------------
 
     def crash(self) -> int:
-        """Process death: the buffer (never written) is lost; the file
-        handle closes. The on-disk suffix is untouched — that is the
-        state a restarted process will reload."""
+        """Process death: the buffer (never written) is lost, and so
+        are the completions of a pending tick; the file handle closes.
+        The file is untouched — written records survive in it, so they
+        count as stable here too: that is the state a restarted process
+        will reload."""
+        self._stabilise(self._written)
+        self._written.clear()
+        self._forces.clear()
         lost = super().crash()
         if self._fh is not None:
             self._fh.close()
@@ -416,6 +511,9 @@ class FileStableLog(StableLog):
         """
         if not self._stale:
             return
+        # The rewrite is made from the stable records: sync the written
+        # ones first or it would drop them.
+        self._sync()
         if self._fh is not None:
             self._fh.close()
         blob = encode_records(self.stable_records(), self._codec)
@@ -439,14 +537,18 @@ class FileStableLog(StableLog):
         self._stale = False
 
     def close(self) -> None:
-        """Release the file handle (end of process, not a crash)."""
+        """Release the file handle (end of process, not a crash).
+        Written records are synced first; the completions of a pending
+        tick are dropped, and the tick leaves the closed file alone."""
+        self._forces.clear()
         if self._fh is not None:
+            self._sync()
             self._fh.close()
             self._fh = None
 
     def __repr__(self) -> str:
         return (
             f"FileStableLog(site={self._site_id!r}, path={str(self._path)!r}, "
-            f"stable={self.stable_record_count}, buffered={len(self._buffer)}, "
-            f"codec={self._codec!r})"
+            f"stable={self.stable_record_count}, written={len(self._written)}, "
+            f"buffered={len(self._buffer)}, codec={self._codec!r})"
         )

@@ -63,9 +63,25 @@ class StableLog:
         """Whether :meth:`force_append_async` may complete later.
 
         The base log forces synchronously, so completion callbacks run
-        before ``force_append_async`` returns. A deferring log (the
-        :class:`~repro.replication.decision_log.ReplicatedDecisionLog`)
-        runs them once the record is stable by its own definition.
+        before ``force_append_async`` returns. A deferring log runs
+        them once the record is stable by its own definition: the
+        :class:`~repro.storage.file_log.FileStableLog` after the one
+        fsync of the current event-loop tick, the
+        :class:`~repro.replication.decision_log.ReplicatedDecisionLog`
+        once a quorum holds a coordinator record.
+        """
+        return False
+
+    @property
+    def decides_at_stability(self) -> bool:
+        """Whether a coordinator's decision exists only once its forced
+        record is stable.
+
+        True only for the replicated decision log, whose record is a
+        proposal until a quorum accepts it (and may come back flipped).
+        Every other log holds the decision record from the moment it is
+        appended, so the coordinator decides before it asks for the
+        force, however late the force completes.
         """
         return False
 
@@ -120,14 +136,7 @@ class StableLog:
         ``stable_record_count``.
         """
         self._require_open()
-        self.force_count += 1
-        flushed = self._stabilise_buffer()
-        self._sim.record(
-            self._site_id,
-            "log",
-            "force",
-            flushed=flushed,
-        )
+        self._count_force(self._stabilise_buffer())
 
     def force_append(self, record: LogRecord) -> LogRecord:
         """Append ``record`` and immediately force the log."""
@@ -148,7 +157,8 @@ class StableLog:
         log (:attr:`defers_forces`) instead runs ``on_stable`` later,
         once the record is stable by its own definition: callers must
         not act on the record's durability (send a vote, a decision,
-        an ack) before the callback fires.
+        an ack) before the callback fires. Completions of one log run
+        in the order their forces were requested.
         """
         self.append(record)
         self.force()
@@ -172,9 +182,7 @@ class StableLog:
         """
         self._require_open()
         flushed = self._stabilise_buffer()
-        if flushed:
-            self.flush_count += 1
-            self._sim.record(self._site_id, "log", "flush", flushed=flushed)
+        self._count_flush(flushed)
         return flushed
 
     # -- crash / recovery -----------------------------------------------------
@@ -266,6 +274,17 @@ class StableLog:
             record.forced = True
             self._stable[id(record)] = record
             self._by_txn[record.txn_id].append(record)
+
+    def _count_force(self, flushed: int) -> None:
+        """Account for one force: its counter and its trace event."""
+        self.force_count += 1
+        self._sim.record(self._site_id, "log", "force", flushed=flushed)
+
+    def _count_flush(self, flushed: int) -> None:
+        """Account for a flush that moved ``flushed`` records (free if 0)."""
+        if flushed:
+            self.flush_count += 1
+            self._sim.record(self._site_id, "log", "flush", flushed=flushed)
 
     def _stabilise_buffer(self) -> int:
         """Move the volatile buffer to the stable side; how many moved."""

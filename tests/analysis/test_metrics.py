@@ -6,6 +6,10 @@ from repro.analysis.metrics import (
     message_counts,
     site_force_counts,
 )
+from repro.analysis.model import predict_costs
+from repro.core.events import Outcome
+from repro.workloads.generator import WorkloadSpec, run_workload
+from repro.workloads.mixes import three_way
 from tests.conftest import make_mdbs, run_one_txn
 
 
@@ -56,6 +60,44 @@ class TestCostBreakdown:
         run_one_txn(mdbs, ["alpha", "beta"])
         costs = cost_breakdown(mdbs.sim.trace, "t1", "tm")
         assert costs.total_forced == costs.coordinator_forced + costs.participant_forced
+
+
+    def test_concurrent_storm_matches_the_model(self):
+        # Dense arrivals: transactions overlap at every site, so a
+        # force regularly sweeps out a neighbour's lazy record (a PrC
+        # participant's commit, a coordinator's end record). Those
+        # count as written, never as forced.
+        mix = three_way(3)
+        spec = WorkloadSpec(
+            n_transactions=60, abort_fraction=0.2, inter_arrival=0.5, seed=35
+        )
+        mdbs, transactions = run_workload(mix, "dynamic", spec, drain=400.0)
+        history = mdbs.history()
+        protocols = mix.site_protocols()
+        committed = 0
+        for txn in transactions:
+            if history.decision(txn.txn_id) is not Outcome.COMMIT:
+                continue
+            committed += 1
+            predicted = predict_costs(
+                {site: protocols[site] for site in txn.participants},
+                Outcome.COMMIT,
+            )
+            measured = cost_breakdown(mdbs.sim.trace, txn.txn_id, txn.coordinator)
+            assert (
+                measured.coordinator_forced,
+                measured.participant_forced,
+                measured.coordinator_writes,
+                measured.participant_writes,
+                measured.messages,
+            ) == (
+                predicted.coordinator_forces,
+                predicted.participant_forces,
+                predicted.coordinator_writes,
+                predicted.participant_writes,
+                predicted.messages,
+            ), txn.txn_id
+        assert committed >= 30
 
 
 class TestSiteForceCounts:

@@ -53,6 +53,15 @@ class TestControlRoundTrip:
     def test_eof_returns_none(self):
         assert roundtrip(b"") == []
 
+    def test_reset_returns_none(self):
+        # A peer SIGKILLed with our bytes unread resets the connection.
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.set_exception(ConnectionResetError(104, "reset by peer"))
+            return await read_control(reader)
+
+        assert asyncio.run(go()) is None
+
 
 class TestControlRejection:
     def test_oversized_frame_rejected(self):

@@ -396,6 +396,116 @@ def test_crash_anywhere_in_compaction_is_all_or_nothing(sizes, collect, kill_at,
         assert not tmp_file.exists()
 
 
+class HeldTicks(Simulator):
+    """A simulator whose ticks end only when :meth:`end_tick` runs them."""
+
+    def __init__(self) -> None:
+        super().__init__(seed=11)
+        self.pending: list = []
+
+    def after_tick(self, action) -> None:
+        self.pending.append(action)
+
+    def end_tick(self) -> None:
+        pending, self.pending = self.pending, []
+        for action in pending:
+            action()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ops=st.lists(
+        st.sampled_from(
+            ["append", "force_async", "force", "flush", "tick", "gc", "compact"]
+        ),
+        max_size=25,
+    ),
+    codec=st.sampled_from(["json", "binary"]),
+)
+def test_kill_anywhere_in_an_interleaving_of_forces_ticks_and_compactions(
+    ops, codec
+):
+    """Random interleavings of appends, forces requested for the end of
+    the tick, synchronous forces, flushes, ticks, collections and
+    compactions, then a process death: a restart reloads exactly the
+    records that reached the file and were not compacted away after
+    their collection — every written record, acknowledged or not, and
+    no record that was only buffered. A completion runs only in a tick,
+    after an fsync that followed its request, and sees its record
+    stable (unless collected already)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wal"
+        sim = HeldTicks()
+        log = FileStableLog(sim, "s1", path, fsync=True, codec=codec)
+        real_fsync = os.fsync
+        fsyncs = []
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        # The model: where each record (one per transaction) is.
+        buffered, written, stable = [], [], []
+        on_file, collected, acked = [], set(), []
+        stale = False
+        os.fsync = counting_fsync
+        try:
+            for index, op in enumerate(ops):
+                txn = f"t{index}"
+                if op in ("append", "force_async"):
+                    record = LogRecord(RecordType.PREPARED, txn, {})
+                    buffered.append(txn)
+                if op == "append":
+                    log.append(record)
+                elif op == "force_async":
+                    requested_at = len(fsyncs)
+
+                    def done(txn=txn, requested_at=requested_at):
+                        assert len(fsyncs) > requested_at
+                        assert txn in collected or log.has_record(
+                            txn, RecordType.PREPARED
+                        )
+                        acked.append(txn)
+
+                    log.force_append_async(record, done)
+                    on_file += buffered
+                    written += buffered
+                    buffered = []
+                elif op in ("force", "flush"):
+                    getattr(log, op)()
+                    on_file += buffered
+                    stable += written + buffered
+                    written, buffered = [], []
+                elif op == "tick":
+                    sim.end_tick()
+                    stable += written
+                    written = []
+                elif op == "gc" and stable:
+                    victim = [t for t in stable if t not in collected][:1]
+                    for t in victim:
+                        log.garbage_collect(t)
+                        collected.add(t)
+                        stale = True
+                elif op == "compact":
+                    log.compact()
+                    if stale:
+                        stable += written
+                        written = []
+                        on_file = [t for t in on_file if t not in collected]
+                        stale = False
+            requested = [op == "force_async" for op in ops].count(True)
+            log.crash()
+            sim.end_tick()  # a tick left pending fires on the dead log
+        finally:
+            os.fsync = real_fsync
+        reborn = FileStableLog(Simulator(seed=12), "s1", path, fsync=False, codec=codec)
+        assert [r.txn_id for r in reborn.stable_records()] == on_file
+        assert set(acked) <= set(on_file) | collected
+        assert len(acked) <= requested
+        # The order of completions is the order of the requests.
+        assert acked == sorted(acked, key=lambda t: int(t[1:]))
+
+
 class TestFileBackedStore:
     def test_checkpoint_persists_and_reloads(self, tmp_path):
         path = tmp_path / "store.json"
