@@ -273,8 +273,9 @@ def trace_record(smoke: bool = False) -> ScenarioResult:
             float(i), "site0_prn", "msg", "send", kind="PREPARE", txn="t0001", to="tm"
         )
 
-    # Same storm with only the category the checkers need enabled: the
-    # number every trace-heavy caller (the explorer) gets to pay instead.
+    # Same storm with only one category enabled: filtered records take
+    # no seq and allocate no event. No in-tree caller sets a filter; the
+    # explorer digests and replays the full trace.
     filtered = TraceRecorder()
     filtered.set_category_filter({"protocol"})
     for i in range(n_records):

@@ -77,14 +77,17 @@ class TriggeredCrash:
 
 
 class FailureInjector:
-    """Applies crash schedules and triggered crashes to a set of sites."""
+    """Applies crash schedules and triggered crashes to a set of sites.
+
+    It listens to the trace only once its first trigger is installed
+    (timed crashes never read it), so arm triggers before running.
+    """
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
         self._sites: dict[str, Crashable] = {}
         self._triggers: list[TriggeredCrash] = []
         self.crashes_injected = 0
-        sim.trace.subscribe(self._on_trace_event)
 
     def manage(self, site: Crashable) -> None:
         """Put ``site`` under this injector's control."""
@@ -100,6 +103,8 @@ class FailureInjector:
 
     def add_trigger(self, trigger: TriggeredCrash) -> None:
         """Install a trace-predicate-triggered crash."""
+        if not self._triggers:
+            self._sim.trace.subscribe(self._on_trace_event)
         self._triggers.append(trigger)
 
     def crash_when(

@@ -493,15 +493,12 @@ class ProcessCluster(ClusterDriver):
                 incarnation = handle.incarnation
                 if kind == "event":
                     assert self.sim is not None
-                    # Details keys never collide with the positional
-                    # trace fields (no engine passes time/site/category/
-                    # name as a detail), so pass straight through.
                     event = self.sim.trace.record(
                         frame["time"],
                         frame["site"],
                         frame["category"],
                         frame["name"],
-                        **frame["details"],
+                        frame["details"],
                     )
                     assert event is not None
                     incarnation.seqs.append(frame["seq"])

@@ -128,8 +128,9 @@ class LiveRuntime:
     # -- tracing -------------------------------------------------------------
 
     def record(self, site: str, category: str, name: str, **details: Any):
-        """Record a trace event stamped with the current virtual time."""
-        return self.trace.record(self.now, site, category, name, **details)
+        """Record a trace event stamped with the current virtual time;
+        this call's ``details`` dict becomes its payload, uncopied."""
+        return self.trace.record(self.now, site, category, name, details)
 
     # -- scheduling (the TimerService) ----------------------------------------
 

@@ -73,8 +73,9 @@ class Simulator:
         return self._steps_executed
 
     def record(self, site: str, category: str, name: str, **details: Any):
-        """Record a trace event stamped with the current virtual time."""
-        return self.trace.record(self.now, site, category, name, **details)
+        """Record a trace event stamped with the current virtual time;
+        this call's ``details`` dict becomes its payload, uncopied."""
+        return self.trace.record(self.clock._now, site, category, name, details)
 
     def schedule(
         self,

@@ -9,10 +9,10 @@ as a :class:`TraceEvent`. The trace is the raw material for:
 * the figure-flow renderers (``repro.experiments.flows``).
 
 :meth:`TraceRecorder.record` is on the hot path of every simulation
-(the ``trace-record`` scenario in ``BENCH_sim.json`` tracks it), so
-:class:`TraceEvent` is a slotted plain class rather than a dataclass,
-the keyword-argument ``details`` dict is adopted rather than copied
-(``**details`` at the call boundary already made it fresh), and the
+(``perf/``'s ``tracing.record_us`` times it), so :class:`TraceEvent` is
+a slotted plain class rather than a dataclass, the ``details`` dict is
+adopted rather than copied (the runtimes' ``record`` hands over the
+keyword dict its own ``**details`` already made fresh), and the
 site/category/name strings are interned so the equality tests in
 :meth:`TraceEvent.matches` hit CPython's pointer fast path.
 """
@@ -163,17 +163,26 @@ class TraceRecorder:
         site: str,
         category: str,
         name: str,
-        **details: Any,
+        details: Optional[dict[str, Any]] = None,
+        /,
+        **more: Any,
     ) -> Optional[TraceEvent]:
         """Append an event to the trace and notify subscribers.
 
+        The payload is the dict ``details`` the caller hands over, or
+        else the keywords ``more`` (a detail named ``details`` is one of
+        them), never both. It is adopted, not copied.
+
         Returns the recorded event, or ``None`` when a category filter
-        dropped it. The ``details`` keyword dict is adopted, not copied:
-        the ``**`` call boundary already made it this call's own.
+        dropped it.
         """
         enabled = self._enabled_categories
         if enabled is not None and category not in enabled:
             return None
+        if details is None:
+            details = more
+        elif more:
+            raise TypeError("pass details as one dict or as keywords, not both")
         event = TraceEvent(
             time,
             self._next_seq,
@@ -206,8 +215,10 @@ class TraceRecorder:
         self._next_seq = len(self._events)
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Invoke ``callback`` for every subsequently recorded event."""
-        self._subscribers.append(callback)
+        """Invoke ``callback`` for every subsequently recorded event (not
+        the one being dispatched: the list :meth:`record` iterates is
+        replaced, never appended to)."""
+        self._subscribers = [*self._subscribers, callback]
 
     def select(
         self,

@@ -41,12 +41,20 @@ def run_matrix_case(coordinator, mix_name, outcome, point_name, victim):
         writes={site: [WriteOp(f"k@{site}", 1)] for site in participants},
         coordinator_abort=outcome == "abort",
     )
-    mdbs.failures.crash_when(
+    trigger = mdbs.failures.crash_when(
         victim, point.make_predicate(victim, "tx"), down_for=60.0
     )
     mdbs.submit(txn)
     mdbs.run(until=800)
     mdbs.finalize()
+    # The trigger, armed before the run, crashed the victim once, right
+    # after the first event its predicate matches (none: no crash).
+    trace = mdbs.sim.trace
+    first = next((e for e in trace if trigger.predicate(e)), None)
+    assert mdbs.failures.crashes_injected == (first is not None)
+    if first is not None:
+        crash = trace.first("site", "crash", site=victim)
+        assert crash.time == first.time and crash.seq > first.seq
     return mdbs.check()
 
 

@@ -2,6 +2,8 @@
 
 from repro.net.failures import CrashSchedule, FailureInjector, TriggeredCrash
 from repro.sim.kernel import Simulator
+from repro.workloads.generator import WorkloadSpec, run_workload
+from repro.workloads.mixes import three_way
 
 
 class FakeSite:
@@ -140,3 +142,57 @@ class TestTriggeredCrash:
         sim.schedule(1.0, lambda: sim.record("s1", "db", "commit"))
         sim.run()
         assert trigger.fired
+
+
+class TestSubscription:
+    """The injector listens to the trace only once a trigger is armed."""
+
+    @staticmethod
+    def count_dispatch(monkeypatch):
+        calls = [0]
+        original = FailureInjector._on_trace_event
+
+        def counted(self, event):
+            calls[0] += 1
+            original(self, event)
+
+        monkeypatch.setattr(FailureInjector, "_on_trace_event", counted)
+        return calls
+
+    def test_storm_without_trigger_never_dispatches(self, monkeypatch):
+        calls = self.count_dispatch(monkeypatch)
+        mdbs, __ = run_workload(
+            three_way(3), "dynamic", WorkloadSpec(n_transactions=10, seed=3), drain=200.0
+        )
+        assert len(mdbs.sim.trace) > 0
+        assert calls[0] == 0
+        assert mdbs.check().all_hold
+
+    def test_timed_crash_needs_no_subscription(self, monkeypatch):
+        calls = self.count_dispatch(monkeypatch)
+        victim = sorted(three_way(3).site_protocols())[0]
+
+        def crash_victim(mdbs, transactions):
+            mdbs.failures.schedule(CrashSchedule(victim, at=30.0, down_for=50.0))
+
+        mdbs, __ = run_workload(
+            three_way(3),
+            "dynamic",
+            WorkloadSpec(n_transactions=10, seed=3),
+            drain=400.0,
+            prepare=crash_victim,
+        )
+        assert calls[0] == 0
+        assert mdbs.failures.crashes_injected == 1
+        assert mdbs.sites[victim].is_up
+        assert mdbs.check().all_hold
+
+    def test_first_trigger_subscribes_once(self, sim, monkeypatch):
+        calls = self.count_dispatch(monkeypatch)
+        injector, __ = make(sim)
+        sim.record("s1", "db", "commit")
+        assert calls[0] == 0
+        injector.crash_when("s1", lambda e: False)
+        injector.crash_when("s1", lambda e: False)
+        sim.record("s1", "db", "commit")
+        assert calls[0] == 1

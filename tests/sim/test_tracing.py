@@ -1,5 +1,12 @@
 """Unit tests for the trace recorder."""
 
+import asyncio
+import sys
+
+import pytest
+
+from repro.rt.runtime import LiveRuntime
+from repro.sim.kernel import Simulator
 from repro.sim.tracing import TraceRecorder
 
 
@@ -29,6 +36,84 @@ class TestRecording:
         event = trace.record(0.0, "s", "c", "n", **payload)
         payload["txn"] = "mutated"
         assert event.details["txn"] == "t"
+
+
+def fresh(text):
+    """An equal string that is not the interned literal."""
+    return "".join(list(text))
+
+
+def assert_same_event(event, reference):
+    assert (event.seq, event.time, event.details) == (
+        reference.seq,
+        reference.time,
+        reference.details,
+    )
+    for field in ("site", "category", "name"):
+        value = getattr(event, field)
+        assert value == getattr(reference, field)
+        assert value is sys.intern(value)
+
+
+class TestOneDict:
+    """The runtimes hand their keyword dict over as the payload."""
+
+    def test_simulator_record_matches_keyword_record(self):
+        sim = Simulator(seed=1)
+        reference = TraceRecorder()
+        sim.record("a", "log", "force")
+        reference.record(0.0, "a", "log", "force")
+        events = []
+        sim.schedule(
+            2.5,
+            lambda: events.append(
+                sim.record(fresh("s1"), fresh("msg"), fresh("send"), kind="VOTE", to="tm")
+            ),
+        )
+        sim.run()
+        expected = reference.record(2.5, "s1", "msg", "send", kind="VOTE", to="tm")
+        assert_same_event(events[0], expected)
+        assert events[0].seq == 1
+
+    def test_live_record_matches_keyword_record(self):
+        async def scenario():
+            rt = LiveRuntime()
+            before = rt.now
+            event = rt.record(fresh("s1"), fresh("msg"), fresh("send"), kind="VOTE")
+            return before, event, rt.now
+
+        before, event, after = asyncio.run(scenario())
+        assert before <= event.time <= after
+        expected = TraceRecorder().record(event.time, "s1", "msg", "send", kind="VOTE")
+        assert_same_event(event, expected)
+
+    def test_positional_dict_is_adopted(self):
+        payload = {"txn": "t1"}
+        event = TraceRecorder().record(0.0, "s", "c", "n", payload)
+        assert event.details is payload
+
+    def test_keyword_detail_named_details_survives(self):
+        trace = TraceRecorder()
+        event = trace.record(0.0, "s", "c", "n", details="x", txn="t1")
+        assert event.details == {"details": "x", "txn": "t1"}
+        sim = Simulator(seed=1)
+        assert sim.record("s", "c", "n", details="x").details == {"details": "x"}
+
+    def test_dict_and_keywords_together_are_rejected(self):
+        trace = TraceRecorder()
+        with pytest.raises(TypeError):
+            trace.record(0.0, "s", "c", "n", {"txn": "t1"}, kind="VOTE")
+        assert len(trace) == 0
+
+    def test_filtered_event_consumes_nothing(self):
+        sim = Simulator(seed=1)
+        seen = []
+        sim.trace.subscribe(seen.append)
+        sim.trace.set_category_filter({"protocol"})
+        assert sim.record("s", "msg", "send", kind="VOTE") is None
+        assert sim.trace.record(0.0, "s", "msg", "send", {"kind": "VOTE"}) is None
+        kept = sim.record("s", "protocol", "decide")
+        assert kept.seq == 0 and seen == [kept] and len(sim.trace) == 1
 
 
 class TestSelection:
@@ -65,6 +150,19 @@ class TestSubscription:
         trace.subscribe(seen.append)
         trace.record(0.0, "s", "c", "n")
         assert len(seen) == 1
+
+    def test_subscriber_added_during_dispatch_misses_that_event(self):
+        trace = TraceRecorder()
+        late = []
+
+        def subscribe_late(event):
+            if event.seq == 0:
+                trace.subscribe(lambda e: late.append(e.seq))
+
+        trace.subscribe(subscribe_late)
+        trace.record(0.0, "s", "c", "n")
+        trace.record(1.0, "s", "c", "n")
+        assert late == [1]
 
     def test_subscriber_does_not_see_past_events(self):
         trace = make_trace()
