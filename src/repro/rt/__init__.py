@@ -9,7 +9,7 @@ TM, log and site code through the same four-member seam (``now`` /
 * :mod:`~repro.rt.codec` — length-prefixed JSON wire framing for
   :class:`~repro.net.message.Message`;
 * :class:`~repro.rt.transport.LiveTransport` — the network facade over
-  TCP streams with the simulator's omission-failure semantics;
+  TCP connections with the simulator's omission-failure semantics;
 * :class:`~repro.rt.host.SiteHost` — one site as a live service with a
   file-backed log and store, supporting kill/restart recovery;
 * :class:`~repro.rt.cluster.LiveCluster` — a whole MDBS over sockets,
@@ -26,7 +26,6 @@ from repro.rt.codec import (
     decode_body,
     encode_frame,
     encode_message,
-    read_frame,
 )
 from repro.rt.cluster import (
     LIVE_TIMEOUTS,
@@ -52,7 +51,6 @@ __all__ = [
     "decode_body",
     "encode_frame",
     "encode_message",
-    "read_frame",
     "LIVE_TIMEOUTS",
     "ClusterDriver",
     "LiveCluster",

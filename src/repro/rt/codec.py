@@ -40,21 +40,14 @@ Field packing is :mod:`repro.packing` — a dependency-free msgpack-style
 tagged encoding covering exactly the JSON value domain, which is what
 keeps the two codecs observationally equivalent twins.
 
-Two consumption styles are supported:
-
-* :class:`FrameDecoder` — incremental push parser for raw byte chunks
-  (``feed(data) -> [Message, ...]``), used by tests and any non-asyncio
-  transport;
-* :func:`read_frame` — pull one message from an ``asyncio.StreamReader``,
-  used by the live transport.
-
-Both take the codec's stateful body decoder, so the handshake state
-machine lives in one place per connection.
+:class:`FrameDecoder` parses the stream incrementally: the transport
+feeds it each chunk a socket delivers and gets back every message the
+chunk completed. It takes the codec's stateful body decoder, so the
+handshake state machine lives in one place per connection.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -411,11 +404,11 @@ class FrameDecoder:
         self._max = max_frame_bytes
         self._decode = decode if decode is not None else decode_body
         self._buffer = bytearray()
-        self._expected: Optional[int] = None
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes buffered but not yet assembled into a message."""
+        """Bytes of a frame not yet complete, its header included. Not
+        zero at the end of a stream: the stream was cut mid-frame."""
         return len(self._buffer)
 
     def feed(self, data: bytes) -> list[Message]:
@@ -423,69 +416,31 @@ class FrameDecoder:
 
         Raises:
             CodecError: on an oversized frame announcement or a
-                malformed body. The decoder is then poisoned — the
-                caller must drop the connection; resynchronising inside
-                a corrupt length-prefixed stream is not possible.
+                malformed body. The buffer is emptied and the caller
+                must drop the connection; resynchronising inside a
+                corrupt length-prefixed stream is not possible.
         """
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer += data
         messages: list[Message] = []
-        while True:
-            if self._expected is None:
-                if len(self._buffer) < HEADER.size:
-                    break
-                (self._expected,) = HEADER.unpack(bytes(self._buffer[: HEADER.size]))
-                del self._buffer[: HEADER.size]
-                if self._expected > self._max:
+        start, size = 0, len(buffer)
+        try:
+            while size - start >= HEADER.size:
+                (length,) = HEADER.unpack_from(buffer, start)
+                if length > self._max:
                     raise CodecError(
-                        f"incoming frame announces {self._expected} bytes, "
+                        f"incoming frame announces {length} bytes, "
                         f"over the {self._max}-byte limit"
                     )
-            if len(self._buffer) < self._expected:
-                break
-            body = bytes(self._buffer[: self._expected])
-            del self._buffer[: self._expected]
-            self._expected = None
-            message = self._decode(body)
-            if message is not None:
-                messages.append(message)
+                end = start + HEADER.size + length
+                if end > size:
+                    break
+                message = self._decode(bytes(buffer[start + HEADER.size : end]))
+                start = end
+                if message is not None:
+                    messages.append(message)
+        except CodecError:
+            buffer.clear()
+            raise
+        del buffer[:start]
         return messages
-
-
-async def read_frame(
-    reader: asyncio.StreamReader,
-    decode: Optional[Callable[[bytes], Optional[Message]]] = None,
-) -> Optional[Message]:
-    """Read exactly one message from an asyncio stream.
-
-    Control frames (the binary handshake, which ``decode`` consumes by
-    returning ``None``) are skipped transparently.
-
-    Returns:
-        The message, or ``None`` on a clean EOF at a frame boundary.
-
-    Raises:
-        CodecError: on an oversized or malformed frame, or an EOF that
-            truncates a frame mid-body.
-    """
-    if decode is None:
-        decode = decode_body
-    while True:
-        try:
-            header = await reader.readexactly(HEADER.size)
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise CodecError("connection closed mid-header")
-        (length,) = HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise CodecError(
-                f"incoming frame announces {length} bytes, "
-                f"over the {MAX_FRAME_BYTES}-byte limit"
-            )
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise CodecError("connection closed mid-frame")
-        message = decode(body)
-        if message is not None:
-            return message

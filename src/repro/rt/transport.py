@@ -3,25 +3,27 @@
 One :class:`LiveTransport` per hosted site: it owns the site's listening
 socket and one outbound link per peer. The engines call ``send`` exactly
 as they do on the simulated :class:`~repro.net.network.Network`; this
-class reproduces the same observable contract over asyncio streams:
+class reproduces the same observable contract with one
+``asyncio.Protocol`` per link direction (:class:`_PeerLink` out,
+:class:`_Inbound` in):
 
-* per-link FIFO — each peer link is a single ordered TCP connection
-  drained by one writer task, so PREPARE never overtakes a decision;
-* write batching — each writer wakeup drains the *whole* outbound
-  queue: every pending frame is written back to back and flushed by a
-  single ``drain()`` (cork/uncork), so a burst of N messages costs one
-  syscall round trip instead of N. FIFO order and per-message trace
-  events/counters are unchanged — batching moves bytes, not semantics;
+* per-link FIFO — each peer link is a single ordered TCP connection, so
+  PREPARE never overtakes a decision. The messages sent to a peer in
+  one event-loop iteration leave in one ``transport.write`` at its end
+  (``loop.call_soon``); trace events and counters stay per message;
 * omission failures, not reliability — if a peer cannot be reached
-  (killed site, closed port) the queued messages are *dropped* after a
-  small reconnect budget, exactly as in the simulator's loss model;
+  (killed site, closed port) within a small connect budget, the
+  messages that waited on it are *dropped*, exactly as in the
+  simulator's loss model;
 * connection events as failure hints — an inbound connection that ends
-  by EOF or reset reports its sender *down*, and an outbound link that
-  lost its connection probes the peer until it answers again, then
-  reports it *up*. The site fires the protocol timers waiting on that
-  peer early (:meth:`~repro.mdbs.site.Site.peer_down`/``peer_up``);
-  the timers stay the recovery mechanism for failures that close no
-  socket (a partition, a hung process);
+  by EOF or reset, also mid-frame, reports its sender *down*. An
+  outbound connection that ends is let go at once, so the next send
+  reconnects instead of writing into a half-open socket, and the link
+  probes the peer until it answers, then reports it *up*. The site
+  fires the protocol timers waiting on that peer early
+  (:meth:`~repro.mdbs.site.Site.peer_down`/``peer_up``); the timers
+  stay the recovery mechanism for failures that close no socket (a
+  partition, a hung process);
 * the same trace events (``msg.send`` / ``msg.deliver`` /
   ``msg.dropped`` / ``msg.lost_receiver_down``) and counters
   (``sent_count`` / ``delivered_count`` / ``dropped_count``) as
@@ -40,211 +42,209 @@ one's.
 from __future__ import annotations
 
 import asyncio
+import socket
 from typing import Callable, Optional
 
 from repro.errors import CodecError, NetworkError, UnknownNodeError
 from repro.net.message import Message
-from repro.rt.codec import JsonWireCodec, WireCodec, read_frame
+from repro.rt.codec import FrameDecoder, JsonWireCodec, WireCodec
 from repro.rt.runtime import LiveRuntime
 
-#: Outbound connect attempts before a queued message is dropped.
+#: Outbound connect attempts before the messages waiting on them are
+#: dropped.
 CONNECT_ATTEMPTS = 3
 
 #: Wall-clock seconds between outbound connect attempts.
 CONNECT_BACKOFF = 0.05
 
 
-class _PeerLink:
-    """One ordered outbound link: a queue drained by a writer task."""
+class _PeerLink(asyncio.Protocol):
+    """One ordered outbound link, and the protocol of each connection
+    it dials, one at a time. The peer never writes back, so a connection
+    reports only its end."""
 
-    def __init__(self, transport: "LiveTransport", peer_id: str) -> None:
-        self._transport = transport
+    def __init__(self, owner: "LiveTransport", peer_id: str) -> None:
+        self._owner = owner
         self._peer_id = peer_id
-        self.queue: asyncio.Queue[Message] = asyncio.Queue()
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._watcher: Optional[asyncio.Task] = None
-        self._task: Optional[asyncio.Task] = None
+        #: Accepted, not yet written: this tick's sends, or every send
+        #: since a connect attempt began.
+        self.pending: list[Message] = []
+        self._conn: Optional[asyncio.Transport] = None
+        self._dialling: Optional[asyncio.Task] = None
         self._probe: Optional[asyncio.Task] = None
-        #: True while a dequeued batch is being written — together with
-        #: an empty queue, its negation means "everything handed to the
-        #: OS", which is what :meth:`LiveTransport.drain_outbound` waits for.
-        self.writing = False
+        self._stopped = False
 
-    def ensure_running(self) -> None:
-        if self._task is None or self._task.done():
-            self._task = asyncio.get_running_loop().create_task(
-                self._drain(), name=f"link:{self._transport.node_id}->{self._peer_id}"
-            )
+    def send(self, message: Message) -> None:
+        self.pending.append(message)
+        if len(self.pending) == 1:
+            asyncio.get_running_loop().call_soon(self._flush)
 
-    async def _connect(self) -> Optional[asyncio.StreamWriter]:
-        """Try to (re)connect within the budget; ``None`` means give up."""
-        host, port = self._transport.peer_address(self._peer_id)
+    def _flush(self, preamble: bytes = b"") -> None:
+        """Write everything pending in one ``transport.write``, or dial."""
+        if self._conn is not None and self._conn.is_closing():
+            # It ended and its connection_lost has not run yet: writing
+            # would silently discard the frames.
+            self._lost()
+        if self._conn is None:
+            if self.pending and self._dialling is None:
+                self._dialling = asyncio.get_running_loop().create_task(
+                    self._dial(), name=f"dial:{self._owner.node_id}->{self._peer_id}"
+                )
+            return
+        batch, self.pending = self.pending, []
+        encode = self._owner.codec.encode_frame
+        self._conn.write(b"".join([preamble, *map(encode, batch)]))
+
+    async def _dial(self) -> None:
+        """Connect within the budget; ``connection_made`` then writes.
+
+        Every message accepted while the attempts run rides on them. If
+        all fail the peer is unreachable, an omission failure: those
+        messages are dropped (the engines' timers resend or resolve by
+        inquiry) and the next send starts a new attempt.
+        """
+        loop = asyncio.get_running_loop()
+        host, port = self._owner.peer_address(self._peer_id)
         for attempt in range(CONNECT_ATTEMPTS):
+            if attempt:
+                await asyncio.sleep(CONNECT_BACKOFF)
             try:
-                reader, writer = await asyncio.open_connection(host, port)
+                await loop.create_connection(lambda: self, host, port)
+                return
             except OSError:
-                if attempt + 1 < CONNECT_ATTEMPTS:
-                    await asyncio.sleep(CONNECT_BACKOFF)
-                continue
-            # The codec preamble (the binary handshake announcing the
-            # intern dictionary; empty for JSON) opens every fresh
-            # connection. It rides with the first message batch's
-            # flush, so it costs no extra round trip.
-            preamble = self._transport.codec.preamble
-            if preamble:
-                writer.write(preamble)
-            self._watch(reader, writer)
-            return writer
+                pass
+        self._dialling = None
+        self._drop_pending()
+        self._start_probe()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:  # type: ignore[override]
+        self._dialling = None
+        if self._stopped:
+            transport.abort()
+            return
+        self._conn = transport
+        # The codec preamble (the binary handshake announcing the
+        # intern dictionary; empty for JSON) opens every connection, in
+        # the same write as the first frames.
+        self._flush(self._owner.codec.preamble)
+
+    def eof_received(self) -> None:
         self._lost()
-        return None
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # Only the connection in use: one this link ended itself was
+        # let go already, and a newer one is not closing.
+        if self._conn is not None and self._conn.is_closing():
+            self._lost()
 
     def _lost(self) -> None:
-        """The peer stopped answering: probe it until it is back."""
-        if self._probe is None or self._probe.done():
+        """The connection ended under us: let it go, so the next send
+        reconnects, and probe the peer until it is back."""
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.abort()
+        self._start_probe()
+
+    def _start_probe(self) -> None:
+        if not self._stopped and (self._probe is None or self._probe.done()):
             self._probe = asyncio.get_running_loop().create_task(
                 self._await_peer(),
-                name=f"probe:{self._transport.node_id}->{self._peer_id}",
+                name=f"probe:{self._owner.node_id}->{self._peer_id}",
             )
 
     async def _await_peer(self) -> None:
         """Connect every ``CONNECT_BACKOFF`` until one succeeds, then
         report the peer up once. The probe connection carries nothing:
         the next send opens the link's own."""
-        host, port = self._transport.peer_address(self._peer_id)
+        loop = asyncio.get_running_loop()
+        address = self._owner.peer_address(self._peer_id)
         while True:
             await asyncio.sleep(CONNECT_BACKOFF)
-            try:
-                _, writer = await asyncio.open_connection(host, port)
-            except OSError:
-                continue
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
-            self._transport._report(self._transport._peer_up, self._peer_id)
+            with socket.socket() as probe:
+                probe.setblocking(False)
+                try:
+                    await loop.sock_connect(probe, address)
+                except OSError:
+                    continue
+            self._owner._report(self._owner._peer_up, self._peer_id)
             return
 
-    def _watch(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        # Outbound links are one-way — the peer never sends bytes back —
-        # so the only thing a read can ever return is EOF or an error:
-        # the peer closed or died.  Noticing that *eagerly* matters
-        # across process boundaries: after a SIGKILL the first write to
-        # the stale socket "succeeds" locally (the kernel buffers it
-        # before the RST lands) and the frame silently vanishes, which
-        # the simulator's semantics forbid once the peer is back up.
-        # The watcher invalidates the cached writer the moment the peer
-        # is gone, so the next send reconnects instead of writing into
-        # the void.
-        async def watch() -> None:
-            try:
-                while await reader.read(4096):
-                    pass
-            except (OSError, ConnectionError):
-                pass
-            if self._writer is writer:
-                self._writer = None
-                writer.close()
-                self._lost()
+    def _drop_pending(self) -> None:
+        batch, self.pending = self.pending, []
+        for message in batch:
+            self._owner._count_dropped(message)
 
-        self._watcher = asyncio.get_running_loop().create_task(
-            watch(), name=f"watch:{self._transport.node_id}->{self._peer_id}"
+    @property
+    def busy(self) -> bool:
+        """Some accepted message has not been handed to the OS yet."""
+        return bool(self.pending) or (
+            self._conn is not None and self._conn.get_write_buffer_size() > 0
         )
 
-    async def _drain(self) -> None:
-        while True:
-            batch = [await self.queue.get()]
-            # Drain everything already queued: one wakeup, one write
-            # burst, one flush — instead of one drain() per message.
-            while True:
-                try:
-                    batch.append(self.queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            self.writing = True
-            try:
-                await self._write(batch)
-            except asyncio.CancelledError:
-                for message in batch:
-                    self._transport._count_dropped(message)
-                raise
-            finally:
-                self.writing = False
+    def close(self) -> None:
+        """Drop what is pending and end the connection, the connect
+        attempt and the probe: the link reports nothing after this."""
+        self._stopped = True
+        self._drop_pending()
+        for task in (self._dialling, self._probe):
+            if task is not None:
+                task.cancel()
+        if self._conn is not None:
+            self._conn.abort()
 
-    async def _write(self, batch: list[Message]) -> None:
-        # Encode exactly once; the reconnect-retry path below reuses
-        # these bytes instead of re-encoding. The writer is threaded
-        # through explicitly because the connection watcher may null
-        # ``self._writer`` concurrently with a write in flight.
-        frames = [self._transport.codec.encode_frame(message) for message in batch]
-        writer = self._writer
-        if writer is None:
-            writer = self._writer = await self._connect()
-            if writer is None:
-                # Peer unreachable: an omission failure. The engines'
-                # timers will resend or resolve via inquiry.
-                for message in batch:
-                    self._transport._count_dropped(message)
-                return
-        if await self._write_frames(writer, frames):
-            return
-        # The connection died under us (peer killed). One fresh
-        # connect attempt for *this* batch, then drop it.
-        self._lost()
-        await self._close_writer()
-        writer = self._writer = await self._connect()
-        if writer is None or not await self._write_frames(writer, frames):
-            await self._close_writer()
-            for message in batch:
-                self._transport._count_dropped(message)
 
-    async def _write_frames(
-        self, writer: asyncio.StreamWriter, frames: list[bytes]
-    ) -> bool:
-        """Write all frames, then flush once; False on a dead socket."""
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: one peer link's frames in, messages
+    delivered."""
+
+    _transport: asyncio.Transport
+
+    def __init__(self, owner: "LiveTransport") -> None:
+        self._owner = owner
+        self._decoder = FrameDecoder(decode=owner.codec.body_decoder())
+        #: The sender of this connection's frames: one peer's link.
+        self._peer: Optional[str] = None
+        self._closed_here = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:  # type: ignore[override]
+        self._transport = transport
+        self._owner._inbound.add(self)
+
+    def data_received(self, data: bytes) -> None:
         try:
-            for frame in frames:
-                writer.write(frame)
-            await writer.drain()
-            return True
-        except (OSError, ConnectionError):
-            return False
+            messages = self._decoder.feed(data)
+        except CodecError as exc:
+            # Corrupt stream: drop the connection, with whatever else
+            # this chunk completed. The peer's resend timers recover,
+            # as for any omission.
+            self._owner._rt.record(
+                self._owner.node_id, "msg", "codec_error", error=str(exc)
+            )
+            self.close()
+            return
+        for message in messages:
+            self._peer = message.sender
+            self._owner._deliver(message)
 
-    async def _close_writer(self) -> None:
-        if self._watcher is not None:
-            watcher, self._watcher = self._watcher, None
-            watcher.cancel()
-            try:
-                await watcher
-            except asyncio.CancelledError:
-                pass
-        if self._writer is not None:
-            writer, self._writer = self._writer, None
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        owner = self._owner
+        owner._inbound.discard(self)
+        if self._closed_here:
+            return
+        # The peer closed its link or died (EOF or reset). Frames arrive
+        # in TCP order, so all it wrote whole is delivered by now; the
+        # frame it was cut off in is lost, and it is still down.
+        if self._decoder.pending_bytes:
+            owner._rt.record(
+                owner.node_id, "msg", "codec_error", error="connection closed mid-frame"
+            )
+        if self._peer is not None:
+            owner._report(owner._peer_down, self._peer)
 
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        while not self.queue.empty():
-            self._transport._count_dropped(self.queue.get_nowait())
-        await self._close_writer()
-        # Last, so nothing above can start a probe after this one.
-        if self._probe is not None:
-            self._probe.cancel()
-            try:
-                await self._probe
-            except asyncio.CancelledError:
-                pass
-            self._probe = None
+    def close(self) -> None:
+        """End the connection from this side; it reports nothing."""
+        self._closed_here = True
+        self._transport.abort()
 
 
 class LiveTransport:
@@ -286,7 +286,7 @@ class LiveTransport:
         self._peer_down: Optional[Callable[[str], None]] = None
         self._peer_up: Optional[Callable[[str], None]] = None
         self._links: dict[str, _PeerLink] = {}
-        self._inbound: set[asyncio.Task] = set()
+        self._inbound: set[_Inbound] = set()
         self._pending_local = 0
         self.sent_count = 0
         self.delivered_count = 0
@@ -323,10 +323,6 @@ class LiveTransport:
     def port(self) -> int:
         return self._port
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self._host, self._port)
-
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
@@ -337,8 +333,8 @@ class LiveTransport:
         """
         if self._server is not None:
             raise NetworkError(f"transport for {self.node_id!r} already started")
-        self._server = await asyncio.start_server(
-            self._on_connection, self._host, self._port, reuse_port=True
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self), self._host, self._port, reuse_port=True
         )
         self._port = self._server.sockets[0].getsockname()[1]
         self._directory[self.node_id] = (self._host, self._port)
@@ -346,25 +342,24 @@ class LiveTransport:
     async def stop(self) -> None:
         """Close the port, all inbound connections and outbound links.
 
-        Models process death from the network's point of view: queued
-        outbound messages are lost (dropped), peers' connections reset.
+        Models process death from the network's point of view: messages
+        not yet written are dropped, bytes still in a socket's buffer
+        are lost with it, and peers see their connections end.
         The address stays published — a restarted site rebinds it.
         """
         if self._server is not None:
             self._server.close()
+        for connection in list(self._inbound):
+            connection.close()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._inbound):
-            task.cancel()
-        for task in list(self._inbound):
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._inbound.clear()
         for link in self._links.values():
-            await link.stop()
+            link.close()
         self._links.clear()
+        # The cancelled tasks end, and the aborted connections close
+        # their sockets in connection_lost, one loop iteration from now.
+        await asyncio.sleep(0)
 
     @property
     def is_listening(self) -> bool:
@@ -373,7 +368,7 @@ class LiveTransport:
     # -- sending (engines call this) ----------------------------------------
 
     def send(self, message: Message) -> None:
-        """Queue one message for ordered delivery (never synchronous)."""
+        """Accept one message for ordered delivery (never synchronous)."""
         if message.receiver != self.node_id and message.receiver not in self._directory:
             raise UnknownNodeError(f"unknown receiver {message.receiver!r}")
         self.sent_count += 1
@@ -393,8 +388,7 @@ class LiveTransport:
         link = self._links.get(message.receiver)
         if link is None:
             link = self._links[message.receiver] = _PeerLink(self, message.receiver)
-        link.queue.put_nowait(message)
-        link.ensure_running()
+        link.send(message)
 
     def _deliver_local(self, message: Message) -> None:
         self._pending_local -= 1
@@ -412,49 +406,6 @@ class LiveTransport:
         )
 
     # -- receiving -----------------------------------------------------------
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._inbound.add(task)
-        decode = self.codec.body_decoder()
-        # The sender of this connection's frames: one peer's link.
-        peer: Optional[str] = None
-        try:
-            while True:
-                try:
-                    message = await read_frame(reader, decode)
-                except CodecError as exc:
-                    # Corrupt stream: drop the connection. The peer's
-                    # resend timers recover, as for any omission.
-                    self._rt.record(
-                        self.node_id, "msg", "codec_error", error=str(exc)
-                    )
-                    break
-                except ConnectionError:
-                    message = None  # a reset ends it like an EOF
-                if message is None:
-                    # The peer closed its link or died. Frames arrive in
-                    # TCP order, so all it wrote is delivered by now.
-                    if peer is not None:
-                        self._report(self._peer_down, peer)
-                    break
-                peer = message.sender
-                self._deliver(message)
-        except asyncio.CancelledError:
-            # stop() tears the connection down; swallowing here keeps
-            # the cancellation out of asyncio's stream callbacks. A
-            # local stop reports no peer down.
-            pass
-        finally:
-            self._inbound.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
 
     def _deliver(self, message: Message) -> None:
         if self._handler is None or not self._is_up():
@@ -490,28 +441,22 @@ class LiveTransport:
     async def drain_outbound(self, timeout: Optional[float] = None) -> bool:
         """Wait until every accepted message left this process.
 
-        "Left" means handed to the OS: all per-peer queues empty, no
-        batch mid-write, and no local self-delivery pending. Used by
-        the ``SIGKILL`` crash injector (``repro.rt.proc``) right before
-        dying, so a message the engines *sent* before the crash instant
-        survives the sender's death — exactly the simulator's network
-        model, where a scheduled delivery outlives the sender. Returns
-        False when ``timeout`` wall seconds elapsed first.
+        "Left" means handed to the OS: nothing pending on any link, every
+        link's socket buffer written out, and no local self-delivery
+        pending. Used by the ``SIGKILL`` crash injector
+        (``repro.rt.proc``) right before dying, so a message the engines
+        *sent* before the crash instant survives the sender's death —
+        exactly the simulator's network model, where a scheduled
+        delivery outlives the sender. Returns False when ``timeout``
+        wall seconds elapsed first.
         """
         loop = asyncio.get_running_loop()
         deadline = None if timeout is None else loop.time() + timeout
         while True:
             busy = self._pending_local > 0 or any(
-                link.queue.qsize() > 0 or link.writing
-                for link in self._links.values()
+                link.busy for link in self._links.values()
             )
             if not busy:
-                for link in self._links.values():
-                    if link._writer is not None:
-                        try:
-                            await link._writer.drain()
-                        except (OSError, ConnectionError):
-                            pass
                 return True
             if deadline is not None and loop.time() >= deadline:
                 return False
@@ -520,9 +465,9 @@ class LiveTransport:
     @property
     def backlog(self) -> int:
         """Messages accepted but not yet delivered or dropped (local
-        pending self-deliveries plus queued outbound)."""
+        pending self-deliveries plus outbound messages not yet written)."""
         return self._pending_local + sum(
-            link.queue.qsize() for link in self._links.values()
+            len(link.pending) for link in self._links.values()
         )
 
     def __repr__(self) -> str:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
@@ -18,26 +17,15 @@ from repro.rt.codec import (
     decode_body,
     encode_frame,
     encode_message,
-    read_frame,
 )
 from tests.net.test_message import messages
 
 
-def read_stream(data: bytes) -> list[Message]:
-    """Drain ``data`` through the asyncio pull parser."""
-
-    async def go() -> list[Message]:
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        out: list[Message] = []
-        while True:
-            message = await read_frame(reader)
-            if message is None:
-                return out
-            out.append(message)
-
-    return asyncio.run(go())
+def read_stream(data: bytes) -> tuple[list[Message], int]:
+    """Feed a whole stream to one decoder, as a connection that then
+    ends does: the messages, and the bytes left of a cut-off frame."""
+    decoder = FrameDecoder()
+    return decoder.feed(data), decoder.pending_bytes
 
 
 class TestFraming:
@@ -62,10 +50,6 @@ class TestFraming:
     def test_many_frames_in_one_feed(self, batch):
         stream = b"".join(encode_frame(m) for m in batch)
         assert FrameDecoder().feed(stream) == batch
-
-    @given(message=messages)
-    def test_async_reader_round_trip(self, message):
-        assert read_stream(encode_frame(message) * 2) == [message, message]
 
 
 class TestRejection:
@@ -107,20 +91,29 @@ class TestRejection:
             decode_body(body)
 
     def test_reader_clean_eof_returns_none(self):
-        assert read_stream(b"") == []
+        # An empty stream ends at a frame boundary: nothing is cut off.
+        assert read_stream(b"") == ([], 0)
+        frame = encode_frame(Message("PING", "a", "b"))
+        assert read_stream(frame) == ([Message("PING", "a", "b")], 0)
 
     def test_reader_eof_mid_header(self):
-        with pytest.raises(CodecError, match="mid-header"):
-            read_stream(b"\x00\x00")
+        assert read_stream(b"\x00\x00") == ([], 2)
 
     def test_reader_eof_mid_body(self):
         frame = encode_frame(Message("PING", "a", "b"))
-        with pytest.raises(CodecError, match="mid-frame"):
-            read_stream(frame[:-1])
+        # The header counts: a frame cut right after it is pending too.
+        assert read_stream(frame[:-1]) == ([], len(frame) - 1)
+        assert read_stream(frame[: HEADER.size]) == ([], HEADER.size)
+        assert read_stream(frame + frame[:-1]) == (
+            [Message("PING", "a", "b")],
+            len(frame) - 1,
+        )
 
     def test_reader_rejects_oversized_announcement(self):
+        decoder = FrameDecoder()
         with pytest.raises(CodecError, match="over the"):
-            read_stream(HEADER.pack(MAX_FRAME_BYTES + 1) + b"x")
+            decoder.feed(HEADER.pack(MAX_FRAME_BYTES + 1) + b"x")
+        assert decoder.pending_bytes == 0
 
 
 # -- the binary codec --------------------------------------------------------
@@ -178,22 +171,12 @@ class TestBinaryRoundTrip:
         assert decoder.feed(stream) == batch
 
     @given(message=messages)
-    def test_async_reader_round_trip(self, message):
+    def test_preamble_and_frames_in_one_feed(self, message):
         codec = BinaryWireCodec(["tm"])
-
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(codec.preamble + codec.encode_frame(message) * 2)
-            reader.feed_eof()
-            decode = codec.body_decoder()
-            out = []
-            while True:
-                got = await read_frame(reader, decode)
-                if got is None:
-                    return out
-                out.append(got)
-
-        assert asyncio.run(go()) == [message, message]
+        decoder = FrameDecoder(decode=codec.body_decoder())
+        stream = codec.preamble + codec.encode_frame(message) * 2
+        assert decoder.feed(stream) == [message, message]
+        assert decoder.pending_bytes == 0
 
     def test_interned_routing_fields_are_compact(self):
         codec, decode = binary_pair(["tm", "p0"])

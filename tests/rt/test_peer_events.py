@@ -6,9 +6,9 @@ link can reach again *up*; the sites then run the timer handlers that
 wait on that peer at once (see ``tests/protocols/test_peer_events.py``
 for the engine rules). Here the whole path runs live:
 
-* transport: EOF and reset each report one peer down, a site's own
-  ``stop()`` reports none, a peer that comes back is reported up once,
-  and no probe outlives ``stop()``;
+* transport: EOF, reset and a death mid-frame each report one peer
+  down, a site's own ``stop()`` reports none, a peer that comes back
+  is reported up once, and no probe outlives ``stop()``;
 * a participant killed mid-wave: the wave is decided by the early vote
   timeout, not by the timer, and a Yes written before the kill still
   counts;
@@ -143,6 +143,25 @@ class TestTransportReports:
 
         asyncio.run(go())
 
+    def test_a_peer_that_dies_mid_frame_is_reported_down(self):
+        async def go():
+            async with Reporting() as net:
+                _, writer = await asyncio.open_connection(*net.directory["b"])
+                frame = net.b.codec.encode_frame(Message("PING", "x", "b", "t1"))
+                writer.write(frame + frame[: len(frame) // 2])
+                await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+                await wait_until(lambda: net.down["b"])
+                await asyncio.sleep(0.05)
+                # The whole frame is delivered, the cut one recorded.
+                assert [m.txn_id for m in net.got["b"]] == ["t1"]
+                error = net.rt.trace.first("msg", "codec_error")
+                assert error is not None and error.site == "b"
+                assert net.down == {"a": [], "b": ["x"]}
+
+        asyncio.run(go())
+
     def test_a_connection_that_carried_nothing_reports_nothing(self):
         async def go():
             async with Reporting() as net:
@@ -240,6 +259,13 @@ def test_participant_kill_decides_the_wave_without_the_vote_timer(tmp_path):
             for txn in txns:
                 await cluster.wait_decided(txn.txn_id, timeout=10.0)
             await restarted.wait()
+            # The coordinator's probe finds PrA back within a backoff;
+            # shutting down first would cancel it.
+            await wait_until(
+                lambda: cluster.sim.trace.first(
+                    "site", "peer_up", site=COORDINATOR_ID, peer=PRA
+                )
+            )
             await settle(cluster)
         finally:
             await cluster.shutdown()

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import NetworkError, UnknownNodeError
 from repro.net.message import Message
 from repro.rt.runtime import LiveRuntime
-from repro.rt.transport import LiveTransport
+from repro.rt.transport import CONNECT_ATTEMPTS, LiveTransport
 
 
 async def wait_for(predicate, timeout: float = 2.0) -> None:
@@ -103,31 +103,32 @@ class TestDelivery:
 
 
 class TestWriteBatching:
-    def test_burst_sent_before_first_wakeup_drains_as_one_batch(self):
+    def test_sends_of_one_tick_reach_the_socket_in_one_write(self):
         async def go():
             async with Pair() as pair:
-                # The first send creates the link; the writer task only
-                # starts once we yield, so everything queued before then
-                # must go out in one wakeup: one write burst, one flush.
                 pair.a.send(Message("SEQ", "a", "b", "t0", {"i": 0}))
-                link = pair.a._links["b"]
-                batches: list[int] = []
-                real_write = link._write
+                await wait_for(lambda: len(pair.got["b"]) == 1)
+                connection = pair.a._links["b"]._conn
+                writes: list[bytes] = []
+                real_write = connection.write
 
-                async def spy(batch):
-                    batches.append(len(batch))
-                    await real_write(batch)
+                def spy(data):
+                    writes.append(data)
+                    real_write(data)
 
-                link._write = spy
-                for i in range(1, 50):
+                connection.write = spy
+                for i in range(1, 51):
                     pair.a.send(Message("SEQ", "a", "b", f"t{i}", {"i": i}))
-                await wait_for(lambda: len(pair.got["b"]) == 50)
-                assert batches == [50]
+                # Nothing is written inside the tick that sent them.
+                assert writes == [] and pair.a.backlog == 50
+                await wait_for(lambda: len(pair.got["b"]) == 51)
+                assert len(writes) == 1
                 # Batching moves bytes, not semantics: FIFO and the
                 # per-message counters are unchanged.
-                assert [m.payload["i"] for m in pair.got["b"]] == list(range(50))
-                assert pair.a.sent_count == 50
-                assert pair.b.delivered_count == 50
+                assert [m.payload["i"] for m in pair.got["b"]] == list(range(51))
+                assert pair.a.sent_count == 51
+                assert pair.b.delivered_count == 51
+                assert pair.a.backlog == 0
 
         asyncio.run(go())
 
@@ -147,9 +148,9 @@ class TestWriteBatching:
 
 
 class TestReconnectRetry:
-    def test_retry_reuses_encoded_frames_and_delivers_exactly_once(self, monkeypatch):
-        """A batch whose socket dies mid-write is retried over ONE fresh
-        connection using the already-encoded bytes: each message is
+    def test_link_closed_under_it_reconnects_and_delivers_once(self, monkeypatch):
+        """The peer ends the link's connection: the link lets it go at
+        once, and the next message travels over a fresh connection,
         encoded once and delivered once."""
 
         async def go():
@@ -157,6 +158,10 @@ class TestReconnectRetry:
                 pair.a.send(Message("PING", "a", "b", "t0"))
                 await wait_for(lambda: len(pair.got["b"]) == 1)
                 link = pair.a._links["b"]
+                first = link._conn
+                (inbound,) = pair.b._inbound
+                inbound.close()
+                await wait_for(lambda: link._conn is None)
 
                 encoded: list[str] = []
                 real_encode = pair.a.codec.encode_frame
@@ -166,26 +171,49 @@ class TestReconnectRetry:
                     return real_encode(message)
 
                 monkeypatch.setattr(pair.a.codec, "encode_frame", counting_encode)
-
-                real_write_frames = link._write_frames
-                failures = 0
-
-                async def dead_then_fine(writer, frames):
-                    nonlocal failures
-                    if failures == 0:
-                        failures += 1  # the connection died under us
-                        return False
-                    return await real_write_frames(writer, frames)
-
-                link._write_frames = dead_then_fine
-
                 pair.a.send(Message("DATA", "a", "b", "t1", {"n": 1}))
                 await wait_for(lambda: len(pair.got["b"]) == 2)
                 await asyncio.sleep(0.05)  # would surface any duplicate
                 assert [m.txn_id for m in pair.got["b"]] == ["t0", "t1"]
-                assert failures == 1
-                assert encoded == ["t1"]  # encoded once despite the retry
+                assert link._conn is not None and link._conn is not first
+                assert encoded == ["t1"]
                 assert pair.a.dropped_count == 0
+
+        asyncio.run(go())
+
+    def test_messages_sent_during_a_failed_connect_are_dropped_with_it(self):
+        """A connect attempt carries every message accepted while it
+        runs: when it fails they are all dropped together, and only a
+        later send dials again."""
+
+        async def go():
+            async with Pair() as pair:
+                await pair.b.stop()
+                pair.directory["b"] = ("127.0.0.1", 1)  # nothing listens here
+                loop = asyncio.get_running_loop()
+                dials = 0
+                real_connect = loop.create_connection
+
+                async def counting_connect(*args, **kwargs):
+                    nonlocal dials
+                    dials += 1
+                    return await real_connect(*args, **kwargs)
+
+                loop.create_connection = counting_connect
+                pair.a.send(Message("PING", "a", "b", "t0"))
+                await wait_for(lambda: dials == 1)
+                pair.a.send(Message("PING", "a", "b", "t1"))
+                pair.a.send(Message("PING", "a", "b", "t2"))
+                await wait_for(lambda: pair.a.dropped_count == 3)
+                assert dials == CONNECT_ATTEMPTS
+                assert pair.a.backlog == 0
+                pair.a.send(Message("PING", "a", "b", "t3"))
+                await wait_for(lambda: pair.a.dropped_count == 4)
+                assert dials == 2 * CONNECT_ATTEMPTS
+                dropped = [e.details["txn"] for e in pair.rt.trace.select("msg", "dropped")]
+                assert dropped == ["t0", "t1", "t2", "t3"]
+                del loop.create_connection
+                await pair.b.start()  # let __aexit__ stop it cleanly
 
         asyncio.run(go())
 
