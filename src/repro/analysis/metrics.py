@@ -35,10 +35,9 @@ def message_counts(
 ) -> MessageCounts:
     """Count sent messages, optionally restricted to one transaction."""
     counts: dict[str, int] = {}
-    for event in trace:
-        if event.seq < since_seq or not event.matches("msg", "send"):
-            continue
-        if txn_id is not None and event.details.get("txn") != txn_id:
+    only = {} if txn_id is None else {"txn": txn_id}
+    for event in trace.select(category="msg", name="send", **only):
+        if event.seq < since_seq:
             continue
         kind = event.details.get("kind", "?")
         counts[kind] = counts.get(kind, 0) + 1
@@ -100,9 +99,7 @@ def cost_breakdown(
     # site -> whether its last log event appended a counted record of
     # this transaction.
     last_is_ours: dict[str, bool] = {}
-    for event in trace:
-        if event.category != "log":
-            continue
+    for event in trace.select(category="log"):
         site = event.site
         ours = False
         if event.name == "append" and event.details.get("txn") == txn_id:

@@ -35,14 +35,18 @@ class Outcome(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Outcome":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown outcome {text!r}")
+        outcome = _OUTCOMES.get(text)
+        if outcome is None:
+            raise ValueError(f"unknown outcome {text!r}")
+        return outcome
 
     @property
     def opposite(self) -> "Outcome":
         return Outcome.ABORT if self is Outcome.COMMIT else Outcome.COMMIT
+
+
+#: ``Outcome(text)`` is slow, and histories parse one outcome per event.
+_OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 
 
 class EventKind(enum.Enum):

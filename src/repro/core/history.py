@@ -26,62 +26,56 @@ from repro.core.events import EventKind, Outcome, SignificantEvent
 from repro.sim.tracing import TraceEvent, TraceRecorder
 
 
-def _to_significant(event: TraceEvent) -> Optional[SignificantEvent]:
-    """Map one trace event onto a significant event, or ``None``."""
-    if event.category == "protocol":
-        txn = event.details.get("txn", "")
-        if event.name == "decide":
-            return SignificantEvent(
-                kind=EventKind.DECIDE,
-                txn_id=txn,
-                site=event.site,
-                seq=event.seq,
-                time=event.time,
-                outcome=Outcome.parse(event.details["decision"]),
-            )
-        if event.name == "forget":
-            kind = (
-                EventKind.DELETE_PT
-                if event.details.get("role", "coordinator") == "coordinator"
-                else EventKind.FORGET_P
-            )
-            return SignificantEvent(
-                kind=kind,
-                txn_id=txn,
-                site=event.site,
-                seq=event.seq,
-                time=event.time,
-            )
-        if event.name == "inquiry":
-            return SignificantEvent(
-                kind=EventKind.INQUIRY,
-                txn_id=txn,
-                site=event.details.get("inquirer", ""),
-                seq=event.seq,
-                time=event.time,
-                peer=event.site,
-            )
-        if event.name == "respond":
-            return SignificantEvent(
-                kind=EventKind.RESPOND,
-                txn_id=txn,
-                site=event.site,
-                seq=event.seq,
-                time=event.time,
-                outcome=Outcome.parse(event.details["decision"]),
-                peer=event.details.get("to", ""),
-            )
-        return None
-    if event.category == "db" and event.name in ("commit", "abort"):
-        return SignificantEvent(
-            kind=EventKind.ENFORCE,
-            txn_id=event.details.get("txn", ""),
-            site=event.site,
-            seq=event.seq,
-            time=event.time,
-            outcome=Outcome.parse(event.name),
-        )
-    return None
+def _decide(event: TraceEvent) -> SignificantEvent:
+    details = event.details
+    return SignificantEvent(
+        EventKind.DECIDE, details.get("txn", ""), event.site, event.seq,
+        event.time, Outcome.parse(details["decision"]),
+    )
+
+
+def _forget(event: TraceEvent) -> SignificantEvent:
+    details = event.details
+    by_coordinator = details.get("role", "coordinator") == "coordinator"
+    return SignificantEvent(
+        EventKind.DELETE_PT if by_coordinator else EventKind.FORGET_P,
+        details.get("txn", ""), event.site, event.seq, event.time,
+    )
+
+
+def _inquiry(event: TraceEvent) -> SignificantEvent:
+    details = event.details
+    return SignificantEvent(
+        EventKind.INQUIRY, details.get("txn", ""), details.get("inquirer", ""),
+        event.seq, event.time, peer=event.site,
+    )
+
+
+def _respond(event: TraceEvent) -> SignificantEvent:
+    details = event.details
+    return SignificantEvent(
+        EventKind.RESPOND, details.get("txn", ""), event.site, event.seq,
+        event.time, Outcome.parse(details["decision"]), details.get("to", ""),
+    )
+
+
+def _enforce(event: TraceEvent) -> SignificantEvent:
+    return SignificantEvent(
+        EventKind.ENFORCE, event.details.get("txn", ""), event.site, event.seq,
+        event.time, Outcome.parse(event.name),
+    )
+
+
+#: Each trace key of the table above and its significant event; no
+#: other trace event is read.
+_SIGNIFICANT = {
+    ("protocol", "decide"): _decide,
+    ("protocol", "forget"): _forget,
+    ("protocol", "inquiry"): _inquiry,
+    ("protocol", "respond"): _respond,
+    ("db", "commit"): _enforce,
+    ("db", "abort"): _enforce,
+}
 
 
 class History:
@@ -110,8 +104,11 @@ class History:
     @classmethod
     def from_trace(cls, trace: TraceRecorder) -> "History":
         """Extract the significant-event history from a run trace."""
-        significant = (_to_significant(event) for event in trace)
-        return cls(event for event in significant if event is not None)
+        return cls(
+            significant(event)
+            for (category, name), significant in _SIGNIFICANT.items()
+            for event in trace.iter_select(category, name)
+        )
 
     def __len__(self) -> int:
         return len(self._events)

@@ -16,7 +16,6 @@ had its chance before the oracle judges the end state.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ from repro.explore.oracle import InvariantOracle, OracleVerdict
 from repro.mdbs.system import MDBS
 from repro.net.failures import CrashSchedule
 from repro.net.network import ConstantLatency, UniformLatency
+from repro.sim.export import canonical_lines
 from repro.sim.tracing import TraceRecorder
 from repro.workloads.generator import build_mdbs
 from repro.workloads.mixes import MIXES
@@ -52,24 +52,9 @@ def trace_digest(trace: TraceRecorder) -> str:
     so equal digests mean byte-identical exported trace files.
     """
     # One encode + one hash update over the whole trace: identical byte
-    # stream to hashing per-event lines (each line is terminated by the
-    # "\n" the per-event form appended), measurably cheaper on the
+    # stream to hashing per-event lines, measurably cheaper on the
     # 10^4-event traces the sweep produces.
-    dumps = json.dumps
-    lines = [
-        dumps(
-            {
-                "time": event.time,
-                "seq": event.seq,
-                "site": event.site,
-                "category": event.category,
-                "name": event.name,
-                "details": event.details,
-            },
-            sort_keys=True,
-        )
-        for event in trace
-    ]
+    lines = list(canonical_lines(trace))
     lines.append("")  # trailing newline after the last event
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 

@@ -74,8 +74,4 @@ def measure_recovery(mdbs: MDBS, run_until: float) -> RecoveryCosts:
 def _count_since(
     trace: TraceRecorder, start_seq: int, category: str, name: str, **details
 ) -> int:
-    return sum(
-        1
-        for event in trace
-        if event.seq >= start_seq and event.matches(category, name, **details)
-    )
+    return sum(1 for event in trace.select(category, name, **details) if event.seq >= start_seq)

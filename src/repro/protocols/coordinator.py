@@ -541,7 +541,7 @@ class CoordinatorEngine:
         if not ackers:
             self._finish(entry)
             return txn_id
-        for participant in ackers:
+        for participant in sorted(ackers):
             self._send(DECISION_KINDS[outcome], participant, txn_id)
         entry.resend_timer = self._sim.set_timer(
             self._timeouts.resend_interval,

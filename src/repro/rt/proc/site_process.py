@@ -113,7 +113,7 @@ class _UnretainedTrace(TraceRecorder):
 
     def __init__(self) -> None:
         super().__init__()
-        self._events = deque(maxlen=0)  # type: ignore[assignment]
+        self._rows = deque(maxlen=0)  # type: ignore[assignment]
 
 
 class SiteProcess:

@@ -493,6 +493,7 @@ class ProcessCluster(ClusterDriver):
                 incarnation = handle.incarnation
                 if kind == "event":
                     assert self.sim is not None
+                    # start() subscribed the cluster: record returns the event.
                     event = self.sim.trace.record(
                         frame["time"],
                         frame["site"],
@@ -622,32 +623,32 @@ class ProcessCluster(ClusterDriver):
     async def _start_txn(self, txn: GlobalTransaction) -> None:
         """The process-boundary split of
         :func:`~repro.mdbs.system.start_transaction`: local work in
-        each participant's process, doomed bits back, then the
-        coordinator's ``begin_commit``."""
+        each participant's process, all begun in one instant as the
+        simulator does, doomed bits back, then the coordinator's
+        ``begin_commit``."""
         assert self.sim is not None
         wire = txn.to_dict()
         coordinator = self._children[txn.coordinator]
         if not coordinator.alive:
             self._not_started(txn)
             return
-        doomed = False
-        for site_id in txn.participants:
+
+        async def dooms(site_id: str) -> bool:
             handle = self._children[site_id]
             implicit = participant_spec(handle.protocol).implicitly_prepared
             if not handle.alive:
-                doomed = doomed or implicit
-                continue
+                return implicit
             try:
                 reply = await self._call(site_id, "begin_work", txn=wire)
             except (ProcessControlError, asyncio.TimeoutError):
                 # Participant died around the work: same shape as a
                 # down site in the simulator.
-                doomed = doomed or implicit
-                continue
+                return implicit
             if reply.get("status") == "down":
-                doomed = doomed or implicit
-                continue
-            doomed = bool(reply.get("doomed")) or doomed
+                return implicit
+            return bool(reply.get("doomed"))
+
+        doomed = any(await asyncio.gather(*map(dooms, txn.participants)))
         try:
             reply = await self._call(
                 txn.coordinator,

@@ -12,12 +12,31 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from repro.errors import SimulationError
 from repro.sim.tracing import TraceEvent, TraceRecorder
 
 PathLike = Union[str, Path]
+
+
+def canonical_lines(trace: Iterable[TraceEvent]) -> Iterator[str]:
+    """Each event as one JSON object with sorted keys: the lines of a
+    trace file, and what :func:`repro.explore.runner.trace_digest`
+    hashes."""
+    dumps = json.dumps
+    for event in trace:
+        yield dumps(
+            {
+                "time": event.time,
+                "seq": event.seq,
+                "site": event.site,
+                "category": event.category,
+                "name": event.name,
+                "details": event.details,
+            },
+            sort_keys=True,
+        )
 
 
 def dump_trace(trace: TraceRecorder, path: PathLike) -> int:
@@ -26,23 +45,8 @@ def dump_trace(trace: TraceRecorder, path: PathLike) -> int:
     Returns:
         The number of events written.
     """
-    destination = Path(path)
-    with destination.open("w", encoding="utf-8") as handle:
-        for event in trace:
-            handle.write(
-                json.dumps(
-                    {
-                        "time": event.time,
-                        "seq": event.seq,
-                        "site": event.site,
-                        "category": event.category,
-                        "name": event.name,
-                        "details": event.details,
-                    },
-                    sort_keys=True,
-                )
-            )
-            handle.write("\n")
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.writelines(line + "\n" for line in canonical_lines(trace))
     return len(trace)
 
 
@@ -66,14 +70,13 @@ def load_trace(path: PathLike) -> TraceRecorder:
                     f"{source}: event at line {line_number + 1} has "
                     f"seq={payload['seq']}; trace files must be contiguous"
                 )
-            recorded = recorder.record(
+            recorder.record(
                 payload["time"],
                 payload["site"],
                 payload["category"],
                 payload["name"],
-                **payload["details"],
+                payload["details"],
             )
-            assert recorded.seq == payload["seq"]
     return recorder
 
 

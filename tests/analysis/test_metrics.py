@@ -33,7 +33,7 @@ class TestMessageCounts:
 
     def test_since_seq_filter(self, mdbs):
         run_one_txn(mdbs, ["alpha", "beta"])
-        end = mdbs.sim.trace.events[-1].seq + 1
+        end = mdbs.sim.trace[-1].seq + 1
         assert message_counts(mdbs.sim.trace, since_seq=end).total == 0
 
 

@@ -109,7 +109,8 @@ class TestTracing:
         async def go():
             rt = LiveRuntime(time_scale=0.001)
             await asyncio.sleep(0.005)
-            event = rt.record("site1", "test", "ping", n=3)
+            rt.record("site1", "test", "ping", n=3)
+            event = rt.trace[-1]
             assert event.site == "site1"
             assert event.details == {"n": 3}
             assert event.time == pytest.approx(rt.now, abs=2.0)

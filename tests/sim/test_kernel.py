@@ -116,7 +116,7 @@ class TestTraceIntegration:
     def test_record_stamps_current_time(self, sim):
         sim.schedule(3.0, lambda: sim.record("s", "cat", "name", x=1))
         sim.run()
-        event = sim.trace.events[0]
+        event = sim.trace[0]
         assert event.time == 3.0
         assert event.details == {"x": 1}
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.rt.runtime import LiveRuntime
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import TraceRecorder
+from repro.sim.tracing import TraceEvent, TraceRecorder
 
 
 def make_trace():
@@ -26,16 +26,28 @@ class TestRecording:
     def test_len(self):
         assert len(make_trace()) == 3
 
-    def test_events_snapshot_is_immutable_tuple(self):
+    def test_index_builds_the_event(self):
         trace = make_trace()
-        assert isinstance(trace.events, tuple)
+        assert trace[1] == TraceEvent(
+            2.0, 1, "b", "msg", "send", {"kind": "PREPARE", "txn": "t1"}
+        )
+        assert trace[-1].seq == 2
+        with pytest.raises(IndexError):
+            trace[3]
 
     def test_details_are_copied(self):
         trace = TraceRecorder()
         payload = {"txn": "t"}
-        event = trace.record(0.0, "s", "c", "n", **payload)
+        trace.record(0.0, "s", "c", "n", payload)
         payload["txn"] = "mutated"
-        assert event.details["txn"] == "t"
+        assert trace[0].details["txn"] == "t"
+
+    def test_record_returns_the_event_only_to_a_subscriber(self):
+        trace = TraceRecorder()
+        assert trace.record(0.0, "s", "c", "n") is None
+        seen = []
+        trace.subscribe(seen.append)
+        assert trace.record(1.0, "s", "c", "n") is seen[0]
 
 
 def fresh(text):
@@ -63,41 +75,43 @@ class TestOneDict:
         reference = TraceRecorder()
         sim.record("a", "log", "force")
         reference.record(0.0, "a", "log", "force")
-        events = []
         sim.schedule(
             2.5,
-            lambda: events.append(
-                sim.record(fresh("s1"), fresh("msg"), fresh("send"), kind="VOTE", to="tm")
-            ),
+            lambda: sim.record(fresh("s1"), fresh("msg"), fresh("send"), kind="VOTE", to="tm"),
         )
         sim.run()
-        expected = reference.record(2.5, "s1", "msg", "send", kind="VOTE", to="tm")
-        assert_same_event(events[0], expected)
-        assert events[0].seq == 1
+        reference.record(2.5, "s1", "msg", "send", kind="VOTE", to="tm")
+        assert_same_event(sim.trace[1], reference[1])
+        assert sim.trace[1].seq == 1
 
     def test_live_record_matches_keyword_record(self):
         async def scenario():
             rt = LiveRuntime()
             before = rt.now
-            event = rt.record(fresh("s1"), fresh("msg"), fresh("send"), kind="VOTE")
-            return before, event, rt.now
+            rt.record(fresh("s1"), fresh("msg"), fresh("send"), kind="VOTE")
+            return before, rt.trace[0], rt.now
 
         before, event, after = asyncio.run(scenario())
         assert before <= event.time <= after
-        expected = TraceRecorder().record(event.time, "s1", "msg", "send", kind="VOTE")
-        assert_same_event(event, expected)
+        expected = TraceRecorder()
+        expected.record(event.time, "s1", "msg", "send", kind="VOTE")
+        assert_same_event(event, expected[0])
 
     def test_positional_dict_is_adopted(self):
         payload = {"txn": "t1"}
-        event = TraceRecorder().record(0.0, "s", "c", "n", payload)
-        assert event.details is payload
+        trace = TraceRecorder()
+        seen = []
+        trace.subscribe(seen.append)
+        trace.record(0.0, "s", "c", "n", payload)
+        assert seen[0].details is payload
 
     def test_keyword_detail_named_details_survives(self):
         trace = TraceRecorder()
-        event = trace.record(0.0, "s", "c", "n", details="x", txn="t1")
-        assert event.details == {"details": "x", "txn": "t1"}
+        trace.record(0.0, "s", "c", "n", details="x", txn="t1")
+        assert trace[0].details == {"details": "x", "txn": "t1"}
         sim = Simulator(seed=1)
-        assert sim.record("s", "c", "n", details="x").details == {"details": "x"}
+        sim.record("s", "c", "n", details="x")
+        assert sim.trace[0].details == {"details": "x"}
 
     def test_dict_and_keywords_together_are_rejected(self):
         trace = TraceRecorder()
@@ -139,7 +153,7 @@ class TestSelection:
         assert make_trace().first(category="db") is None
 
     def test_matches_rejects_wrong_detail(self):
-        event = make_trace().events[0]
+        event = make_trace()[0]
         assert not event.matches(txn="other")
 
 
@@ -181,5 +195,5 @@ class TestRendering:
         assert "\n" not in rendered
 
     def test_str_includes_site_and_name(self):
-        text = str(make_trace().events[0])
+        text = str(make_trace()[0])
         assert "a" in text and "log.force" in text
