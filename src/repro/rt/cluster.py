@@ -129,6 +129,18 @@ class ClusterDriver:
         self._decided_at: dict[str, float] = {}
         self._activity: Optional[asyncio.Event] = None
 
+    def _pcp_listing(self) -> tuple[dict[str, str], list[str]]:
+        """What the commit-protocol directory registers: each site's
+        protocol, and the sites that host a coordinator engine."""
+        return (
+            {site_id: site.protocol for site_id, site in self._layout.items()},
+            [
+                site_id
+                for site_id, site in self._layout.items()
+                if site.coordinator is not None
+            ],
+        )
+
     def _start_runtime(self, **runtime_options: Any) -> LiveRuntime:
         """Create the shared clock + trace and start tracking decisions
         (must run inside an event loop)."""
@@ -416,7 +428,7 @@ class LiveCluster(ClusterDriver):
         self, mix: ProtocolMix, data_dir: Path | str, **options: Any
     ) -> None:
         super().__init__(mix, data_dir, **options)
-        self.pcp = CommitProtocolDirectory()
+        self.pcp = CommitProtocolDirectory.listing(*self._pcp_listing())
         self.directory: dict[str, tuple[str, int]] = {}
         self.hosts: dict[str, SiteHost] = {}
 
@@ -430,9 +442,6 @@ class LiveCluster(ClusterDriver):
             self.hosts[config.site_id] = SiteHost(
                 sim, self.directory, self.pcp, config, wire_codec=shared_codec
             )
-            self.pcp.register_site(config.site_id, config.protocol)
-            if config.coordinator is not None:
-                self.pcp.register_coordinator(config.site_id)
         # Publish every address before any site boots: a site recovering
         # from an earlier run's WAL inquires about what it finds in doubt.
         for host in self.hosts.values():

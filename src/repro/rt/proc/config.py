@@ -5,7 +5,8 @@ The supervisor (``repro.rt.proc.supervisor``) writes one
 process (``repro.rt.proc.site_process``) reads it back as its complete
 world view: the site it hosts (a :class:`~repro.rt.host.SiteConfig`,
 the value an in-process host takes too) inside the per-process
-envelope — its addresses, the address directory of every peer, the
+envelope — the supervisor's control address, the address directory of
+every site (its own included), the commit-protocol listing, the
 shared virtual-time epoch, and (for crash-injection runs) the
 catalogued instant at which it must ``SIGKILL`` itself.
 
@@ -25,7 +26,6 @@ from typing import Any, Optional
 
 from repro.errors import WorkloadError
 from repro.rt.host import SiteConfig
-from repro.storage.pcp import CommitProtocolDirectory
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,12 @@ class SiteProcessConfig:
     #: What the site is made of — the same value an in-process
     #: :class:`~repro.rt.host.SiteHost` takes.
     site: SiteConfig
-    #: Host/port this site's data transport binds (pre-allocated by the
-    #: supervisor so the full directory is known before any child runs).
-    host: str
-    port: int
     #: Where to reach the supervisor's control server.
     control_host: str
     control_port: int
-    #: site id -> [host, port] for every site, self included.
+    #: site id -> [host, port] for every site, self included; this
+    #: site's data transport binds its own entry (pre-allocated by the
+    #: supervisor so the full directory is known before any child runs).
     directory: dict[str, list[Any]] = field(default_factory=dict)
     #: site id -> protocol, for the commit-protocol directory (PCP).
     site_protocols: dict[str, str] = field(default_factory=dict)
@@ -69,15 +67,6 @@ class SiteProcessConfig:
     wall_epoch: float = 0.0
     seed: int = 0
     kill: Optional[KillSpec] = None
-
-    def pcp(self) -> CommitProtocolDirectory:
-        """The commit-protocol directory the listing describes."""
-        pcp = CommitProtocolDirectory()
-        for site_id, protocol in self.site_protocols.items():
-            pcp.register_site(site_id, protocol)
-        for site_id in self.coordinator_sites:
-            pcp.register_coordinator(site_id)
-        return pcp
 
     def save(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,47 +1,41 @@
 """The supervisor <-> site-process control protocol.
 
-One TCP connection per child, initiated by the child against the
-supervisor's control server. Frames are newline-delimited JSON: small,
-line-oriented, trivially inspectable in a post-mortem capture. That is
-the only control format: a deployment's json-or-binary choice covers
-the data plane's wire framing and the WAL, not this side channel,
-which carries no protocol message and no forced write.
+One TCP connection per child, dialled by the child to the supervisor's
+control server, with one :class:`asyncio.Protocol` on each end and one
+:class:`ControlDecoder` in each; a decoder error ends the connection.
+Frames are newline-delimited JSON: small, line-oriented, trivially
+inspectable in a post-mortem capture. That is the only control format:
+a deployment's json-or-binary choice covers the data plane's wire
+framing and the WAL, not this side channel, which carries no protocol
+message and no forced write.
 
 Child -> supervisor frames (``kind``):
 
-* ``hello`` — first frame after boot: pid, bound data port, the
-  boot-recovery report (``null`` on a fresh WAL) and the name of the
-  child's trace file. Doubles as the liveness announcement the
-  supervisor's spawn/respawn paths await.
-* ``event`` — one trace event, streamed as it is recorded, with the
-  child's own trace ``seq``: every category a live reader may wait on
-  (decisions, forgets, peer and recovery events). ``msg`` events stay
-  in the child (the equivalence footprint excludes them), and ``log``
-  and ``db`` events go to the child's trace file. The supervisor
-  merges stream and file by ``seq`` after the run, which restores the
-  child's full trace order; the checkers need no more, since every
-  order-sensitive relation they query is same-site.
-* ``reply`` — response to a command, echoing its ``id``. Replies share
-  the event stream, and the child writes its buffered trace-file rows
-  before any frame leaves, so all events a command caused are on the
-  wire or in the file before its reply.
+* ``hello`` — first frame after boot: pid, the boot-recovery report
+  (``null`` on a fresh WAL) and the name of the child's trace file.
+  Doubles as the liveness announcement the supervisor's spawn/respawn
+  paths await.
+* ``event`` — a notification of one trace event a live reader may wait
+  on (decisions, forgets, peer and recovery events): every category but
+  ``msg``, ``log`` and ``db``. The supervisor records it live and keeps
+  nothing else of it; the child's trace file has the event too.
+* ``reply`` — response to a command, echoing its ``id``.
 
 Supervisor -> child frames: ``cmd`` with an ``id`` and an ``op`` (see
 ``repro.rt.proc.site_process.SiteProcess`` for the op table).
 
-The child's trace file holds the rest of its trace: each line one JSON
-array of ``[seq, time, category, name, details]`` rows.
-
-Everything here is a tiny helper over those formats so both sides
-agree on one encoding.
+The child's trace file is its whole record: every event but ``msg``,
+each line one JSON array of ``[seq, time, category, name, details]``
+rows in ``seq`` order. Each event-loop tick's rows reach the file before
+that tick's frames leave, so a reply follows every row and event its
+command caused.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 from repro.db.recovery import LocalRecoveryReport
 from repro.errors import ReproError
@@ -61,36 +55,66 @@ def encode_control(frame: dict[str, Any]) -> bytes:
     return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-async def read_control(reader: asyncio.StreamReader) -> Optional[dict[str, Any]]:
-    """Read one frame; ``None`` on EOF or a reset (peer process gone).
+class ControlDecoder:
+    """Incremental newline-JSON parser over an arbitrary chunking of
+    the control stream.
 
-    Raises:
-        ProcessControlError: on a malformed or oversized frame.
+    Args:
+        max_line: per-line byte ceiling, newline excluded; a line still
+            open when its bytes pass it fails at once, across feeds.
+
+    Example:
+        >>> decoder = ControlDecoder()
+        >>> line = encode_control({"kind": "cmd", "id": 1, "op": "ping"})
+        >>> decoder.feed(line[:5]) + decoder.feed(line[5:])
+        [{'kind': 'cmd', 'id': 1, 'op': 'ping'}]
     """
-    try:
-        line = await reader.readline()
-    except (asyncio.LimitOverrunError, ValueError) as exc:
-        raise ProcessControlError(f"oversized control frame: {exc}")
-    except ConnectionResetError:
-        # A process SIGKILLed with control bytes still unread resets
-        # its connection instead of closing it.
-        return None
-    if not line:
-        return None
-    try:
-        frame = json.loads(line)
-    except ValueError as exc:  # bad JSON, or bytes that are not text at all
-        raise ProcessControlError(f"malformed control frame: {exc}")
-    if not isinstance(frame, dict):
-        raise ProcessControlError(f"control frame is not an object: {frame!r}")
-    return frame
+
+    def __init__(self, max_line: int = MAX_CONTROL_LINE) -> None:
+        self._max = max_line
+        #: The line still open: bytes after the last newline.
+        self._open = bytearray()
+
+    def feed(self, data: bytes) -> list[dict[str, Any]]:
+        """Consume a chunk; return every frame it completed.
+
+        Raises:
+            ProcessControlError: on an oversized line, malformed JSON
+                or a frame that is not an object. The buffer is emptied
+                and the caller must drop the connection.
+        """
+        try:
+            end = data.rfind(b"\n")
+            if end < 0:
+                self._open += data
+                self._check_size(len(self._open))
+                return []
+            lines = (self._open + data[:end]).split(b"\n")
+            self._open = bytearray(data[end + 1 :])
+            self._check_size(len(self._open))
+            return [self._decode(line) for line in lines]
+        except ProcessControlError:
+            self._open = bytearray()
+            raise
+
+    def _check_size(self, size: int) -> None:
+        if size > self._max:
+            raise ProcessControlError(
+                f"oversized control frame: {size} bytes, over {self._max}"
+            )
+
+    def _decode(self, line: bytes) -> dict[str, Any]:
+        self._check_size(len(line))
+        try:
+            frame = json.loads(line)
+        except ValueError as exc:  # bad JSON, or bytes that are not text at all
+            raise ProcessControlError(f"malformed control frame: {exc}")
+        if not isinstance(frame, dict):
+            raise ProcessControlError(f"control frame is not an object: {frame!r}")
+        return frame
 
 
 # -- the trace file -------------------------------------------------------------
-
-#: Trace categories a site process writes to its trace file instead of
-#: streaming them as ``event`` frames.
-TRACE_FILE_CATEGORIES = frozenset({"log", "db"})
 
 
 def encode_trace_rows(rows: list[tuple]) -> bytes:

@@ -4,7 +4,7 @@
 site inside a dedicated process, mirroring the reference
 implementations where each transaction manager is a daemon *entered
 from its RECOVERY state*. The process boundary adds a control
-connection and nothing else:
+connection and a trace file, and nothing else:
 
 * the site is a :class:`~repro.rt.host.SiteHost`, the class the
   in-process cluster hosts its sites with, booted by the same
@@ -12,32 +12,32 @@ connection and nothing else:
   file already exists. Its data plane is the host's ordinary transport
   (peers talk protocol messages straight to this process; the
   supervisor is not on that path);
-* a control connection back to the supervisor streams the trace events
-  a live reader may wait on (every category but ``msg``, ``log`` and
-  ``db``) and serves the op table below, and is the liveness channel:
-  its EOF *is* the death notification;
-* the site's ``log`` and ``db`` trace events — most of the trace, and
-  nothing anyone waits on mid-run — go to a file in its data directory,
-  ``trace.<pid>.jsonl``, named in the hello. Each loop iteration that
-  recorded any appends one line: a JSON array of ``[seq, time,
-  category, name, details]`` rows, not fsynced. The buffer is also
-  written before any control frame leaves, so a reply still follows
-  every event its command caused. Live ``event`` frames carry the same
-  ``seq``, and the supervisor merges file and stream after the run
-  (:meth:`~repro.rt.proc.supervisor.ProcessCluster.collect`). The
-  child's own recorder keeps no events: nothing here reads them.
+* the control connection is one :class:`asyncio.Protocol`,
+  :class:`SiteProcess` itself. It serves the op table below, notifies
+  the supervisor of the trace events a live reader may wait on (every
+  category but ``msg``, ``log`` and ``db``), and is the liveness
+  channel: its end *is* the death notification, and ends
+  :meth:`SiteProcess.run`;
+* every event but ``msg`` goes to ``trace.<pid>.jsonl`` in the data
+  directory, named in the hello: the process's whole record, merged by
+  :meth:`~repro.rt.proc.supervisor.ProcessCluster.collect`. Each loop
+  iteration with output ends in one flush: its rows appended to the
+  file as one line (a JSON array of ``[seq, time, category, name,
+  details]`` rows, not fsynced), then its frames in one write. So a
+  reply follows every row and event its command caused. The child's
+  own recorder keeps no events.
 
 Crash injection: when the config carries a kill spec, the first trace
 event matching the catalogued crash-point predicate arms self-death.
 Inbound delivery is blocked immediately (a message arriving after the
 crash instant is lost, as for a dead receiver), already-sent outbound
 frames are allowed to reach the OS — the simulator's model, where a
-scheduled delivery survives its sender — the buffered trace rows are
-written, and then the process sends itself an unblockable ``SIGKILL``.
-No flush, no atexit, no log close: whatever the WAL's fsync discipline
-made durable is all that survives, which is precisely what the
-crash-matrix suite tests. The trace file, like the control stream,
-keeps what reached the page cache.
+scheduled delivery survives its sender — the buffered rows and frames
+are flushed, and then the process sends itself an unblockable
+``SIGKILL``. No flush, no atexit, no log close: whatever the WAL's
+fsync discipline made durable is all that survives, which is precisely
+what the crash-matrix suite tests. The trace file keeps what reached
+the kernel.
 
 Op table (see ``repro.rt.proc.control`` for framing):
 
@@ -72,16 +72,16 @@ from repro.rt.codec import wire_codec
 from repro.rt.host import SiteHost
 from repro.rt.proc.config import SiteProcessConfig
 from repro.rt.proc.control import (
-    MAX_CONTROL_LINE,
-    TRACE_FILE_CATEGORIES,
+    ControlDecoder,
+    ProcessControlError,
     encode_control,
     encode_trace_rows,
-    read_control,
     recovery_to_dict,
 )
 from repro.rt.runtime import LiveRuntime
 from repro.sim.tracing import TraceEvent, TraceRecorder
 from repro.storage.file_log import record_to_json
+from repro.storage.pcp import CommitProtocolDirectory
 from repro.workloads.failure_schedules import (
     acceptor_crash_points,
     coordinator_crash_points,
@@ -106,6 +106,11 @@ PID_FILE = "site.pid"
 #: Wall-second budget for flushing outbound frames before self-SIGKILL.
 DEATH_FLUSH_TIMEOUT = 0.5
 
+#: Categories in the trace file but in no ``event`` frame: most of the
+#: trace, and nothing a live reader waits on. ``msg`` events (per-message
+#: bookkeeping, outside the equivalence footprint) go nowhere.
+UNSTREAMED_CATEGORIES = frozenset({"log", "db"})
+
 
 class _UnretainedTrace(TraceRecorder):
     """A recorder that numbers every event and hands it to the
@@ -116,19 +121,24 @@ class _UnretainedTrace(TraceRecorder):
         self._rows = deque(maxlen=0)  # type: ignore[assignment]
 
 
-class SiteProcess:
-    """The in-child runtime: one site, one control connection."""
+class SiteProcess(asyncio.Protocol):
+    """The in-child runtime: one site, and the protocol of its control
+    connection."""
 
     def __init__(self, config: SiteProcessConfig) -> None:
         self.config = config
         self.host: Optional[SiteHost] = None
-        self._outbox: asyncio.Queue[dict[str, Any]] = asyncio.Queue()
-        self._pump_busy = False
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._decoder = ControlDecoder()
+        self._conn: Optional[asyncio.Transport] = None
+        #: Resolves when the control connection ends (False) or the
+        #: shutdown op asks for an orderly exit (True).
+        self._done: Optional[asyncio.Future] = None
         self._dying = False
         self._kill_predicate = None
         self._trace_file: Optional[Any] = None
-        self._trace_rows: list[tuple] = []
+        #: This loop iteration's output, written by one :meth:`_flush`.
+        self._rows: list[tuple] = []
+        self._frames: list[dict[str, Any]] = []
 
     # -- boot ----------------------------------------------------------------
 
@@ -141,11 +151,12 @@ class SiteProcess:
             try:
                 await self._run(trace_name)
             finally:
-                self._write_trace()
+                self._flush()
 
     async def _run(self, trace_name: str) -> None:
         config = self.config
         site_id = config.site.site_id
+        loop = asyncio.get_running_loop()
         rt = LiveRuntime(
             time_scale=config.time_scale,
             seed=config.seed,
@@ -158,109 +169,102 @@ class SiteProcess:
             )
         rt.trace.subscribe(self._on_trace_event)
 
-        reader, writer = await asyncio.open_connection(
-            config.control_host, config.control_port, limit=MAX_CONTROL_LINE
+        self._done = loop.create_future()
+        await loop.create_connection(
+            lambda: self, config.control_host, config.control_port
         )
-        self._writer = writer
-        pump = asyncio.ensure_future(self._pump())
-
-        directory = {
-            peer_id: (host, port)
-            for peer_id, (host, port) in config.directory.items()
-        }
+        directory = {peer_id: tuple(addr) for peer_id, addr in config.directory.items()}
+        host, port = directory[site_id]
         self.host = SiteHost(
             rt,
             directory,
-            config.pcp(),
+            CommitProtocolDirectory.listing(
+                config.site_protocols, config.coordinator_sites
+            ),
             config.site,
-            host=config.host,
-            port=config.port,
+            host=host,
+            port=port,
             wire_codec=wire_codec(config.site.codec, intern=sorted(directory)),
         )
         # Recovery-first boot: an existing WAL means a previous
         # incarnation died here — analyze/redo/re-adopt before serving.
         recovery = await self.host.start()
 
-        pid_file = Path(config.site.data_dir) / PID_FILE
-        pid_file.write_text(str(os.getpid()), encoding="utf-8")
+        (Path(config.site.data_dir) / PID_FILE).write_text(str(os.getpid()))
         self._emit(
             {
                 "kind": "hello",
                 "site": site_id,
                 "pid": os.getpid(),
-                "port": self.host.transport.port,
                 "recovery": None if recovery is None else recovery_to_dict(recovery),
                 "trace": trace_name,
             }
         )
+        if await self._done:
+            await self._drain()
+            await self.host.close()
+            if self._conn is not None:
+                self._conn.close()
 
+    # -- the control connection ----------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:  # type: ignore[override]
+        self._conn = transport
+
+    def data_received(self, data: bytes) -> None:
         try:
-            await self._serve(reader)
-        finally:
-            pump.cancel()
-            await asyncio.gather(pump, return_exceptions=True)
+            for frame in self._decoder.feed(data):
+                if frame.get("kind") == "cmd":
+                    self._serve(frame)
+        except ProcessControlError:
+            assert self._conn is not None
+            self._conn.abort()  # connection_lost ends run()
 
-    # -- control plumbing ----------------------------------------------------
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # The supervisor is gone, or the shutdown op closed us.
+        self._conn = None
+        assert self._done is not None
+        if not self._done.done():
+            self._done.set_result(False)
 
     def _emit(self, frame: dict[str, Any]) -> None:
-        self._outbox.put_nowait(frame)
+        self._schedule_flush()
+        self._frames.append(frame)
 
-    async def _pump(self) -> None:
-        """Single outbound writer: events and replies leave in the
-        order they were produced, each write preceded by the buffered
-        trace rows, so a reply never overtakes the events its command
-        caused."""
-        assert self._writer is not None
-        while True:
-            frame = await self._outbox.get()
-            self._pump_busy = True
-            try:
-                chunks = [encode_control(frame)]
-                while True:
-                    try:
-                        chunks.append(encode_control(self._outbox.get_nowait()))
-                    except asyncio.QueueEmpty:
-                        break
-                self._write_trace()
-                self._writer.write(b"".join(chunks))
-                await self._writer.drain()
-            except (OSError, ConnectionError):
-                return  # supervisor gone; _serve's EOF exits us
-            finally:
-                self._pump_busy = False
+    def _schedule_flush(self) -> None:
+        if not self._rows and not self._frames:
+            asyncio.get_running_loop().call_soon(self._flush)
 
-    def _write_trace(self) -> None:
-        """Append the buffered rows to the trace file as one line."""
-        if self._trace_rows:
-            rows, self._trace_rows = self._trace_rows, []
+    def _flush(self) -> None:
+        """The buffered rows to the trace file as one line, then the
+        buffered frames in one write: no frame precedes an older row."""
+        if self._rows:
+            rows, self._rows = self._rows, []
             assert self._trace_file is not None
             self._trace_file.write(encode_trace_rows(rows))
+        if self._frames:
+            frames, self._frames = self._frames, []
+            if self._conn is not None:
+                self._conn.write(b"".join(map(encode_control, frames)))
 
     def _on_trace_event(self, event: TraceEvent) -> None:
-        # msg events are the transport's per-message bookkeeping — high
-        # volume and deliberately outside the equivalence footprint.
-        # log and db events are buffered for the trace file; the rest
-        # is streamed, since live readers wait on decisions, forgets,
-        # peer and recovery events.
         category = event.category
-        if category in TRACE_FILE_CATEGORIES:
-            if not self._trace_rows:
-                asyncio.get_running_loop().call_soon(self._write_trace)
-            self._trace_rows.append(
+        if category != "msg":
+            self._schedule_flush()
+            self._rows.append(
                 (event.seq, event.time, category, event.name, event.details)
             )
-        elif category != "msg":
-            self._emit(
-                {
-                    "kind": "event",
-                    "seq": event.seq,
-                    "time": event.time,
-                    "site": event.site,
-                    "category": category,
-                    "name": event.name,
-                    "details": event.details,
-                }
-            )
+            if category not in UNSTREAMED_CATEGORIES:
+                self._frames.append(
+                    {
+                        "kind": "event",
+                        "time": event.time,
+                        "site": event.site,
+                        "category": category,
+                        "name": event.name,
+                        "details": event.details,
+                    }
+                )
         if (
             self._kill_predicate is not None
             and not self._dying
@@ -286,49 +290,34 @@ class SiteProcess:
         buffer, protocol tables) does not.
         """
         try:
-            await asyncio.wait_for(self._flush_for_death(), DEATH_FLUSH_TIMEOUT)
+            await asyncio.wait_for(self._drain(), DEATH_FLUSH_TIMEOUT)
         except asyncio.TimeoutError:
             pass
         finally:
-            # Even when the flush timed out: the event that fired the
+            # Even when the drain timed out: the event that fired the
             # kill may still be in the buffer.
-            self._write_trace()
+            self._flush()
             os.kill(os.getpid(), signal.SIGKILL)
 
-    async def _flush_for_death(self) -> None:
-        assert self.host is not None and self._writer is not None
+    async def _drain(self) -> None:
+        """Hand every accepted message, trace row and frame to the OS."""
+        assert self.host is not None
         await self.host.transport.drain_outbound()
-        while not self._outbox.empty() or self._pump_busy:
+        self._flush()
+        while self._conn is not None and self._conn.get_write_buffer_size():
             await asyncio.sleep(0)
-        await self._writer.drain()
 
     # -- command serving -----------------------------------------------------
 
-    async def _serve(self, reader: asyncio.StreamReader) -> None:
-        while True:
-            frame = await read_control(reader)
-            if frame is None:
-                return  # supervisor died: nothing to serve for
-            if frame.get("kind") != "cmd":
-                continue
-            cmd_id = frame.get("id")
-            try:
-                result = self._dispatch(frame)
-            except Exception as exc:  # noqa: BLE001 — shipped to supervisor
-                self._emit(
-                    {
-                        "kind": "reply",
-                        "id": cmd_id,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
-                continue
-            self._emit({"kind": "reply", "id": cmd_id, **result})
-            if frame["op"] == "shutdown":
-                await self._flush_for_death()
-                assert self.host is not None
-                await self.host.close()
-                return
+    def _serve(self, frame: dict[str, Any]) -> None:
+        try:
+            result = self._dispatch(frame)
+        except Exception as exc:  # noqa: BLE001 — shipped to supervisor
+            result = {"error": f"{type(exc).__name__}: {exc}"}
+        self._emit({"kind": "reply", "id": frame.get("id"), **result})
+        assert self._done is not None
+        if result.get("status") == "bye" and not self._done.done():
+            self._done.set_result(True)
 
     def _dispatch(self, frame: dict[str, Any]) -> dict[str, Any]:
         assert self.host is not None and self.host.site is not None
@@ -373,14 +362,14 @@ class SiteProcess:
                 "retained": sorted(site.retained_transactions()),
                 "uncollected": sorted(site.uncollected_log_transactions()),
                 # Transport counters: `msg` trace events stay inside the
-                # child (too chatty for the control stream), so the
+                # child (too chatty for the control connection), so the
                 # end-of-run totals travel in the summary instead.
                 "messages_sent": transport.sent_count,
                 "messages_delivered": transport.delivered_count,
                 "messages_dropped": transport.dropped_count,
             }
         if op == "shutdown":
-            return {"status": "bye"}  # _serve closes the host and exits
+            return {"status": "bye"}  # run() closes the host and exits
         raise ValueError(f"unknown control op {op!r}")
 
 

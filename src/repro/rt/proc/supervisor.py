@@ -15,24 +15,24 @@ only on the *control* plane:
   world view, and spawns the children (stdout/stderr to
   ``<site>/child.log``; pids registered in :data:`SPAWNED_PROCESSES`
   for the test-suite's orphan reaper);
-* each child holds one control connection back here, streaming the
-  trace events live readers wait on (decisions, forgets, peer and
-  recovery events; not ``msg``, ``log`` or ``db``) into the
-  supervisor's own :class:`~repro.rt.runtime.LiveRuntime` trace, and
-  serving the command ops (begin work, begin commit, status, flush+GC,
-  summary, shutdown);
-* each child writes its ``log`` and ``db`` events to a trace file in
-  its data directory, and :meth:`ProcessCluster.collect` merges every
-  file into ``sim.trace``, so a finished cluster satisfies the exact
-  duck-typed surface the conformance suite's ``equivalence_summary``
-  consumes (``.sim.trace``, ``.sites``, ``.check()``). Mid-run,
-  ``sim.trace`` holds only the streamed categories;
-* liveness is the control connection itself plus a heartbeat: EOF on
-  the stream is the death notification (a synthetic ``site/crash``
-  trace event is recorded *after* the stream is fully drained, and the
-  merge places it after the last event of the process it ends), and a
-  child that stops answering pings for ``heartbeat_misses`` beats is
-  killed and treated the same way;
+* each child holds one control connection back here, one small
+  :class:`asyncio.Protocol` per connection (no task). Over it the child
+  serves the command ops (begin work, begin commit, status, flush+GC,
+  summary, shutdown) and notifies the trace events live readers wait
+  on (not ``msg``, ``log`` or ``db``), recorded into the supervisor's
+  :class:`~repro.rt.runtime.LiveRuntime` trace;
+* each child's trace file, every event but ``msg``, is its whole
+  record: :meth:`ProcessCluster.collect` rebuilds ``sim.trace`` from
+  the files plus the supervisor's own events, the duck-typed surface
+  the conformance suite's ``equivalence_summary`` consumes
+  (``.sim.trace``, ``.sites``, ``.check()``). Mid-run, ``sim.trace``
+  holds only the notified categories;
+* liveness is the control connection plus a heartbeat: the
+  connection's end is the death notification (a synthetic
+  ``site/crash``, recorded after every frame before the end was read
+  and merged after the last row of the process it ends), and a child
+  that misses :data:`HEARTBEAT_MISSES` pings in a row is killed and
+  treated the same way;
 * :meth:`kill` is a real ``SIGKILL`` (nothing flushes, nothing exits
   cleanly), and :meth:`restart` respawns the child over the same data
   directory — the child's recovery-first boot does the rest. Config
@@ -58,7 +58,7 @@ import socket
 import subprocess
 import sys
 import time
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
@@ -72,10 +72,9 @@ from repro.rt.cluster import ClusterDriver
 from repro.rt.host import STORE_FILE, WAL_FILE
 from repro.rt.proc.config import KillSpec, SiteProcessConfig
 from repro.rt.proc.control import (
-    MAX_CONTROL_LINE,
+    ControlDecoder,
     ProcessControlError,
     encode_control,
-    read_control,
     read_trace_rows,
     recovery_from_dict,
 )
@@ -107,6 +106,12 @@ CALL_TIMEOUT = 60.0
 
 #: Wall seconds an orderly shutdown waits before escalating to SIGKILL.
 SHUTDOWN_GRACE = 5.0
+
+#: Wall seconds between pings per child; also each ping's reply timeout.
+HEARTBEAT_INTERVAL = 1.0
+
+#: Consecutive unanswered pings before a child is declared hung.
+HEARTBEAT_MISSES = 5
 
 
 class _RemoteLog:
@@ -156,7 +161,7 @@ class RemoteSite:
         self.store = _RemoteStore(store)
         self._retained = retained
         self._uncollected = uncollected
-        #: End-of-run transport counters streamed in the ``summary``
+        #: End-of-run transport counters shipped in the ``summary``
         #: reply; a dead child's counters died with it and read 0.
         self.messages_sent = messages_sent
         self.messages_delivered = messages_delivered
@@ -174,37 +179,94 @@ class RemoteSite:
 
 
 class _Incarnation:
-    """One spawned process of one site, as its trace sees it: the events
-    it streamed (with its own ``seq`` numbers), the trace file its hello
-    named, and the crash that ended it."""
+    """One spawned process of one site, as its trace sees it: the trace
+    file its hello named, and the crash that ended it."""
 
     def __init__(self, site_id: str) -> None:
         self.site_id = sys.intern(site_id)
-        self.seqs: list[int] = []
-        self.events: list[TraceEvent] = []
         self.trace_file: Optional[Path] = None
         self.crash: Optional[TraceEvent] = None
 
     def ordered_events(self) -> Iterator[TraceEvent]:
-        """Streamed events and file rows interleaved by the child's
-        ``seq``, the file read one line at a time; then the crash."""
+        """The trace file's rows in file order (the child's ``seq``
+        order), read one line at a time; then the crash."""
         site = self.site_id
-        rows = () if self.trace_file is None else read_trace_rows(self.trace_file)
-        from_file = (
-            (
-                row[0],
-                TraceEvent(
-                    row[1], row[0], site, sys.intern(row[2]), sys.intern(row[3]), row[4]
-                ),
-            )
-            for row in rows
-        )
-        for _, event in heapq.merge(
-            zip(self.seqs, self.events), from_file, key=itemgetter(0)
-        ):
-            yield event
+        if self.trace_file is not None:
+            for seq, time, category, name, details in read_trace_rows(
+                self.trace_file
+            ):
+                yield TraceEvent(
+                    time, seq, site, sys.intern(category), sys.intern(name), details
+                )
         if self.crash is not None:
             yield self.crash
+
+
+class _ControlConnection(asyncio.Protocol):
+    """One child's control connection, for the life of that process.
+
+    Frames are routed by their ``site`` field until one binds the
+    connection to its child, so a recovery-first boot may notify its
+    recovery events *before* its hello. An ``event`` is recorded for
+    live readers and kept nowhere else. ``connection_lost`` runs after
+    the last ``data_received``: the crash follows every frame read.
+    """
+
+    transport: asyncio.Transport
+
+    def __init__(self, cluster: "ProcessCluster") -> None:
+        self._cluster = cluster
+        self._decoder = ControlDecoder()
+        self._handle: Optional[_ChildHandle] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:  # type: ignore[override]
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for frame in self._decoder.feed(data):
+                self._route(frame)
+        except ProcessControlError:
+            self.transport.abort()
+
+    def _route(self, frame: dict[str, Any]) -> None:
+        kind = frame.get("kind")
+        handle = self._handle
+        if handle is None:
+            # Replies carry no site field; they can only arrive after
+            # the hello bound this connection.
+            handle = self._cluster._children.get(frame.get("site"))
+            if handle is None or kind == "reply":
+                raise ProcessControlError(f"control frame of no child: {frame!r}")
+            self._handle = handle
+            handle.control = self
+        if kind == "event":
+            sim = self._cluster.sim
+            assert sim is not None
+            sim.trace.record(
+                frame["time"],
+                frame["site"],
+                frame["category"],
+                frame["name"],
+                frame["details"],
+            )
+        elif kind == "hello":
+            # No respawn replaces the incarnation before this connection ends.
+            handle.incarnation.trace_file = (
+                self._cluster.data_dir / handle.site_id / frame["trace"]
+            )
+            handle.alive = True
+            if handle.hello is not None and not handle.hello.done():
+                handle.hello.set_result(frame)
+        elif kind == "reply":
+            future = handle.pending.pop(frame.get("id"), None)
+            if future is not None and not future.done():
+                future.set_result(frame)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        handle = self._handle
+        if handle is not None and handle.control is self:
+            self._cluster._on_child_gone(handle)
 
 
 class _ChildHandle:
@@ -217,7 +279,8 @@ class _ChildHandle:
         self.config_path = config_path
         self.popen: Optional[subprocess.Popen] = None
         self.log_fh: Optional[Any] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.control: Optional[_ControlConnection] = None
+        #: Between the hello and the control connection's end.
         self.alive = False
         self.pid: Optional[int] = None
         self.recovery: Optional[LocalRecoveryReport] = None
@@ -225,12 +288,9 @@ class _ChildHandle:
         #: The running (or last) process's trace; replaced by each spawn.
         self.incarnation = _Incarnation(self.site_id)
         self.pending: dict[int, asyncio.Future] = {}
-        #: Set when the control stream reaches EOF (process death seen
-        #: and fully drained); reset by each (re)spawn.
+        #: Set when the control connection ends (process death seen,
+        #: every frame read); reset by each (re)spawn.
         self.crashed = asyncio.Event()
-        #: True while an orderly shutdown is in progress, so the EOF
-        #: path does not record a synthetic crash for it.
-        self.closing = False
 
 
 class ProcessCluster(ClusterDriver):
@@ -238,19 +298,12 @@ class ProcessCluster(ClusterDriver):
 
     Drop-in for :class:`~repro.rt.cluster.LiveCluster`'s surface
     (including its kill/restart failure interface); construction args
-    are :class:`~repro.rt.cluster.ClusterDriver`'s, plus the supervision
-    knobs:
+    are :class:`~repro.rt.cluster.ClusterDriver`'s, plus:
 
     Args:
         kills: per-site self-``SIGKILL`` specs
             (:class:`~repro.rt.proc.config.KillSpec`): the named crash
             point fires *inside* the victim's own process.
-        heartbeat_interval: wall seconds between pings per child.
-        heartbeat_misses: consecutive unanswered pings before the
-            supervisor declares the child hung and ``SIGKILL``\\ s it.
-        auto_respawn: respawn a crashed child automatically (kill spec
-            stripped, recovery-first boot). Off by default — the
-            conformance and crash-matrix drivers restart explicitly.
     """
 
     def __init__(
@@ -258,21 +311,13 @@ class ProcessCluster(ClusterDriver):
         mix: ProtocolMix,
         data_dir: Path | str,
         kills: Optional[dict[str, KillSpec]] = None,
-        heartbeat_interval: float = 1.0,
-        heartbeat_misses: int = 5,
-        auto_respawn: bool = False,
         **options: Any,
     ) -> None:
         super().__init__(mix, data_dir, **options)
         self._kills = dict(kills) if kills else {}
-        self._heartbeat_interval = heartbeat_interval
-        self._heartbeat_misses = heartbeat_misses
-        self._auto_respawn = auto_respawn
         self._children: dict[str, _ChildHandle] = {}
         self._server: Optional[asyncio.Server] = None
-        self._control_port = 0
         self._monitors: list[asyncio.Task] = []
-        self._handlers: set[asyncio.Task] = set()
         self._next_cmd_id = 0
         self._views: Optional[dict[str, RemoteSite]] = None
         self._shutting_down = False
@@ -291,36 +336,28 @@ class ProcessCluster(ClusterDriver):
         in (recovery-first boot included)."""
         self._wall_epoch = time.time()
         self._start_runtime(wall_epoch=self._wall_epoch)
-        self._server = await asyncio.start_server(
-            self._on_control_connection,
-            "127.0.0.1",
-            0,
-            limit=MAX_CONTROL_LINE,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _ControlConnection(self), "127.0.0.1", 0
         )
-        self._control_port = self._server.sockets[0].getsockname()[1]
+        control_port = self._server.sockets[0].getsockname()[1]
 
+        site_protocols, coordinator_sites = self._pcp_listing()
         layout = sorted(self._layout.values(), key=lambda site: site.site_id)
-        site_protocols = {site.site_id: site.protocol for site in layout}
-        coordinator_sites = [
-            site.site_id for site in layout if site.coordinator is not None
-        ]
         # Reserve every data port up front so the complete address
         # directory goes into every child's config — addresses survive
         # any child's restart without renegotiation, and no other
         # socket can take a port while its site is down.
         directory = {}
-        for site_id in site_protocols:
+        for site in layout:
             reservation = _reserve_port()
             self._reserved_ports.append(reservation)
-            directory[site_id] = ["127.0.0.1", reservation.getsockname()[1]]
+            directory[site.site_id] = ["127.0.0.1", reservation.getsockname()[1]]
         for site in layout:
             site_id = site.site_id
             config = SiteProcessConfig(
                 site=site,
-                host=directory[site_id][0],
-                port=directory[site_id][1],
                 control_host="127.0.0.1",
-                control_port=self._control_port,
+                control_port=control_port,
                 directory=directory,
                 site_protocols=site_protocols,
                 coordinator_sites=coordinator_sites,
@@ -345,7 +382,6 @@ class ProcessCluster(ClusterDriver):
     def _spawn(self, handle: _ChildHandle) -> None:
         handle.hello = asyncio.get_running_loop().create_future()
         handle.crashed = asyncio.Event()
-        handle.closing = False
         handle.incarnation = _Incarnation(handle.site_id)
         self._incarnations.append(handle.incarnation)
         handle.log_fh = open(
@@ -390,7 +426,7 @@ class ProcessCluster(ClusterDriver):
         while not hello.done():
             code = popen.poll()
             if code is not None:
-                # A hello written before the exit is still in the stream.
+                # A hello written before the exit may still be unread.
                 await asyncio.wait({hello}, timeout=EXIT_GRACE)
                 if not hello.done() or hello.exception() is not None:
                     log = self.data_dir / handle.site_id / "child.log"
@@ -417,8 +453,6 @@ class ProcessCluster(ClusterDriver):
         await asyncio.gather(*self._monitors, return_exceptions=True)
         self._monitors.clear()
         for handle in self._children.values():
-            handle.closing = True
-        for handle in self._children.values():
             if handle.alive:
                 try:
                     await self._call(
@@ -438,12 +472,10 @@ class ProcessCluster(ClusterDriver):
             if handle.log_fh is not None:
                 handle.log_fh.close()
                 handle.log_fh = None
-        # Every child is gone, so each control stream is at EOF; let the
-        # handlers read it and return. Left blocked, they are cancelled
-        # by asyncio.run() and the stream protocol's done-callback logs
-        # a CancelledError traceback per connection.
-        if self._handlers:
-            await asyncio.wait(self._handlers, timeout=SHUTDOWN_GRACE)
+            # Gone, so its connection is at its end; one whose end was
+            # not read yet closes now, in connection_lost.
+            if handle.control is not None:
+                handle.control.transport.abort()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -454,77 +486,9 @@ class ProcessCluster(ClusterDriver):
 
     # -- control plane -------------------------------------------------------
 
-    async def _on_control_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One child's control stream, for the life of that incarnation.
-
-        Frames are routed by their ``site`` field, so a recovery-first
-        boot may stream its recovery trace events *before* its hello.
-        Each streamed event is recorded now (live readers wait on it)
-        and kept with its ``seq`` for the merge in :meth:`collect`.
-        EOF (or a reset) means the process died: only after the stream
-        is fully drained is the synthetic ``site/crash`` recorded,
-        preserving "no event follows the crash" in per-site trace
-        order.
-        """
-        handle: Optional[_ChildHandle] = None
-        task = asyncio.current_task()
-        assert task is not None
-        self._handlers.add(task)
-        try:
-            while True:
-                frame = await read_control(reader)
-                if frame is None:
-                    break
-                kind = frame.get("kind")
-                if handle is None:
-                    site_id = frame.get("site")
-                    if kind == "reply":
-                        # Replies carry no site field; they can only
-                        # arrive after hello bound this connection.
-                        break
-                    handle = self._children.get(site_id)
-                    if handle is None:
-                        break
-                    handle.writer = writer
-                    handle.alive = True
-                # No respawn replaces it before this stream's EOF.
-                incarnation = handle.incarnation
-                if kind == "event":
-                    assert self.sim is not None
-                    # start() subscribed the cluster: record returns the event.
-                    event = self.sim.trace.record(
-                        frame["time"],
-                        frame["site"],
-                        frame["category"],
-                        frame["name"],
-                        frame["details"],
-                    )
-                    assert event is not None
-                    incarnation.seqs.append(frame["seq"])
-                    incarnation.events.append(event)
-                elif kind == "hello":
-                    incarnation.trace_file = (
-                        self.data_dir / handle.site_id / frame["trace"]
-                    )
-                    if handle.hello is not None and not handle.hello.done():
-                        handle.hello.set_result(frame)
-                elif kind == "reply":
-                    future = handle.pending.pop(frame.get("id"), None)
-                    if future is not None and not future.done():
-                        future.set_result(frame)
-        except ProcessControlError:
-            pass
-        finally:
-            self._handlers.discard(task)
-            writer.close()
-            if handle is not None and handle.writer is writer:
-                self._on_child_gone(handle)
-
     def _on_child_gone(self, handle: _ChildHandle) -> None:
         handle.alive = False
-        handle.writer = None
+        handle.control = None
         failure = ProcessControlError(
             f"site process {handle.site_id!r} died mid-command"
         )
@@ -534,15 +498,13 @@ class ProcessCluster(ClusterDriver):
         handle.pending.clear()
         if handle.hello is not None and not handle.hello.done():
             handle.hello.set_exception(failure)
-        if not handle.closing and not self._shutting_down:
+        if not self._shutting_down:
             assert self.sim is not None
             # The same event Site.crash records, stamped at the moment
-            # the supervisor finished draining the victim's stream.
+            # the supervisor read the end of the victim's connection.
             handle.incarnation.crash = self.sim.record(
                 handle.site_id, "site", "crash"
             )
-            if self._auto_respawn:
-                asyncio.ensure_future(self.restart(handle.site_id))
         handle.crashed.set()
 
     async def _call(
@@ -556,30 +518,22 @@ class ProcessCluster(ClusterDriver):
             asyncio.TimeoutError: no reply within ``timeout``.
         """
         handle = self._children[site_id]
-        if not handle.alive or handle.writer is None:
+        if not handle.alive or handle.control is None:
             raise ProcessControlError(f"site process {site_id!r} is not running")
         self._next_cmd_id += 1
         cmd_id = self._next_cmd_id
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         handle.pending[cmd_id] = future
-        handle.writer.write(
+        # A connection that failed under this write ends in
+        # connection_lost, which fails the future.
+        handle.control.transport.write(
             encode_control({"kind": "cmd", "id": cmd_id, "op": op, **kw})
         )
         try:
-            await handle.writer.drain()
             reply = await asyncio.wait_for(future, timeout)
         except asyncio.TimeoutError:
-            # Checked before OSError: since 3.11 asyncio.TimeoutError
-            # *is* builtin TimeoutError, a subclass of OSError — the
-            # heartbeat monitor must see timeouts as timeouts, not as
-            # dead-connection errors.
             handle.pending.pop(cmd_id, None)
             raise
-        except (OSError, ConnectionError) as exc:
-            handle.pending.pop(cmd_id, None)
-            raise ProcessControlError(
-                f"control write to {site_id!r} failed: {exc}"
-            )
         if "error" in reply:
             raise ProcessControlError(
                 f"op {op!r} failed in {site_id!r}: {reply['error']}"
@@ -587,28 +541,26 @@ class ProcessCluster(ClusterDriver):
         return reply
 
     async def _monitor(self, handle: _ChildHandle) -> None:
-        """Heartbeat: ping every ``heartbeat_interval``; after
-        ``heartbeat_misses`` consecutive silent beats the child is
-        declared hung and SIGKILLed (the EOF path then treats it as any
-        other crash)."""
+        """Heartbeat: ping every :data:`HEARTBEAT_INTERVAL`; after
+        :data:`HEARTBEAT_MISSES` consecutive silent beats the child is
+        declared hung and SIGKILLed (the connection's end then treats it
+        as any other crash)."""
         missed = 0
         while True:
-            await asyncio.sleep(self._heartbeat_interval)
-            if handle.closing or self._shutting_down or not handle.alive:
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
+            if self._shutting_down or not handle.alive:
                 return
             try:
-                await self._call(
-                    handle.site_id, "ping", timeout=self._heartbeat_interval
-                )
+                await self._call(handle.site_id, "ping", timeout=HEARTBEAT_INTERVAL)
                 missed = 0
             except asyncio.TimeoutError:
                 missed += 1
-                if missed >= self._heartbeat_misses:
+                if missed >= HEARTBEAT_MISSES:
                     if handle.popen is not None:
                         handle.popen.kill()
                     return
             except ProcessControlError:
-                return  # already dead; the EOF path handled it
+                return  # already dead; connection_lost handled it
 
     # -- the MDBS surface ----------------------------------------------------
 
@@ -675,7 +627,7 @@ class ProcessCluster(ClusterDriver):
 
     async def run(self, until: float, heartbeat: float = 0.25) -> None:
         """Advance until quiescence or ``until`` virtual units, waking
-        on streamed trace activity with ``heartbeat`` as fallback."""
+        on notified trace activity with ``heartbeat`` as fallback."""
         await self._run_until_quiescent(until, heartbeat)
 
     async def _quiescent(self) -> bool:
@@ -729,18 +681,17 @@ class ProcessCluster(ClusterDriver):
         self, site_id: str, timeout: float = CALL_TIMEOUT
     ) -> None:
         """Block until ``site_id``'s process death has been observed
-        (control stream drained, synthetic crash recorded)."""
+        (control connection ended, synthetic crash recorded)."""
         await asyncio.wait_for(
             self._children[site_id].crashed.wait(), timeout
         )
 
     async def kill(self, site_id: str) -> None:
         """SIGKILL one site process and wait until its death has been
-        observed (stream drained, crash recorded)."""
+        observed (connection ended, crash recorded)."""
         handle = self._children[site_id]
-        # Gate on the supervisor's liveness view (control stream open),
-        # not ``popen.poll()``: a just-died child can be EOF-observed
-        # dead while its exit status is not yet reapable.
+        # Gate on the control connection, not ``popen.poll()``: a child
+        # can be dead on its connection before its exit is reapable.
         if handle.popen is None or not handle.alive:
             raise SiteDownError(f"site process {site_id!r} is not running")
         handle.popen.kill()
@@ -761,7 +712,6 @@ class ProcessCluster(ClusterDriver):
         if handle.config.kill is not None:
             handle.config.kill = None
             handle.config.save(handle.config_path)
-        assert self.sim is not None
         self._spawn(handle)
         report = await self._await_hello(handle)
         self._monitors.append(asyncio.ensure_future(self._monitor(handle)))
@@ -776,9 +726,9 @@ class ProcessCluster(ClusterDriver):
     async def collect(self) -> dict[str, RemoteSite]:
         """Gather every site's end-of-run footprint: live children via
         the ``summary`` op, dead ones from their on-disk WAL + snapshot
-        (what their next incarnation would recover from). Then merge
-        every site process's trace file into ``sim.trace``, which until
-        then holds only the streamed categories."""
+        (what their next incarnation would recover from). Then rebuild
+        ``sim.trace`` from every site process's trace file, until then
+        holding only the notified categories."""
         views: dict[str, RemoteSite] = {}
         for site_id, handle in self._children.items():
             if handle.alive:
@@ -787,16 +737,14 @@ class ProcessCluster(ClusterDriver):
                     views[site_id] = RemoteSite(
                         site_id,
                         reply["protocol"],
-                        bool(reply["is_up"]),
+                        reply["is_up"],
                         [record_from_json(data) for data in reply["records"]],
                         reply["store"],
                         set(reply["retained"]),
                         set(reply["uncollected"]),
-                        messages_sent=int(reply.get("messages_sent", 0)),
-                        messages_delivered=int(
-                            reply.get("messages_delivered", 0)
-                        ),
-                        messages_dropped=int(reply.get("messages_dropped", 0)),
+                        reply["messages_sent"],
+                        reply["messages_delivered"],
+                        reply["messages_dropped"],
                     )
                     continue
                 except (ProcessControlError, asyncio.TimeoutError):
@@ -810,15 +758,14 @@ class ProcessCluster(ClusterDriver):
         """Rebuild ``sim.trace`` from every process this cluster spawned
         plus the supervisor's own events.
 
-        Within one process, streamed events and its trace file's rows
-        interleave by the child's ``seq``, and the synthetic crash
-        comes last. Processes and the supervisor's own events merge by
-        ``time`` (one clock epoch; ties keep spawn order). Each file is
-        read one line at a time straight into the new trace, and the
-        streamed events are kept apart from it, so a repeated collect
-        rebuilds the same trace with every event once. Only the files
-        this cluster's processes named in their hellos are read. A live
-        child's ``summary`` reply followed every row it wrote before.
+        One process is its trace file's rows in file order, then its
+        synthetic crash. Processes and the supervisor's own events merge
+        by ``time`` (one clock epoch; ties keep spawn order). Each file
+        is read one line at a time straight into the new trace, so a
+        repeated collect rebuilds the same trace with every event once.
+        Only the files this cluster's processes named in their hellos
+        are read. A live child's ``summary`` reply followed every row it
+        wrote before.
         """
         assert self.sim is not None
         streams = [inc.ordered_events() for inc in self._incarnations]

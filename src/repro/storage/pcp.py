@@ -32,6 +32,19 @@ class CommitProtocolDirectory:
         self._app: dict[str, str] = {}
         self._coordinators: set[str] = set()
 
+    @classmethod
+    def listing(
+        cls, protocols: Mapping[str, str], coordinators: Iterable[str]
+    ) -> "CommitProtocolDirectory":
+        """A directory with each site of ``protocols`` registered under
+        its protocol, and each of ``coordinators`` as a coordinator."""
+        pcp = cls()
+        for site_id, protocol in protocols.items():
+            pcp.register_site(site_id, protocol)
+        for site_id in coordinators:
+            pcp.register_coordinator(site_id)
+        return pcp
+
     # -- membership ----------------------------------------------------------
 
     def register_site(self, site_id: str, protocol: str) -> None:

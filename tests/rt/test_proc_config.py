@@ -44,8 +44,6 @@ SITES = {
 def envelope(site: SiteConfig, **extra) -> SiteProcessConfig:
     return SiteProcessConfig(
         site=site,
-        host="127.0.0.1",
-        port=4001,
         control_host="127.0.0.1",
         control_port=4000,
         directory={site.site_id: ["127.0.0.1", 4001], "tm": ["127.0.0.1", 4002]},

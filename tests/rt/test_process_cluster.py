@@ -3,7 +3,7 @@
 The crash matrix (``test_process_recovery.py``) exercises *protocol*
 behavior under SIGKILL; this module covers the supervisor machinery
 itself — spawn/teardown hygiene, heartbeat detection of a wedged (not
-dead) child, automatic respawn — plus the headline conformance claim
+dead) child, no task per control connection — plus the headline conformance claim
 for the multi-process deployment: a pinned-seed failure-free workload
 over real OS processes produces the byte-identical equivalence
 footprint of the deterministic simulator.
@@ -27,6 +27,7 @@ from repro.errors import SiteDownError
 from repro.rt import cluster as live
 from repro.rt.proc import KillSpec, ProcessCluster
 from repro.rt.proc.control import ProcessControlError
+from repro.rt.proc import supervisor
 from repro.rt.proc.supervisor import HELLO_TIMEOUT
 from tests.conformance.harness import (
     CONFORMANCE_TIMEOUTS,
@@ -154,6 +155,25 @@ def test_spawn_and_clean_teardown(tmp_path):
     assert asyncio.run(go()) == set()
 
 
+def test_a_started_cluster_runs_no_task_per_control_connection(tmp_path):
+    """Each control connection is a protocol the event loop calls, not
+    a task: the only tasks a started cluster adds are the heartbeat
+    monitors, one per child."""
+
+    async def go():
+        cluster = _cluster(tmp_path)
+        await cluster.start()
+        try:
+            tasks = asyncio.all_tasks() - {asyncio.current_task()}
+            assert len(cluster._children) == len(cluster._monitors) > 0
+            assert tasks == set(cluster._monitors)
+        finally:
+            await cluster.shutdown()
+        return True
+
+    assert asyncio.run(go())
+
+
 def test_workload_teardown_leaves_no_traceback_on_stderr(tmp_path):
     # Several clusters in one interpreter, the way `repro bench --suite
     # live` runs its rows: that is where shutdown() used to return with
@@ -215,7 +235,7 @@ def test_a_killed_sites_data_port_stays_reserved(tmp_path):
         await cluster.start()
         try:
             victim = sorted(cluster._children)[0]
-            port = cluster._children[victim].config.port
+            _, port = cluster._children[victim].config.directory[victim]
             await cluster.kill(victim)
             for reuse_address in (0, 1):
                 with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
@@ -236,15 +256,15 @@ def test_a_killed_sites_data_port_stays_reserved(tmp_path):
     assert asyncio.run(go())
 
 
-def test_heartbeat_kills_wedged_child(tmp_path):
+def test_heartbeat_kills_wedged_child(tmp_path, monkeypatch):
     """Liveness is more than process-exists: a SIGSTOPped child holds
     its control socket open but answers nothing. The heartbeat monitor
     must notice the silence and put it out of its misery."""
+    monkeypatch.setattr(supervisor, "HEARTBEAT_INTERVAL", 0.2)
+    monkeypatch.setattr(supervisor, "HEARTBEAT_MISSES", 2)
 
     async def go():
-        cluster = _cluster(
-            tmp_path, heartbeat_interval=0.2, heartbeat_misses=2
-        )
+        cluster = _cluster(tmp_path)
         await cluster.start()
         try:
             victim = sorted(cluster._children)[0]
@@ -260,29 +280,6 @@ def test_heartbeat_kills_wedged_child(tmp_path):
                 except ProcessLookupError:
                     pass
             assert not handle.alive
-        finally:
-            await cluster.shutdown()
-        return True
-
-    assert asyncio.run(go())
-
-
-def test_auto_respawn_brings_crashed_child_back(tmp_path):
-    async def go():
-        cluster = _cluster(tmp_path, auto_respawn=True)
-        await cluster.start()
-        try:
-            victim = sorted(cluster._children)[0]
-            handle = cluster._children[victim]
-            old_pid = handle.pid
-            handle.popen.kill()
-            await cluster.wait_for_crash(victim, timeout=15.0)
-            deadline = asyncio.get_running_loop().time() + 15.0
-            while not (handle.alive and handle.pid != old_pid):
-                assert asyncio.get_running_loop().time() < deadline, (
-                    "child was not respawned"
-                )
-                await asyncio.sleep(0.05)
         finally:
             await cluster.shutdown()
         return True

@@ -1,20 +1,22 @@
 """A process cluster's trace, merged from its sites' trace files.
 
-Each site process writes its ``log`` and ``db`` trace events to
-``trace.<pid>.jsonl`` in its data directory and streams only the rest
-to the supervisor; :meth:`ProcessCluster.collect` merges both into
-``sim.trace``. Checked here:
+Each site process writes every trace event but ``msg`` to
+``trace.<pid>.jsonl`` in its data directory, its whole record, and
+notifies the supervisor of the events live readers wait on;
+:meth:`ProcessCluster.collect` rebuilds ``sim.trace`` from the files
+and the supervisor's own events. Checked here:
 
-* one process's file rows and streamed events interleave by its own
-  ``seq``, a line cut short by a kill is skipped, and its crash comes
-  last;
+* one process is its file rows in file order, a line cut short by a
+  kill skipped, then its crash;
 * an external ``kill`` and a ``KillSpec`` self-kill mid-wave each leave
   every event the dead process wrote, once and in order, then its
   ``site.crash``, then the next process's ``site.recover``;
+* each event the supervisor was notified of appears once in the merged
+  trace;
 * ``collect()`` twice gives the same trace;
 * an earlier cluster's files in the same data directory are not read;
 * a failure-free run sends at most 12 control frames per transaction
-  (37.9 when every event crossed the control stream).
+  (37.9 when every event crossed the control connection).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.mdbs.transaction import simple_transaction
 from repro.rt.cluster import LIVE_TIMEOUTS, run_workload
 from repro.rt.proc import KillSpec, ProcessCluster
 from repro.rt.proc import supervisor
+from repro.rt.proc.control import ControlDecoder
 from repro.rt.proc.supervisor import _Incarnation
 from repro.sim.tracing import TraceEvent
 from repro.workloads.generator import COORDINATOR_ID, WorkloadSpec
@@ -36,7 +39,6 @@ PRN, PRA, PRC = sorted(MIX.site_protocols())
 TIME_SCALE = 0.01
 #: Units the victim stays down; well under every protocol timer.
 DOWN_UNITS = 30.0
-FILE_CATEGORIES = ("log", "db")
 
 
 def wave(prefix: str, n: int) -> list:
@@ -89,8 +91,7 @@ def assert_dead_process_merged(cluster, data_dir, victim, pid) -> None:
     crash = next(
         i for i, event in enumerate(events) if event.matches("site", "crash")
     )
-    before = [e for e in events[:crash] if e.category in FILE_CATEGORIES]
-    assert [(e.time, e.category, e.name, e.details) for e in before] == [
+    assert [(e.time, e.category, e.name, e.details) for e in events[:crash]] == [
         tuple(row[1:]) for row in rows
     ]
     after = [
@@ -103,34 +104,34 @@ def assert_dead_process_merged(cluster, data_dir, victim, pid) -> None:
     written = sum(
         len(file_rows(path)) for path in (data_dir / victim).glob("trace.*.jsonl")
     )
-    assert sum(e.category in FILE_CATEGORIES for e in events) == written
+    assert sum(not e.matches("site", "crash") for e in events) == written
     assert [e.seq for e in cluster.sim.trace] == list(range(len(cluster.sim.trace)))
 
 
-def test_one_process_interleaves_file_rows_and_streamed_events_by_seq(tmp_path):
+def test_one_process_is_its_file_rows_in_file_order_then_its_crash(tmp_path):
     path = tmp_path / "trace.1.jsonl"
     path.write_bytes(
-        b'[[0,1.0,"log","append",{"txn":"t1"}],[2,1.2,"db","prepared",{"txn":"t1"}]]\n'
-        b'[[3,1.3,"log","force",{}]]\n'
-        b'[[5,1.5,"log","app'  # cut short by a kill
+        b'[[0,1.0,"log","append",{"txn":"t1"}],[1,1.1,"protocol","vote",{"txn":"t1"}],'
+        b'[3,1.2,"db","prepared",{"txn":"t1"}]]\n'
+        b'[[4,1.3,"log","force",{}]]\n'
+        b'[[5,1.4,"protocol","forget",{"txn":"t1"}]]\n'
+        b'[[6,1.5,"log","app'  # cut short by a kill
     )
     process = _Incarnation("p1")
     process.trace_file = path
-    process.seqs = [1, 4]
-    process.events = [
-        TraceEvent(1.1, 90, "p1", "protocol", "vote", {"txn": "t1"}),
-        TraceEvent(1.4, 91, "p1", "protocol", "forget", {"txn": "t1"}),
-    ]
     # Stamped by the supervisor's clock, which may read a little behind
     # the child's: the crash still comes last.
     process.crash = TraceEvent(1.35, 92, "p1", "site", "crash")
-    assert [(e.time, e.category, e.name) for e in process.ordered_events()] == [
-        (1.0, "log", "append"),
-        (1.1, "protocol", "vote"),
-        (1.2, "db", "prepared"),
-        (1.3, "log", "force"),
-        (1.4, "protocol", "forget"),
-        (1.35, "site", "crash"),
+    assert [
+        (e.time, e.seq, e.site, e.category, e.name, e.details)
+        for e in process.ordered_events()
+    ] == [
+        (1.0, 0, "p1", "log", "append", {"txn": "t1"}),
+        (1.1, 1, "p1", "protocol", "vote", {"txn": "t1"}),
+        (1.2, 3, "p1", "db", "prepared", {"txn": "t1"}),
+        (1.3, 4, "p1", "log", "force", {}),
+        (1.4, 5, "p1", "protocol", "forget", {"txn": "t1"}),
+        (1.35, 92, "p1", "site", "crash", {}),
     ]
 
 
@@ -251,23 +252,23 @@ def test_an_earlier_clusters_trace_files_are_ignored(tmp_path):
     assert trace_files(tmp_path) >= earlier
     ours = trace_files(tmp_path) - earlier
     assert ours
-    merged = [e for e in cluster.sim.trace if e.category in FILE_CATEGORIES]
-    assert len(merged) == sum(len(file_rows(path)) for path in ours)
-    assert not any(e.name == "stale" for e in merged)
+    # A failure-free run: the supervisor recorded no event of its own.
+    assert len(cluster.sim.trace) == sum(len(file_rows(path)) for path in ours)
+    assert not any(e.name == "stale" for e in cluster.sim.trace)
 
 
 def test_a_failure_free_run_sends_at_most_12_control_frames_per_txn(
     tmp_path, monkeypatch
 ):
     frames = [0]
-    read_control = supervisor.read_control
 
-    async def counting(reader):
-        frame = await read_control(reader)
-        frames[0] += frame is not None
-        return frame
+    class Counting(ControlDecoder):
+        def feed(self, data: bytes) -> list:
+            decoded = super().feed(data)
+            frames[0] += len(decoded)
+            return decoded
 
-    monkeypatch.setattr(supervisor, "read_control", counting)
+    monkeypatch.setattr(supervisor, "ControlDecoder", Counting)
     spec = WorkloadSpec(
         n_transactions=40,
         abort_fraction=0.25,
@@ -285,3 +286,29 @@ def test_a_failure_free_run_sends_at_most_12_control_frames_per_txn(
     assert len(cluster.outcomes()) == spec.n_transactions
     assert cluster.check().all_hold
     assert frames[0] / spec.n_transactions <= 12
+
+
+def test_each_notified_event_appears_once_in_the_merged_trace(tmp_path):
+    notified: list[tuple] = []
+
+    def key(event) -> tuple:
+        return (event.time, event.site, event.category, event.name, event.details)
+
+    async def go():
+        cluster = make_cluster(tmp_path)
+        await cluster.start()
+        cluster.sim.trace.subscribe(lambda event: notified.append(key(event)))
+        try:
+            await cluster.run_pipelined(wave("t", 6))
+            await settle(cluster)
+        finally:
+            await cluster.shutdown()
+        return cluster
+
+    cluster = asyncio.run(go())
+    merged = [key(event) for event in cluster.sim.trace]
+    notified_categories = {category for _, _, category, _, _ in notified}
+    assert "protocol" in notified_categories
+    assert notified_categories.isdisjoint({"log", "db", "msg"})
+    for event in notified:
+        assert merged.count(event) == 1, event
