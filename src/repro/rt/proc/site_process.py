@@ -21,11 +21,11 @@ connection and a trace file, and nothing else:
 * every event but ``msg`` goes to ``trace.<pid>.jsonl`` in the data
   directory, named in the hello: the process's whole record, merged by
   :meth:`~repro.rt.proc.supervisor.ProcessCluster.collect`. Each loop
-  iteration with output ends in one flush: its rows appended to the
-  file as one line (a JSON array of ``[seq, time, category, name,
-  details]`` rows, not fsynced), then its frames in one write. So a
-  reply follows every row and event its command caused. The child's
-  own recorder keeps no events.
+  iteration with output ends in one flush, joined to the runtime's end
+  of tick (``after_tick``): its rows appended to the file as one line
+  (a JSON array of ``[seq, time, category, name, details]`` rows, not
+  fsynced), then its frames in one write. So a reply follows every row
+  and event its command caused. The child's own recorder keeps no events.
 
 Crash injection: when the config carries a kill spec, the first trace
 event matching the catalogued crash-point predicate arms self-death.
@@ -136,6 +136,7 @@ class SiteProcess(asyncio.Protocol):
         self._dying = False
         self._kill_predicate = None
         self._trace_file: Optional[Any] = None
+        self._rt: Optional[LiveRuntime] = None
         #: This loop iteration's output, written by one :meth:`_flush`.
         self._rows: list[tuple] = []
         self._frames: list[dict[str, Any]] = []
@@ -157,7 +158,7 @@ class SiteProcess(asyncio.Protocol):
         config = self.config
         site_id = config.site.site_id
         loop = asyncio.get_running_loop()
-        rt = LiveRuntime(
+        self._rt = rt = LiveRuntime(
             time_scale=config.time_scale,
             seed=config.seed,
             wall_epoch=config.wall_epoch,
@@ -228,12 +229,8 @@ class SiteProcess(asyncio.Protocol):
             self._done.set_result(False)
 
     def _emit(self, frame: dict[str, Any]) -> None:
-        self._schedule_flush()
         self._frames.append(frame)
-
-    def _schedule_flush(self) -> None:
-        if not self._rows and not self._frames:
-            asyncio.get_running_loop().call_soon(self._flush)
+        self._rt.after_tick(self._flush)
 
     def _flush(self) -> None:
         """The buffered rows to the trace file as one line, then the
@@ -250,7 +247,7 @@ class SiteProcess(asyncio.Protocol):
     def _on_trace_event(self, event: TraceEvent) -> None:
         category = event.category
         if category != "msg":
-            self._schedule_flush()
+            self._rt.after_tick(self._flush)
             self._rows.append(
                 (event.seq, event.time, category, event.name, event.details)
             )

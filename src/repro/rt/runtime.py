@@ -6,7 +6,10 @@ surface: ``now``, ``record``, ``schedule``, ``set_timer`` and
 ``after_tick``. That is the whole seam the live runtime needs:
 :class:`LiveRuntime` implements the same five members on top of a
 running asyncio event loop, so the *unmodified* engines execute over
-real time and real sockets.
+real time and real sockets. ``after_tick`` is the one end of each
+event-loop iteration: one ``loop.call_soon`` drains the file logs'
+fsyncs, the peer links' writes and a site process's flush, in order,
+so a frame a force's completion sends leaves in its fsync's drain.
 
 Virtual-time contract: the engines think in the paper's abstract time
 units (a network hop ~ 1 unit, timeouts in tens of units — see
@@ -108,6 +111,9 @@ class LiveRuntime:
         self.trace = TraceRecorder()
         self.random = RandomStreams(seed)
         self._timers_fired = 0
+        #: This tick's end: its actions, each keyed by itself, and its callback.
+        self._end_of_tick: dict[Callable[[], Any], Callable[[], Any]] = {}
+        self._end_handle: Optional[asyncio.Handle] = None
 
     # -- time ----------------------------------------------------------------
 
@@ -180,13 +186,23 @@ class LiveRuntime:
         return self.schedule(delay, action, label)
 
     def after_tick(self, action: Callable[[], Any]) -> None:
-        """Run ``action`` after the callbacks already ready on the loop.
+        """Run ``action`` at the end of this tick, once however often
+        it is added; one added while the end runs joins it. Not a
+        timer: no :attr:`steps_executed` count, no virtual delay."""
+        if self._end_handle is None:
+            self._end_handle = self._loop.call_soon(self._end_tick)
+        self._end_of_tick[action] = action
 
-        Not a timer: it neither counts toward :attr:`steps_executed`
-        nor takes a virtual delay. A file log queues the forces of one
-        tick behind it and syncs them with one fsync.
-        """
-        self._loop.call_soon(action)
+    def _end_tick(self) -> None:
+        """Run the actions, first added first, until none is left. One
+        that raises loses only its own work: the exception goes to the
+        loop's handler and the rest run in the next iteration."""
+        actions = self._end_of_tick
+        try:
+            while actions:
+                actions.pop(next(iter(actions)))()
+        finally:
+            self._end_handle = self._loop.call_soon(self._end_tick) if actions else None
 
     # -- conversions -----------------------------------------------------------
 

@@ -10,7 +10,8 @@ class reproduces the same observable contract with one
 * per-link FIFO — each peer link is a single ordered TCP connection, so
   PREPARE never overtakes a decision. The messages sent to a peer in
   one event-loop iteration leave in one ``transport.write`` at its end
-  (``loop.call_soon``); trace events and counters stay per message;
+  (``after_tick``, after the fsync a force's completion waited for);
+  trace events and counters stay per message;
 * omission failures, not reliability — if a peer cannot be reached
   (killed site, closed port) within a small connect budget, the
   messages that waited on it are *dropped*, exactly as in the
@@ -30,7 +31,8 @@ class reproduces the same observable contract with one
   :class:`~repro.net.network.Network`, recorded into the shared
   :class:`~repro.rt.runtime.LiveRuntime` trace;
 * self-delivery without the network — a message addressed to the local
-  site is handed to the handler via ``loop.call_soon``, preserving the
+  site is handed to the handler via ``loop.call_soon`` (the next tick's
+  input, not this tick's ``after_tick`` output), preserving the
   simulator's invariant that delivery is never synchronous with send.
 
 ``register`` uses *replace* semantics, unlike the simulated network:
@@ -76,8 +78,7 @@ class _PeerLink(asyncio.Protocol):
 
     def send(self, message: Message) -> None:
         self.pending.append(message)
-        if len(self.pending) == 1:
-            asyncio.get_running_loop().call_soon(self._flush)
+        self._owner._rt.after_tick(self._flush)
 
     def _flush(self, preamble: bytes = b"") -> None:
         """Write everything pending in one ``transport.write``, or dial."""

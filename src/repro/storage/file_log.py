@@ -10,13 +10,13 @@ reloads the stable records, which is exactly the view a restarted
 process gets.
 
 Forces of one tick share one fsync. :meth:`FileStableLog.force_append_async`
-writes its record to the file at once and asks the runtime
-(``after_tick``) to run the log's tick when the current event-loop
-iteration is done. The tick fsyncs once for every force requested
-since the last one, then records their ``log.force`` events and runs
-their completions (votes, acks, PREPAREs, decision messages), in
-request order. No window, no knob: a lone force still costs one fsync
-and waits for nothing but it. The synchronous :meth:`~FileStableLog.force`
+writes its record to the file at once and adds the log's tick to the
+runtime's end of the event-loop iteration (``after_tick``). The tick
+fsyncs once for every force requested since the last one, then records
+their ``log.force`` events and runs their completions (votes, acks,
+PREPAREs, decision messages), in request order; what they send leaves
+in the same end of tick. No window, no knob: a lone force still costs
+one fsync and waits for nothing but it. The synchronous :meth:`~FileStableLog.force`
 and :meth:`~FileStableLog.flush` write and sync at once, taking any
 record a pending tick wrote along.
 
@@ -327,7 +327,6 @@ class FileStableLog(StableLog):
         # Forces requested since the last tick: (records the request
         # wrote, its completion).
         self._forces: list[tuple[int, Optional[Callable[[], None]]]] = []
-        self._tick_pending = False
         self._path.parent.mkdir(parents=True, exist_ok=True)
         # A crash inside compaction, before the rename, leaves this.
         self._tmp_path.unlink(missing_ok=True)
@@ -440,16 +439,13 @@ class FileStableLog(StableLog):
         """
         self.append(record)
         self._forces.append((self._persist_buffer(), on_stable))
-        if not self._tick_pending:
-            self._tick_pending = True
-            self._sim.after_tick(self._tick)
+        self._sim.after_tick(self._tick)
         return record
 
     def _tick(self) -> None:
         """One fsync for the forces requested since the last tick, then
         their ``log.force`` events, then their completions. A crash or
         close in between dropped them."""
-        self._tick_pending = False
         forces, self._forces = self._forces, []
         if not forces:
             return

@@ -21,6 +21,7 @@ import os
 
 import pytest
 
+from repro.net.message import Message
 from repro.rt import store as store_module
 from repro.rt.cluster import LIVE_TIMEOUTS, LiveCluster
 from repro.rt.runtime import LiveRuntime
@@ -31,6 +32,7 @@ from repro.storage.file_log import FileStableLog, load_wal_records
 from repro.storage.log_records import LogRecord, RecordType
 from repro.workloads.generator import WorkloadSpec, generate_transactions
 from repro.workloads.mixes import three_way
+from tests.rt.test_transport import Pair, wait_for
 from tests.storage.test_file_log import HeldTicks
 
 CODECS = ("json", "binary")
@@ -125,6 +127,8 @@ class TestOneTick:
         assert events == ["fsync", 0, "fsync", 1, "fsync", 2]
 
     def test_a_completion_that_forces_gets_the_next_tick(self, tmp_path, events):
+        """The log's next tick, with its own fsync: the end of the tick
+        drains until empty, so it runs in the same end."""
         sim = HeldTicks()
         log = FileStableLog(sim, "s1", tmp_path / "wal", fsync=True)
         log.force_append_async(
@@ -132,9 +136,8 @@ class TestOneTick:
             lambda: log.force_append_async(rec("second"), lambda: events.append("2")),
         )
         sim.end_tick()
-        assert events == ["fsync"]
-        sim.end_tick()
         assert events == ["fsync", "fsync", "2"]
+        assert log.force_count == 2 and not sim.pending
 
     def test_no_fsync_mode_still_completes_at_the_tick(self, tmp_path, events):
         sim = HeldTicks()
@@ -251,6 +254,141 @@ class TestLiveRuntime:
             # count (what perf reads as timers fired) alone.
             assert rt.steps_executed == 0
             log.close()
+
+        asyncio.run(go())
+
+
+class TestEndOfTick:
+    """``LiveRuntime.after_tick``: one end per event-loop iteration,
+    drained until empty, each pending action once, first added first."""
+
+    def test_a_pending_action_added_again_runs_once(self):
+        async def go():
+            rt = LiveRuntime()
+            ran = []
+
+            class Link:
+                def flush(self) -> None:
+                    ran.append(self)
+
+            # Each ``link.flush`` is a new bound method, equal to the last.
+            one, two = Link(), Link()
+            for link in (one, two, one, two, one):
+                rt.after_tick(link.flush)
+            await asyncio.sleep(0)
+            assert ran == [one, two]
+            # Not a timer: the runtime's step count stays put.
+            assert rt.steps_executed == 0
+
+        asyncio.run(go())
+
+    def test_an_action_that_adds_itself_runs_again_in_the_same_drain(self):
+        async def go():
+            rt = LiveRuntime()
+            runs: list = []
+
+            def again() -> None:
+                runs.append(len(runs))
+                if len(runs) < 3:
+                    rt.after_tick(again)
+
+            rt.after_tick(again)
+            await asyncio.sleep(0)
+            assert runs == [0, 1, 2]
+
+        asyncio.run(go())
+
+    def test_a_raising_action_drops_only_its_own_work(self):
+        async def go():
+            errors: list = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context["exception"])
+            )
+            rt = LiveRuntime()
+            ran = []
+
+            def boom() -> None:
+                raise RuntimeError("boom")
+
+            rt.after_tick(boom)
+            rt.after_tick(lambda: ran.append("ok"))
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            assert ran == ["ok"]
+            assert [type(error) for error in errors] == [RuntimeError]
+            await asyncio.sleep(0)
+            rt.after_tick(lambda: ran.append("later"))
+            await asyncio.sleep(0)
+            assert ran == ["ok", "later"]
+
+        asyncio.run(go())
+
+    def test_a_failed_fsync_drops_its_logs_completions_only(
+        self, tmp_path, monkeypatch
+    ):
+        """A log whose fsync raises sends no Yes on it; a second log's
+        forces of the same tick still complete."""
+        events: list = []
+
+        class FirstFsyncFails(CountingOs):
+            def fsync(self, fd: int) -> None:
+                if "failed" not in self.events:
+                    self.events.append("failed")
+                    raise OSError("fsync failed")
+                super().fsync(fd)
+
+        monkeypatch.setattr(file_log, "os", FirstFsyncFails(events))
+
+        async def go():
+            errors: list = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context["exception"])
+            )
+            rt = LiveRuntime()
+            failing = FileStableLog(rt, "s1", tmp_path / "s1.wal", fsync=True)
+            healthy = FileStableLog(rt, "s2", tmp_path / "s2.wal", fsync=True)
+            for txn in ("a", "b"):
+                failing.force_append_async(rec(txn), lambda: events.append("yes s1"))
+                healthy.force_append_async(rec(txn), lambda: events.append("yes s2"))
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            assert events == ["failed", "fsync", "yes s2", "yes s2"]
+            assert [type(error) for error in errors] == [OSError]
+            assert failing.force_count == 0 and healthy.force_count == 2
+            failing.close()
+            healthy.close()
+
+        asyncio.run(go())
+
+    def test_a_forced_hops_frame_leaves_in_its_fsyncs_iteration(
+        self, tmp_path, events, monkeypatch
+    ):
+        """The completion of a force sends to a peer; one loop
+        iteration later both the fsync and that frame's write are done.
+        A link with its own ``call_soon`` would write one iteration
+        after the fsync."""
+
+        async def go():
+            async with Pair() as pair:
+                pair.a.send(Message("PING", "a", "b", "t0"))
+                await wait_for(lambda: pair.got["b"])
+                connection = pair.a._links["b"]._conn
+                write = connection.write
+
+                def counting_write(data: bytes) -> None:
+                    write(data)
+                    events.append("write")
+
+                monkeypatch.setattr(connection, "write", counting_write)
+                log = FileStableLog(pair.rt, "a", tmp_path / "wal", fsync=True)
+                log.force_append_async(
+                    rec("t1"), lambda: pair.a.send(Message("VOTE_YES", "a", "b", "t1"))
+                )
+                assert events == []
+                await asyncio.sleep(0)
+                assert events == ["fsync", "write"]
+                await wait_for(lambda: len(pair.got["b"]) == 2)
+                log.close()
 
         asyncio.run(go())
 

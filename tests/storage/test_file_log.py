@@ -397,19 +397,21 @@ def test_crash_anywhere_in_compaction_is_all_or_nothing(sizes, collect, kill_at,
 
 
 class HeldTicks(Simulator):
-    """A simulator whose ticks end only when :meth:`end_tick` runs them."""
+    """A simulator whose ticks end only when :meth:`end_tick` runs them,
+    under :meth:`~repro.rt.runtime.LiveRuntime.after_tick`'s contract:
+    an action added twice runs once, first added first, and one added
+    while the end runs joins it."""
 
     def __init__(self) -> None:
         super().__init__(seed=11)
-        self.pending: list = []
+        self.pending: dict = {}
 
     def after_tick(self, action) -> None:
-        self.pending.append(action)
+        self.pending[action] = action
 
     def end_tick(self) -> None:
-        pending, self.pending = self.pending, []
-        for action in pending:
-            action()
+        while self.pending:
+            self.pending.pop(next(iter(self.pending)))()
 
 
 @settings(max_examples=400, deadline=None)
