@@ -13,9 +13,10 @@ from typing import Any, Callable, Optional
 
 from repro.analysis.metrics import quantile
 
-#: Seed shared by every row (pinned; never change it without bumping
-#: the report schema version — numbers stop being comparable across the
-#: change otherwise).
+#: Seed of every row but the ``experiment-*`` ones, which run at their
+#: experiment's own (pinned; never change it without bumping the report
+#: schema version — numbers stop being comparable across the change
+#: otherwise).
 BENCH_SEED = 7
 
 
@@ -28,7 +29,8 @@ class ScenarioResult:
     and ``--check`` compares them exactly. ``timed`` is everything else.
 
     Attributes:
-        events: kernel events dispatched (``Simulator.steps_executed``),
+        events: kernel events dispatched (``Simulator.steps_executed``;
+            summed over the cells of an ``experiment-*`` row),
             or the scenario's natural unit of work where no kernel runs
             (trace records for ``trace-record``) or where the scenario
             is one half of a pair (force requests for
@@ -65,7 +67,8 @@ class Scenario:
             wall-clock rows.
         run: executes the workload; ``smoke=True`` shrinks it to a
             CI-friendly size (same shape, fewer iterations).
-        seed: the pinned seed (always :data:`BENCH_SEED` today).
+        seed: the pinned seed: :data:`BENCH_SEED`, or an experiment
+            row's own.
     """
 
     name: str

@@ -4,12 +4,13 @@ one way to select from it.
 A row is a :class:`~repro.bench.rows.Scenario`: a name, a description,
 tags and a ``run``. Most rows are values of a row type —
 :class:`~repro.bench.sim.SimStorm` (a generated workload through one
-simulated MDBS) or :class:`~repro.bench.live.ClosedBatch` (the same
-through a live cluster) — that declare only what differs from their
-family's base row; the micro workloads are plain functions. A row
-reports into the suite its tags name (:attr:`Scenario.suite`): the
-``live``-tagged rows into ``BENCH_live.json``, the rest into
-``BENCH_sim.json``.
+simulated MDBS), :class:`~repro.bench.live.ClosedBatch` (the same
+through a live cluster) or :class:`~repro.experiments.table.Experiment`
+(a measured experiment, ``experiment-<name>``) — that declare only what
+differs from their family's base row; the micro workloads are plain
+functions. A row reports into the suite its tags name
+(:attr:`Scenario.suite`): the ``live``-tagged rows into
+``BENCH_live.json``, the rest into ``BENCH_sim.json``.
 
 Pairs (``_pair``) run the *same* workload with one mechanism off
 (baseline, first) and on. Pair members report identical ``events`` (the
@@ -34,6 +35,8 @@ from repro.bench.live import (
 from repro.bench.rows import Scenario, ScenarioResult
 from repro.bench.sim import SimStorm
 from repro.errors import ReproError
+from repro.experiments import EXPERIMENTS
+from repro.experiments.table import Experiment
 from repro.mdbs.topology import Topology
 from repro.protocols.base import RELAXED_TIMEOUTS, TimeoutConfig
 from repro.replication import ReplicationConfig
@@ -56,6 +59,22 @@ def _pair(baseline: Scenario, name: str, description: str, run) -> list[Scenario
 
     twin = replace(baseline, name=name, description=description, run=run)
     return [naming(baseline, name), naming(twin, baseline.name)]
+
+
+def _experiment(row: Experiment) -> Scenario:
+    """A measured experiment as a bench row, at the experiment's own
+    seed: every cell's measured values by cell label, gated on every
+    claim holding. It has one size: smoke runs the whole grid."""
+
+    def run(smoke: bool = False) -> ScenarioResult:
+        result = row.run()
+        return ScenarioResult(
+            events=result.steps, checks_passed=result.holds, detail=result.detail
+        )
+
+    return Scenario(
+        f"experiment-{row.name}", row.heading, ("experiment",), run, seed=row.seed
+    )
 
 
 # -- simulated storm families ------------------------------------------------
@@ -258,6 +277,7 @@ _ROWS: tuple[Scenario, ...] = (
         ("composite", "explore"),
         sim.explore_sweep,
     ),
+    *(_experiment(row) for row in EXPERIMENTS),
     # The baseline shape — paced arrivals (one transaction per virtual
     # unit), no pipelining — kept unchanged release over release.
     Scenario(

@@ -17,30 +17,28 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.taxonomy import classify, render_taxonomy
 from repro.errors import ReproError
-from repro.experiments.ablation import render_ablation, run_ablation
-from repro.experiments.coordinator_log import render_cl, run_cl_experiment
-from repro.experiments.costs import cost_table, run_cost_experiment
+from repro.experiments import EXPERIMENTS
 from repro.experiments.flows import (
     FIGURES,
     matches_figure,
     render_flow,
     reproduce_figure,
 )
-from repro.experiments.iyv import render_iyv, run_iyv_experiment
-from repro.experiments.latency import latency_sweep, render_latency
-from repro.experiments.read_only import render_read_only, run_read_only_experiment
-from repro.experiments.recovery import recovery_experiment, render_recovery
-from repro.experiments.selection import render_selection, selection_ablation
-from repro.experiments.theorem1 import render_theorem1, run_theorem1
-from repro.experiments.throughput import render_throughput, run_throughput_experiment
-from repro.experiments.theorem2 import render_theorem2, run_theorem2
-from repro.experiments.theorem3 import render_theorem3, run_theorem3
+
+#: The seed of every command that is not a measured experiment (those
+#: run at their own :attr:`~repro.experiments.table.Experiment.seed`
+#: unless ``--seed`` overrides it).
+DEFAULT_SEED = 7
+
+#: The measured experiments by name; ``theorem<N>`` is ``repro theorem N``.
+_ROWS = {row.name: row for row in EXPERIMENTS}
 
 
 def _taxonomy(args: argparse.Namespace) -> str:
@@ -51,69 +49,26 @@ def _taxonomy(args: argparse.Namespace) -> str:
     return render_taxonomy() + "\n\nClassification of this repo's protocols:\n" + classifications
 
 
-#: The experiment subcommands — ``(name, artifact id, description,
-#: run)`` — in the order ``repro list`` names them and ``repro all``
-#: runs them.
-EXPERIMENTS: tuple[tuple[str, str, str, Callable[[argparse.Namespace], str]], ...] = (
-    (
-        "costs",
-        "C1",
-        "measured cost table",
-        # `repro all` has no --participants; it runs the flag's default.
-        lambda args: cost_table(
-            run_cost_experiment(n_participants=getattr(args, "participants", 2))
-        ),
-    ),
-    (
-        "latency",
-        "C2",
-        "latency vs participant count",
-        lambda args: render_latency(latency_sweep()),
-    ),
-    (
-        "selection",
-        "C3",
-        "dynamic-selection ablation",
-        lambda args: render_selection(selection_ablation()),
-    ),
-    (
-        "readonly",
-        "C4",
-        "read-only optimization",
-        lambda args: render_read_only(run_read_only_experiment()),
-    ),
-    (
-        "iyv",
-        "C5",
-        "implicit yes-vote vs presumed abort",
-        lambda args: render_iyv(run_iyv_experiment()),
-    ),
-    (
-        "ablation",
-        "A1",
-        "lazy-record vulnerability window",
-        lambda args: render_ablation(run_ablation(seed=args.seed)),
-    ),
-    (
-        "throughput",
-        "C6",
-        "streaming throughput and residency",
-        lambda args: render_throughput(run_throughput_experiment(seed=args.seed)),
-    ),
-    (
-        "cl",
-        "C7",
-        "coordinator log vs basic 2PC",
-        lambda args: render_cl(run_cl_experiment(seed=args.seed)),
-    ),
-    (
-        "recovery",
-        "R1",
-        "§4.2 coordinator recovery",
-        lambda args: render_recovery(recovery_experiment(seed=args.seed)),
-    ),
-    ("taxonomy", "F5", "atomic-commitment taxonomy", _taxonomy),
-)
+def _command(name: str) -> str:
+    """How ``repro`` spells a row: ``theorem1`` is ``theorem 1``."""
+    return name.replace("theorem", "theorem ")
+
+
+def _seed(args: argparse.Namespace) -> int:
+    return DEFAULT_SEED if args.seed is None else args.seed
+
+
+def _cmd_experiment(args: argparse.Namespace) -> str:
+    """Run one row: at its own seed unless ``--seed`` names one; a
+    row's own subcommand flags (``costs --participants``) are grid
+    parameters by their ``dest``."""
+    row = _ROWS[getattr(args, "experiment", None) or f"theorem{args.number}"]
+    grid = {
+        name: value
+        for name, value in vars(args).items()
+        if name in inspect.signature(row.grid).parameters
+    }
+    return row.run(args.seed, **grid).render()
 
 
 def _cmd_list(args: argparse.Namespace) -> str:
@@ -121,15 +76,11 @@ def _cmd_list(args: argparse.Namespace) -> str:
     for figure_id, case in FIGURES.items():
         lines.append(f"  figure {figure_id:<10} {case.description}")
     lines += [
-        "  theorem 1          U2PC cannot guarantee atomicity",
-        "  theorem 2          C2PC is not operationally correct",
-        "  theorem 3          PrAny operational-correctness stress",
+        f"  {_command(row.name):<18} {row.artifact}: {row.title}"
+        for row in EXPERIMENTS
     ]
     lines += [
-        f"  {name:<18} {artifact}: {description}"
-        for name, artifact, description, _ in EXPERIMENTS
-    ]
-    lines += [
+        "  taxonomy           F5: atomic-commitment taxonomy",
         "  all                everything above, in order",
         "  explore            fuzz adversarial schedules (VOPR-style; "
         "--sharded / --replicated N topologies)",
@@ -144,17 +95,9 @@ def _cmd_list(args: argparse.Namespace) -> str:
 
 
 def _cmd_figure(args: argparse.Namespace) -> str:
-    result = reproduce_figure(args.id, seed=args.seed)
+    result = reproduce_figure(args.id, seed=_seed(args))
     verdict = matches_figure(result)
     return render_flow(result) + f"\nlane match vs paper figure: {verdict}"
-
-
-def _cmd_theorem(args: argparse.Namespace) -> str:
-    if args.number == 1:
-        return render_theorem1(run_theorem1(seed=args.seed))
-    if args.number == 2:
-        return render_theorem2(run_theorem2(seed=args.seed))
-    return render_theorem3(run_theorem3(seed=args.seed))
 
 
 def _parse_seed_range(text: str) -> range:
@@ -405,7 +348,7 @@ def _cluster_from_args(args: argparse.Namespace, command: str):
             mix,
             data_dir,
             coordinator=coordinator,
-            seed=args.seed,
+            seed=_seed(args),
             timeouts=LIVE_TIMEOUTS,
             time_scale=args.time_scale,
             fsync=not args.no_fsync,
@@ -455,7 +398,7 @@ def _cmd_live(args: argparse.Namespace) -> str:
         participants_max=min(3, pool),
         inter_arrival=args.inter_arrival,
         hot_keys=0,
-        seed=args.seed,
+        seed=_seed(args),
     )
 
     transactions = generate_transactions(
@@ -548,7 +491,7 @@ def _cmd_live(args: argparse.Namespace) -> str:
         lines = [
             f"live run — {mix.name} over {len(mix)} participants "
             f"({mode}), {n_transactions} transactions, "
-            f"{args.time_scale}s/unit (seed {args.seed})",
+            f"{args.time_scale}s/unit (seed {_seed(args)})",
         ]
         for txn in cluster.submitted:
             lines.append(
@@ -602,7 +545,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
             hot_fraction=args.hot_fraction,
             abort_fraction=args.abort_fraction,
             read_only_fraction=args.read_only_fraction,
-            seed=args.seed,
+            seed=_seed(args),
         )
     except ReproError as exc:
         raise SystemExit(str(exc))
@@ -629,7 +572,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
     lines = [
         f"open-loop sweep — {mix.name} over {len(mix)} participants "
         f"({mode}, {args.codec} codec), {spec.n_transactions} txns/rate, "
-        f"{spec.clients} clients, {spec.arrival} arrivals (seed {args.seed})",
+        f"{spec.clients} clients, {spec.arrival} arrivals (seed {_seed(args)})",
         "",
         f"  {'offered':>9}  {'achieved':>9}  {'p50':>8}  {'p95':>8}  "
         f"{'p99':>8}  {'undecided':>9}  checks",
@@ -654,14 +597,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> str:
 
 
 def _cmd_all(args: argparse.Namespace) -> str:
-    sections: list[str] = []
-    for figure_id in sorted(FIGURES):
-        result = reproduce_figure(figure_id, seed=args.seed)
-        sections.append(render_flow(result))
-    sections.append(render_theorem1(run_theorem1(seed=args.seed)))
-    sections.append(render_theorem2(run_theorem2(seed=args.seed)))
-    sections.append(render_theorem3(run_theorem3(seed=args.seed)))
-    sections.extend(run(args) for _, _, _, run in EXPERIMENTS)
+    sections = [
+        render_flow(reproduce_figure(figure_id, seed=_seed(args)))
+        for figure_id in sorted(FIGURES)
+    ]
+    sections.extend(row.run(args.seed).render() for row in EXPERIMENTS)
+    sections.append(_taxonomy(args))
     rule = "\n" + "=" * 72 + "\n"
     return rule.join(sections)
 
@@ -744,7 +685,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--seed", type=int, default=7, help="master seed for the experiments"
+        "--seed",
+        type=int,
+        default=None,
+        help="master seed (default: each experiment's own; "
+        f"{DEFAULT_SEED} for every other command)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -757,8 +702,16 @@ def build_parser() -> argparse.ArgumentParser:
     figure.set_defaults(handler=_cmd_figure)
 
     theorem = sub.add_parser("theorem", help="demonstrate a theorem")
-    theorem.add_argument("number", type=int, choices=(1, 2, 3))
-    theorem.set_defaults(handler=_cmd_theorem)
+    theorem.add_argument(
+        "number",
+        type=int,
+        choices=[
+            int(name.removeprefix("theorem"))
+            for name in _ROWS
+            if name.startswith("theorem")
+        ],
+    )
+    theorem.set_defaults(handler=_cmd_experiment)
 
     explore = sub.add_parser(
         "explore",
@@ -976,10 +929,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.set_defaults(handler=_cmd_loadgen)
 
-    for name, artifact, description, run in EXPERIMENTS:
-        experiment = sub.add_parser(name, help=f"{artifact}: {description}")
-        experiment.set_defaults(handler=run)
-    sub.choices["costs"].add_argument("--participants", type=int, default=2)
+    for row in EXPERIMENTS:
+        if not row.name.startswith("theorem"):
+            sub.add_parser(
+                row.name, help=f"{row.artifact}: {row.title}"
+            ).set_defaults(handler=_cmd_experiment, experiment=row.name)
+    sub.choices["costs"].add_argument(
+        "--participants", dest="n_participants", type=int, default=2
+    )
+    sub.add_parser(
+        "taxonomy", help="F5: atomic-commitment taxonomy"
+    ).set_defaults(handler=_taxonomy)
     sub.add_parser("all", help="run every artifact in order").set_defaults(
         handler=_cmd_all
     )

@@ -19,10 +19,9 @@ PrAny, run under the identical schedules, never violates regardless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.report import render_table
+from repro.experiments.table import Cell, Claim, Column, Experiment, ExperimentResult
 from repro.mdbs.system import MDBS
 from repro.mdbs.transaction import GlobalTransaction, WriteOp
 
@@ -31,82 +30,33 @@ _PRC_SITE = "beta_prc"
 _COORD = "tm"
 
 
-@dataclass
-class WindowPoint:
-    coordinator_policy: str
-    crash_delay: float
-    flush_interval: Optional[float]
-    violated: bool
-    abort_record_survived: bool
+def grid(
+    delays: tuple[float, ...] = (0.0, 0.5, 1.5, 3.0, 6.0),
+    flush_intervals: tuple[Optional[float], ...] = (None, 1.0, 4.0),
+) -> list[Cell]:
+    """Crash delay × flush interval under U2PC(PrC) and PrAny."""
+    return [
+        {"coordinator_policy": policy, "crash_delay": delay, "flush_interval": flush}
+        for policy in ("U2PC(PrC)", "dynamic")
+        for flush in flush_intervals
+        for delay in delays
+    ]
 
 
-@dataclass
-class AblationResult:
-    points: list[WindowPoint] = field(default_factory=list)
-
-    def point(
-        self, policy: str, delay: float, flush: Optional[float]
-    ) -> WindowPoint:
-        for p in self.points:
-            if (
-                p.coordinator_policy == policy
-                and p.crash_delay == delay
-                and p.flush_interval == flush
-            ):
-                return p
-        raise KeyError((policy, delay, flush))
-
-    @property
-    def u2pc_window_never_closes_at_zero_delay(self) -> bool:
-        """At delay 0 the record can never be stable first: always violated."""
-        return all(
-            p.violated
-            for p in self.points
-            if p.coordinator_policy.startswith("U2PC") and p.crash_delay == 0.0
-        )
-
-    @property
-    def flushing_narrows_the_window(self) -> bool:
-        """With a flusher, a late-enough crash finds the record stable."""
-        flushed_late = [
-            p
-            for p in self.points
-            if p.coordinator_policy.startswith("U2PC")
-            and p.flush_interval is not None
-            and p.crash_delay > p.flush_interval
-        ]
-        return bool(flushed_late) and all(not p.violated for p in flushed_late)
-
-    @property
-    def unflushed_window_is_unbounded(self) -> bool:
-        """Without background flushing the record stays volatile forever."""
-        return all(
-            p.violated
-            for p in self.points
-            if p.coordinator_policy.startswith("U2PC") and p.flush_interval is None
-        )
-
-    @property
-    def prany_never_violates(self) -> bool:
-        return not any(
-            p.violated for p in self.points if p.coordinator_policy == "dynamic"
-        )
-
-
-def _run_point(
-    policy: str, delay: float, flush_interval: Optional[float], seed: int
-) -> WindowPoint:
+def measure(cell: Cell, seed: int) -> dict:
+    """Part III's abort, the PrA participant crashing ``crash_delay``
+    after it enforces."""
     mdbs = MDBS(seed=seed)
     mdbs.add_site(_PRA_SITE, protocol="PrA")
     mdbs.add_site(_PRC_SITE, protocol="PrC")
-    mdbs.add_site(_COORD, protocol="PrN", coordinator=policy)
-    if flush_interval is not None:
-        mdbs.enable_periodic_flush(flush_interval, until=100.0)
+    mdbs.add_site(_COORD, protocol="PrN", coordinator=cell["coordinator_policy"])
+    if cell["flush_interval"] is not None:
+        mdbs.enable_periodic_flush(cell["flush_interval"], until=100.0)
     mdbs.failures.crash_when(
         _PRA_SITE,
         lambda e: e.matches("db", "abort", site=_PRA_SITE, txn="t1"),
         down_for=60.0,
-        delay=delay,
+        delay=cell["crash_delay"],
     )
     mdbs.submit(
         GlobalTransaction(
@@ -122,52 +72,78 @@ def _run_point(
     # Did the lazy abort record make it to stable storage before the crash?
     crash = mdbs.sim.trace.first(category="log", name="crash", site=_PRA_SITE)
     survived = (crash.details.get("lost_records", 0) == 0) if crash else True
-    return WindowPoint(
-        coordinator_policy=policy,
-        crash_delay=delay,
-        flush_interval=flush_interval,
-        violated=not reports.atomicity.holds,
-        abort_record_survived=survived,
-    )
+    return {
+        "violated": not reports.atomicity.holds,
+        "abort_record_survived": survived,
+        "steps": mdbs.sim.steps_executed,
+    }
 
 
-def run_ablation(
-    delays: tuple[float, ...] = (0.0, 0.5, 1.5, 3.0, 6.0),
-    flush_intervals: tuple[Optional[float], ...] = (None, 1.0, 4.0),
-    seed: int = 7,
-) -> AblationResult:
-    """Sweep crash delay × flush interval under U2PC(PrC) and PrAny."""
-    result = AblationResult()
-    for policy in ("U2PC(PrC)", "dynamic"):
-        for flush in flush_intervals:
-            for delay in delays:
-                result.points.append(_run_point(policy, delay, flush, seed))
-    return result
-
-
-def render_ablation(result: AblationResult) -> str:
-    rows = [
-        [
-            p.coordinator_policy,
-            "off" if p.flush_interval is None else f"every {p.flush_interval}",
-            p.crash_delay,
-            "yes" if p.abort_record_survived else "LOST",
-            "VIOLATED" if p.violated else "atomic",
-        ]
-        for p in result.points
+def _u2pc(result: ExperimentResult) -> list:
+    return [
+        row for row in result.rows if row.coordinator_policy.startswith("U2PC")
     ]
-    table = render_table(
-        ["coordinator", "bg flush", "crash delay", "abort record stable", "outcome"],
-        rows,
-        title="A1 — vulnerability window of the lazy abort record (Thm 1 Part III)",
-    )
-    notes = [
-        f"U2PC violated at delay 0 in every configuration: "
-        f"{result.u2pc_window_never_closes_at_zero_delay}",
-        f"flushing closes the window for late crashes: "
-        f"{result.flushing_narrows_the_window}",
-        f"without flushing the window is unbounded: "
-        f"{result.unflushed_window_is_unbounded}",
-        f"PrAny never violated anywhere: {result.prany_never_violates}",
+
+
+def _flushing_narrows_the_window(result: ExperimentResult) -> bool:
+    """With a flusher, a late-enough crash finds the record stable."""
+    flushed_late = [
+        row
+        for row in _u2pc(result)
+        if row.flush_interval is not None and row.crash_delay > row.flush_interval
     ]
-    return table + "\n" + "\n".join(notes)
+    return bool(flushed_late) and all(not row.violated for row in flushed_late)
+
+
+ABLATION = Experiment(
+    name="ablation",
+    artifact="A1",
+    title="vulnerability window of the lazy abort record (Thm 1 Part III)",
+    seed=7,
+    grid=grid,
+    key=("coordinator_policy", "crash_delay", "flush_interval"),
+    measure=measure,
+    columns=(
+        Column("coordinator", "coordinator_policy"),
+        Column(
+            "bg flush",
+            "flush_interval",
+            lambda flush: "off" if flush is None else f"every {flush}",
+        ),
+        Column("crash delay", "crash_delay"),
+        Column(
+            "abort record stable",
+            "abort_record_survived",
+            lambda survived: "yes" if survived else "LOST",
+        ),
+        Column("outcome", "violated", lambda bad: "VIOLATED" if bad else "atomic"),
+    ),
+    claims=(
+        # At delay 0 the record can never be stable first.
+        Claim(
+            "u2pc_window_never_closes_at_zero_delay",
+            lambda r: all(row.violated for row in _u2pc(r) if row.crash_delay == 0.0),
+            "U2PC violated at delay 0 in every configuration",
+        ),
+        Claim(
+            "flushing_narrows_the_window",
+            _flushing_narrows_the_window,
+            "flushing closes the window for late crashes",
+        ),
+        # Without background flushing the record stays volatile forever.
+        Claim(
+            "unflushed_window_is_unbounded",
+            lambda r: all(
+                row.violated for row in _u2pc(r) if row.flush_interval is None
+            ),
+            "without flushing the window is unbounded",
+        ),
+        Claim(
+            "prany_never_violates",
+            lambda r: not any(
+                row.violated for row in r.rows if row.coordinator_policy == "dynamic"
+            ),
+            "PrAny never violated anywhere",
+        ),
+    ),
+)

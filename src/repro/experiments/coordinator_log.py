@@ -18,55 +18,22 @@ coordinator's single decision force. We measure what moves where:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.report import render_table
+from repro.experiments.table import Cell, Claim, Column, Experiment, yes_no
 from repro.mdbs.system import MDBS
 from repro.mdbs.transaction import GlobalTransaction, WriteOp
 
 
-@dataclass
-class CLPoint:
-    protocol: str
-    n_transactions: int
-    participant_forces: int
-    coordinator_forces: int
-    coordinator_log_appends: int
-    redo_pulled_txns: int
-    correct: bool
+def grid(n_transactions: int = 8) -> list[Cell]:
+    """An all-PrN and an all-CL participant set."""
+    return [
+        {"protocol": protocol, "n_transactions": n_transactions}
+        for protocol in ("PrN", "CL")
+    ]
 
 
-@dataclass
-class CLResult:
-    points: list[CLPoint] = field(default_factory=list)
-
-    def point(self, protocol: str) -> CLPoint:
-        for p in self.points:
-            if p.protocol == protocol:
-                return p
-        raise KeyError(protocol)
-
-    @property
-    def cl_participants_force_nothing(self) -> bool:
-        return self.point("CL").participant_forces == 0
-
-    @property
-    def cl_moves_log_volume_to_coordinator(self) -> bool:
-        return (
-            self.point("CL").coordinator_log_appends
-            > self.point("PrN").coordinator_log_appends
-        )
-
-    @property
-    def cl_recovery_pulls_redo(self) -> bool:
-        return self.point("CL").redo_pulled_txns > 0
-
-    @property
-    def all_correct(self) -> bool:
-        return all(p.correct for p in self.points)
-
-
-def _measure(protocol: str, n_transactions: int, seed: int) -> CLPoint:
+def measure(cell: Cell, seed: int) -> dict:
+    """The workload, then a crash and recovery of ``p1``."""
+    protocol, n_transactions = cell["protocol"], cell["n_transactions"]
     mdbs = MDBS(seed=seed)
     mdbs.add_site("p1", protocol=protocol)
     mdbs.add_site("p2", protocol=protocol)
@@ -95,58 +62,52 @@ def _measure(protocol: str, n_transactions: int, seed: int) -> CLPoint:
         e.details.get("txns", 0)
         for e in mdbs.sim.trace.select(category="protocol", name="cl_redo")
     )
-    return CLPoint(
-        protocol=protocol,
-        n_transactions=n_transactions,
-        participant_forces=(
+    return {
+        "participant_forces": (
             mdbs.site("p1").log.force_count + mdbs.site("p2").log.force_count
         ),
-        coordinator_forces=mdbs.site("tm").log.force_count,
-        coordinator_log_appends=mdbs.site("tm").log.append_count,
-        redo_pulled_txns=redo_pulled,
-        correct=reports.all_hold,
-    )
+        "coordinator_forces": mdbs.site("tm").log.force_count,
+        "coordinator_log_appends": mdbs.site("tm").log.append_count,
+        "redo_pulled_txns": redo_pulled,
+        "correct": reports.all_hold,
+        "steps": mdbs.sim.steps_executed,
+    }
 
 
-def run_cl_experiment(n_transactions: int = 8, seed: int = 37) -> CLResult:
-    """Compare an all-CL with an all-PrN participant set."""
-    result = CLResult()
-    for protocol in ("PrN", "CL"):
-        result.points.append(_measure(protocol, n_transactions, seed))
-    return result
-
-
-def render_cl(result: CLResult) -> str:
-    rows = [
-        [
-            p.protocol,
-            p.n_transactions,
-            p.participant_forces,
-            p.coordinator_forces,
-            p.coordinator_log_appends,
-            p.redo_pulled_txns,
-            "yes" if p.correct else "NO",
-        ]
-        for p in result.points
-    ]
-    table = render_table(
-        [
-            "participants",
-            "txns",
-            "participant forces",
-            "coord forces",
-            "coord log appends",
-            "redo txns pulled",
-            "correct",
-        ],
-        rows,
-        title="C7 — coordinator log: the participants' log moves to the coordinator",
-    )
-    notes = [
-        f"CL participants force nothing: {result.cl_participants_force_nothing}",
-        f"log volume moved to the coordinator: "
-        f"{result.cl_moves_log_volume_to_coordinator}",
-        f"recovery pulled redo from the coordinator: "
-        f"{result.cl_recovery_pulls_redo}",
-    ]
-    return table + "\n" + "\n".join(notes)
+CL = Experiment(
+    name="cl",
+    artifact="C7",
+    title="coordinator log: the participants' log moves to the coordinator",
+    seed=7,
+    grid=grid,
+    key=("protocol",),
+    measure=measure,
+    columns=(
+        Column("participants", "protocol"),
+        Column("txns", "n_transactions"),
+        Column("participant forces", "participant_forces"),
+        Column("coord forces", "coordinator_forces"),
+        Column("coord log appends", "coordinator_log_appends"),
+        Column("redo txns pulled", "redo_pulled_txns"),
+        Column("correct", "correct", yes_no),
+    ),
+    claims=(
+        Claim(
+            "cl_participants_force_nothing",
+            lambda r: r.point("CL").participant_forces == 0,
+            "CL participants force nothing",
+        ),
+        Claim(
+            "cl_moves_log_volume_to_coordinator",
+            lambda r: r.point("CL").coordinator_log_appends
+            > r.point("PrN").coordinator_log_appends,
+            "log volume moved to the coordinator",
+        ),
+        Claim(
+            "cl_recovery_pulls_redo",
+            lambda r: r.point("CL").redo_pulled_txns > 0,
+            "recovery pulled redo from the coordinator",
+        ),
+        Claim("all_correct", lambda r: all(row.correct for row in r.rows)),
+    ),
+)

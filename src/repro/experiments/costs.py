@@ -17,105 +17,13 @@ Expected shape (N participants):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.metrics import CostBreakdown, cost_breakdown
-from repro.analysis.report import render_table
+from repro.analysis.metrics import cost_breakdown
+from repro.experiments.table import Cell, Claim, Column, Experiment, ExperimentResult
 from repro.mdbs.transaction import GlobalTransaction, WriteOp
 from repro.workloads.generator import COORDINATOR_ID, build_mdbs
-from repro.workloads.mixes import MIXES, ProtocolMix
+from repro.workloads.mixes import MIXES
 
-
-@dataclass
-class CostCell:
-    """Measured costs for one (configuration, outcome) cell."""
-
-    config: str
-    outcome: str
-    n_participants: int
-    breakdown: CostBreakdown
-
-    @property
-    def coordinator_forced(self) -> int:
-        return self.breakdown.coordinator_forced
-
-    @property
-    def participant_forced(self) -> int:
-        return self.breakdown.participant_forced
-
-    @property
-    def acks(self) -> int:
-        return self.breakdown.message_kinds.get("ACK", 0)
-
-    @property
-    def messages(self) -> int:
-        return self.breakdown.messages
-
-
-@dataclass
-class CostExperiment:
-    cells: list[CostCell] = field(default_factory=list)
-
-    def cell(self, config: str, outcome: str) -> CostCell:
-        for cell in self.cells:
-            if cell.config == config and cell.outcome == outcome:
-                return cell
-        raise KeyError(f"no cell for ({config!r}, {outcome!r})")
-
-    # -- shape assertions used by tests and EXPERIMENTS.md -------------------
-
-    @property
-    def prc_commit_cheaper_for_participants_than_pra(self) -> bool:
-        return (
-            self.cell("all-PrC", "commit").participant_forced
-            < self.cell("all-PrA", "commit").participant_forced
-        )
-
-    @property
-    def pra_abort_is_free_at_coordinator(self) -> bool:
-        return self.cell("all-PrA", "abort").coordinator_forced == 0
-
-    @property
-    def prn_never_strictly_cheapest(self) -> bool:
-        for outcome in ("commit", "abort"):
-            prn = self.cell("all-PrN", outcome)
-            pra = self.cell("all-PrA", outcome)
-            prc = self.cell("all-PrC", outcome)
-            prn_total = prn.coordinator_forced + prn.participant_forced + prn.acks
-            others = [
-                p.coordinator_forced + p.participant_forced + p.acks
-                for p in (pra, prc)
-            ]
-            if prn_total < min(others):
-                return False
-        return True
-
-
-def _measure_cell(
-    mix: ProtocolMix, coordinator: str, outcome: str, seed: int
-) -> CostCell:
-    mdbs = build_mdbs(mix, coordinator=coordinator, seed=seed)
-    participants = sorted(mix.site_protocols())
-    txn = GlobalTransaction(
-        txn_id="t-cost",
-        coordinator=COORDINATOR_ID,
-        writes={site: [WriteOp(f"k@{site}", 1)] for site in participants},
-        coordinator_abort=outcome == "abort",
-    )
-    mdbs.submit(txn)
-    mdbs.run(until=500)
-    # No finalize() before measuring: background flushes and GC are not
-    # commit-processing costs.
-    breakdown = cost_breakdown(mdbs.sim.trace, txn.txn_id, COORDINATOR_ID)
-    return CostCell(
-        config=mix.name,
-        outcome=outcome,
-        n_participants=len(participants),
-        breakdown=breakdown,
-    )
-
-
-#: (display name, mix, coordinator policy) for each table row group.
+#: (configuration, mix, coordinator policy) for each table row group.
 CONFIGS: list[tuple[str, str, str]] = [
     ("all-PrN", "all-PrN", "PrN"),
     ("all-PrA", "all-PrA", "PrA"),
@@ -125,48 +33,88 @@ CONFIGS: list[tuple[str, str, str]] = [
 ]
 
 
-def run_cost_experiment(n_participants: int = 2, seed: int = 5) -> CostExperiment:
-    """Measure every (configuration, outcome) cell of the cost table."""
-    experiment = CostExperiment()
-    for display, mix_name, coordinator in CONFIGS:
-        mix = MIXES[mix_name].extended_to(n_participants)
-        # Keep the canonical display names stable across sizes.
-        for outcome in ("commit", "abort"):
-            cell = _measure_cell(mix, coordinator, outcome, seed)
-            cell.config = display if display.startswith("PrAny") else mix_name
-            experiment.cells.append(cell)
-    return experiment
+def grid(n_participants: int = 2) -> list[Cell]:
+    return [
+        {
+            "config": config,
+            "mix": mix,
+            "coordinator": coordinator,
+            "outcome": outcome,
+            "n_participants": n_participants,
+        }
+        for config, mix, coordinator in CONFIGS
+        for outcome in ("commit", "abort")
+    ]
 
 
-def cost_table(experiment: CostExperiment) -> str:
-    """Render the C1 table."""
-    rows = []
-    for cell in experiment.cells:
-        rows.append(
-            [
-                cell.config,
-                cell.outcome,
-                cell.n_participants,
-                cell.coordinator_forced,
-                cell.breakdown.coordinator_writes,
-                cell.participant_forced,
-                cell.breakdown.participant_writes,
-                cell.acks,
-                cell.messages,
-            ]
-        )
-    return render_table(
-        [
-            "configuration",
-            "outcome",
-            "N",
-            "coord forces",
-            "coord writes",
-            "part forces",
-            "part writes",
-            "acks",
-            "messages",
-        ],
-        rows,
-        title="C1 — measured commit-processing costs (protocol records only)",
+def measure(cell: Cell, seed: int) -> dict:
+    """One transaction through the cell's configuration, counted."""
+    mix = MIXES[cell["mix"]].extended_to(cell["n_participants"])
+    mdbs = build_mdbs(mix, coordinator=cell["coordinator"], seed=seed)
+    participants = sorted(mix.site_protocols())
+    txn = GlobalTransaction(
+        txn_id="t-cost",
+        coordinator=COORDINATOR_ID,
+        writes={site: [WriteOp(f"k@{site}", 1)] for site in participants},
+        coordinator_abort=cell["outcome"] == "abort",
     )
+    mdbs.submit(txn)
+    mdbs.run(until=500)
+    # No finalize() before measuring: background flushes and GC are not
+    # commit-processing costs.
+    breakdown = cost_breakdown(mdbs.sim.trace, txn.txn_id, COORDINATOR_ID)
+    return {
+        "coordinator_forced": breakdown.coordinator_forced,
+        "coordinator_writes": breakdown.coordinator_writes,
+        "participant_forced": breakdown.participant_forced,
+        "participant_writes": breakdown.participant_writes,
+        "acks": breakdown.message_kinds.get("ACK", 0),
+        "messages": breakdown.messages,
+        "steps": mdbs.sim.steps_executed,
+    }
+
+
+def _prn_never_strictly_cheapest(result: ExperimentResult) -> bool:
+    def total(config: str, outcome: str) -> int:
+        cell = result.point(config, outcome)
+        return cell.coordinator_forced + cell.participant_forced + cell.acks
+
+    return all(
+        total("all-PrN", outcome)
+        >= min(total("all-PrA", outcome), total("all-PrC", outcome))
+        for outcome in ("commit", "abort")
+    )
+
+
+COSTS = Experiment(
+    name="costs",
+    artifact="C1",
+    title="measured commit-processing costs (protocol records only)",
+    seed=5,
+    grid=grid,
+    key=("config", "outcome"),
+    measure=measure,
+    columns=(
+        Column("configuration", "config"),
+        Column("outcome", "outcome"),
+        Column("N", "n_participants"),
+        Column("coord forces", "coordinator_forced"),
+        Column("coord writes", "coordinator_writes"),
+        Column("part forces", "participant_forced"),
+        Column("part writes", "participant_writes"),
+        Column("acks", "acks"),
+        Column("messages", "messages"),
+    ),
+    claims=(
+        Claim(
+            "prc_commit_cheaper_for_participants_than_pra",
+            lambda r: r.point("all-PrC", "commit").participant_forced
+            < r.point("all-PrA", "commit").participant_forced,
+        ),
+        Claim(
+            "pra_abort_is_free_at_coordinator",
+            lambda r: r.point("all-PrA", "abort").coordinator_forced == 0,
+        ),
+        Claim("prn_never_strictly_cheapest", _prn_never_strictly_cheapest),
+    ),
+)

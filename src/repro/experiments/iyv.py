@@ -16,83 +16,50 @@ expensive round trips favour IYV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.analysis.metrics import message_counts
-from repro.analysis.report import render_table
 from repro.core.events import EventKind
+from repro.experiments.table import (
+    Cell,
+    Claim,
+    Column,
+    Experiment,
+    ExperimentResult,
+    yes_no,
+)
 from repro.mdbs.system import MDBS
 from repro.mdbs.transaction import GlobalTransaction, WriteOp
 
 
-@dataclass
-class IYVPoint:
-    protocol: str
-    updates_per_participant: int
-    decision_time: float
-    messages: int
-    forces_total: int
-    correct: bool
+def grid(
+    update_counts: tuple[int, ...] = (1, 2, 4, 8), n_participants: int = 3
+) -> list[Cell]:
+    return [
+        {
+            "protocol": protocol,
+            "updates_per_participant": updates,
+            "n_participants": n_participants,
+        }
+        for protocol in ("PrA", "IYV")
+        for updates in update_counts
+    ]
 
 
-@dataclass
-class IYVResult:
-    points: list[IYVPoint] = field(default_factory=list)
-
-    def point(self, protocol: str, updates: int) -> IYVPoint:
-        for p in self.points:
-            if p.protocol == protocol and p.updates_per_participant == updates:
-                return p
-        raise KeyError((protocol, updates))
-
-    @property
-    def iyv_always_decides_earlier(self) -> bool:
-        updates = {p.updates_per_participant for p in self.points}
-        return all(
-            self.point("IYV", u).decision_time < self.point("PrA", u).decision_time
-            for u in updates
-        )
-
-    @property
-    def iyv_always_uses_fewer_messages(self) -> bool:
-        updates = {p.updates_per_participant for p in self.points}
-        return all(
-            self.point("IYV", u).messages < self.point("PrA", u).messages
-            for u in updates
-        )
-
-    @property
-    def pra_forces_grow_slower(self) -> bool:
-        """PrA's force count is flat in updates; IYV's grows linearly."""
-        updates = sorted({p.updates_per_participant for p in self.points})
-        if len(updates) < 2:
-            return False
-        lo, hi = updates[0], updates[-1]
-        pra_growth = self.point("PrA", hi).forces_total - self.point(
-            "PrA", lo
-        ).forces_total
-        iyv_growth = self.point("IYV", hi).forces_total - self.point(
-            "IYV", lo
-        ).forces_total
-        return pra_growth == 0 and iyv_growth > 0
-
-    @property
-    def all_correct(self) -> bool:
-        return all(p.correct for p in self.points)
-
-
-def _measure(protocol: str, updates: int, n_participants: int, seed: int) -> IYVPoint:
+def measure(cell: Cell, seed: int) -> dict:
+    """One transaction with the cell's update count at every participant."""
     mdbs = MDBS(seed=seed)
-    participants = [f"p{i}" for i in range(n_participants)]
+    participants = [f"p{i}" for i in range(cell["n_participants"])]
     for site_id in participants:
-        mdbs.add_site(site_id, protocol=protocol)
+        mdbs.add_site(site_id, protocol=cell["protocol"])
     mdbs.add_site("tm", protocol="PrN", coordinator="dynamic")
     mdbs.submit(
         GlobalTransaction(
             txn_id="t1",
             coordinator="tm",
             writes={
-                site: [WriteOp(f"k{j}@{site}", j) for j in range(updates)]
+                site: [
+                    WriteOp(f"k{j}@{site}", j)
+                    for j in range(cell["updates_per_participant"])
+                ]
                 for site in participants
             },
         )
@@ -102,56 +69,72 @@ def _measure(protocol: str, updates: int, n_participants: int, seed: int) -> IYV
     reports = mdbs.check()
     history = mdbs.history()
     decides = history.of_kind(EventKind.DECIDE, "t1")
-    return IYVPoint(
-        protocol=protocol,
-        updates_per_participant=updates,
-        decision_time=decides[-1].time if decides else float("nan"),
-        messages=message_counts(mdbs.sim.trace, txn_id="t1").total,
-        forces_total=sum(site.log.force_count for site in mdbs.sites.values()),
-        correct=reports.all_hold,
+    return {
+        "decision_time": decides[-1].time if decides else float("nan"),
+        "messages": message_counts(mdbs.sim.trace, txn_id="t1").total,
+        "forces_total": sum(site.log.force_count for site in mdbs.sites.values()),
+        "correct": reports.all_hold,
+        "steps": mdbs.sim.steps_executed,
+    }
+
+
+def _iyv_beats_pra(result: ExperimentResult, field: str) -> bool:
+    """IYV's ``field`` is below PrA's at every update count."""
+    updates = {row.updates_per_participant for row in result.rows}
+    return all(
+        getattr(result.point("IYV", u), field) < getattr(result.point("PrA", u), field)
+        for u in updates
     )
 
 
-def run_iyv_experiment(
-    update_counts: tuple[int, ...] = (1, 2, 4, 8),
-    n_participants: int = 3,
-    seed: int = 41,
-) -> IYVResult:
-    """Sweep updates-per-participant for all-IYV vs all-PrA."""
-    result = IYVResult()
-    for protocol in ("PrA", "IYV"):
-        for updates in update_counts:
-            result.points.append(_measure(protocol, updates, n_participants, seed))
-    return result
+def _pra_forces_grow_slower(result: ExperimentResult) -> bool:
+    """PrA's force count is flat in updates; IYV's grows linearly."""
+    updates = sorted({row.updates_per_participant for row in result.rows})
+    if len(updates) < 2:
+        return False
+    lo, hi = updates[0], updates[-1]
+
+    def growth(protocol: str) -> int:
+        return (
+            result.point(protocol, hi).forces_total
+            - result.point(protocol, lo).forces_total
+        )
+
+    return growth("PrA") == 0 and growth("IYV") > 0
 
 
-def render_iyv(result: IYVResult) -> str:
-    rows = [
-        [
-            p.protocol,
-            p.updates_per_participant,
-            f"{p.decision_time:.2f}",
-            p.messages,
-            p.forces_total,
-            "yes" if p.correct else "NO",
-        ]
-        for p in result.points
-    ]
-    table = render_table(
-        [
-            "protocol",
-            "updates/participant",
-            "decision time",
-            "messages",
-            "total forces",
-            "correct",
-        ],
-        rows,
-        title="C5 — IYV vs PrA: round trips traded for forced writes",
-    )
-    notes = [
-        f"IYV decides earlier everywhere: {result.iyv_always_decides_earlier}",
-        f"IYV uses fewer messages everywhere: {result.iyv_always_uses_fewer_messages}",
-        f"PrA forces flat while IYV's grow: {result.pra_forces_grow_slower}",
-    ]
-    return table + "\n" + "\n".join(notes)
+IYV = Experiment(
+    name="iyv",
+    artifact="C5",
+    title="IYV vs PrA: round trips traded for forced writes",
+    seed=41,
+    grid=grid,
+    key=("protocol", "updates_per_participant"),
+    measure=measure,
+    columns=(
+        Column("protocol", "protocol"),
+        Column("updates/participant", "updates_per_participant"),
+        Column("decision time", "decision_time", "{:.2f}".format),
+        Column("messages", "messages"),
+        Column("total forces", "forces_total"),
+        Column("correct", "correct", yes_no),
+    ),
+    claims=(
+        Claim(
+            "iyv_always_decides_earlier",
+            lambda r: _iyv_beats_pra(r, "decision_time"),
+            "IYV decides earlier everywhere",
+        ),
+        Claim(
+            "iyv_always_uses_fewer_messages",
+            lambda r: _iyv_beats_pra(r, "messages"),
+            "IYV uses fewer messages everywhere",
+        ),
+        Claim(
+            "pra_forces_grow_slower",
+            _pra_forces_grow_slower,
+            "PrA forces flat while IYV's grow",
+        ),
+        Claim("all_correct", lambda r: all(row.correct for row in r.rows)),
+    ),
+)

@@ -17,82 +17,12 @@ coordinator does not wait for acknowledgements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.analysis.report import render_table
 from repro.core.events import EventKind
+from repro.experiments.table import Cell, Column, Experiment
 from repro.mdbs.transaction import GlobalTransaction, WriteOp
 from repro.net.network import UniformLatency
 from repro.workloads.generator import COORDINATOR_ID, build_mdbs
 from repro.workloads.mixes import MIXES
-
-
-@dataclass
-class LatencyPoint:
-    config: str
-    outcome: str
-    n_participants: int
-    decision_latency: float
-    release_latency: float
-    forget_latency: float
-
-
-@dataclass
-class LatencyResult:
-    points: list[LatencyPoint] = field(default_factory=list)
-
-    def series(
-        self, config: str, outcome: str, metric: str = "forget_latency"
-    ) -> list[tuple[int, float]]:
-        return [
-            (p.n_participants, getattr(p, metric))
-            for p in self.points
-            if p.config == config and p.outcome == outcome
-        ]
-
-    def point(
-        self, config: str, outcome: str, n_participants: int
-    ) -> Optional[LatencyPoint]:
-        for p in self.points:
-            if (
-                p.config == config
-                and p.outcome == outcome
-                and p.n_participants == n_participants
-            ):
-                return p
-        return None
-
-
-def _measure(
-    mix_name: str, coordinator: str, outcome: str, n_participants: int, seed: int
-) -> LatencyPoint:
-    mix = MIXES[mix_name].extended_to(n_participants)
-    mdbs = build_mdbs(mix, coordinator=coordinator, seed=seed)
-    mdbs.network.set_latency(UniformLatency(mdbs.sim, 0.5, 2.0))  # jittered links
-    participants = sorted(mix.site_protocols())
-    txn = GlobalTransaction(
-        txn_id="t-lat",
-        coordinator=COORDINATOR_ID,
-        writes={site: [WriteOp(f"k@{site}", 1)] for site in participants},
-        coordinator_abort=outcome == "abort",
-        submit_at=0.0,
-    )
-    mdbs.submit(txn)
-    mdbs.run(until=500)
-    history = mdbs.history()
-    decides = history.of_kind(EventKind.DECIDE, txn.txn_id)
-    enforces = history.of_kind(EventKind.ENFORCE, txn.txn_id)
-    forgets = history.forget_events(txn.txn_id)
-    return LatencyPoint(
-        config=mix_name,
-        outcome=outcome,
-        n_participants=n_participants,
-        decision_latency=decides[-1].time if decides else float("nan"),
-        release_latency=max(e.time for e in enforces) if enforces else float("nan"),
-        forget_latency=forgets[-1].time if forgets else float("nan"),
-    )
-
 
 #: (mix name, coordinator policy) per swept configuration.
 SWEEP_CONFIGS: list[tuple[str, str]] = [
@@ -103,35 +33,61 @@ SWEEP_CONFIGS: list[tuple[str, str]] = [
 ]
 
 
-def latency_sweep(
-    participant_counts: tuple[int, ...] = (2, 4, 6, 8),
-    seed: int = 9,
-) -> LatencyResult:
-    """Measure latencies across protocols and participant counts."""
-    result = LatencyResult()
-    for mix_name, coordinator in SWEEP_CONFIGS:
-        for outcome in ("commit", "abort"):
-            for n in participant_counts:
-                result.points.append(
-                    _measure(mix_name, coordinator, outcome, n, seed)
-                )
-    return result
-
-
-def render_latency(result: LatencyResult) -> str:
-    rows = [
-        [
-            p.config,
-            p.outcome,
-            p.n_participants,
-            f"{p.decision_latency:.2f}",
-            f"{p.release_latency:.2f}",
-            f"{p.forget_latency:.2f}",
-        ]
-        for p in result.points
+def grid(participant_counts: tuple[int, ...] = (2, 4, 6, 8)) -> list[Cell]:
+    return [
+        {
+            "config": mix,
+            "coordinator": coordinator,
+            "outcome": outcome,
+            "n_participants": n,
+        }
+        for mix, coordinator in SWEEP_CONFIGS
+        for outcome in ("commit", "abort")
+        for n in participant_counts
     ]
-    return render_table(
-        ["configuration", "outcome", "N", "decision", "all released", "coord forgot"],
-        rows,
-        title="C2 — commit latency vs participant count (virtual time)",
+
+
+def measure(cell: Cell, seed: int) -> dict:
+    """One transaction over jittered links, timed from submission."""
+    mix = MIXES[cell["config"]].extended_to(cell["n_participants"])
+    mdbs = build_mdbs(mix, coordinator=cell["coordinator"], seed=seed)
+    mdbs.network.set_latency(UniformLatency(mdbs.sim, 0.5, 2.0))  # jittered links
+    participants = sorted(mix.site_protocols())
+    txn = GlobalTransaction(
+        txn_id="t-lat",
+        coordinator=COORDINATOR_ID,
+        writes={site: [WriteOp(f"k@{site}", 1)] for site in participants},
+        coordinator_abort=cell["outcome"] == "abort",
+        submit_at=0.0,
     )
+    mdbs.submit(txn)
+    mdbs.run(until=500)
+    history = mdbs.history()
+    decides = history.of_kind(EventKind.DECIDE, txn.txn_id)
+    enforces = history.of_kind(EventKind.ENFORCE, txn.txn_id)
+    forgets = history.forget_events(txn.txn_id)
+    return {
+        "decision_latency": decides[-1].time if decides else float("nan"),
+        "release_latency": max(e.time for e in enforces) if enforces else float("nan"),
+        "forget_latency": forgets[-1].time if forgets else float("nan"),
+        "steps": mdbs.sim.steps_executed,
+    }
+
+
+LATENCY = Experiment(
+    name="latency",
+    artifact="C2",
+    title="commit latency vs participant count (virtual time)",
+    seed=9,
+    grid=grid,
+    key=("config", "outcome", "n_participants"),
+    measure=measure,
+    columns=(
+        Column("configuration", "config"),
+        Column("outcome", "outcome"),
+        Column("N", "n_participants"),
+        Column("decision", "decision_latency", "{:.2f}".format),
+        Column("all released", "release_latency", "{:.2f}".format),
+        Column("coord forgot", "forget_latency", "{:.2f}".format),
+    ),
+)

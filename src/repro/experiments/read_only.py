@@ -19,54 +19,37 @@ checkers run on every cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.analysis.metrics import message_counts
-from repro.analysis.report import render_table
+from repro.experiments.table import (
+    Cell,
+    Claim,
+    Column,
+    Experiment,
+    ExperimentResult,
+    yes_no,
+)
 from repro.mdbs.transaction import GlobalTransaction, WriteOp
 from repro.workloads.generator import COORDINATOR_ID, build_mdbs
 from repro.workloads.mixes import MIXES
 
 
-@dataclass
-class ReadOnlyCell:
-    """Measured costs for one (mix, optimization on/off) cell."""
-
-    mix: str
-    optimized: bool
-    read_fraction: float
-    total_forces: int
-    messages: int
-    acks: int
-    read_votes: int
-    correct: bool
+def grid(
+    mixes: tuple[str, ...] = ("all-PrN", "all-PrA", "all-PrC", "PrN+PrA+PrC"),
+    n_transactions: int = 10,
+) -> list[Cell]:
+    return [
+        {"mix": mix, "optimized": optimized, "n_transactions": n_transactions}
+        for mix in mixes
+        for optimized in (False, True)
+    ]
 
 
-@dataclass
-class ReadOnlyResult:
-    cells: list[ReadOnlyCell] = field(default_factory=list)
-
-    def cell(self, mix: str, optimized: bool) -> ReadOnlyCell:
-        for cell in self.cells:
-            if cell.mix == mix and cell.optimized is optimized:
-                return cell
-        raise KeyError((mix, optimized))
-
-    def savings(self, mix: str) -> tuple[int, int]:
-        """(forces saved, messages saved) by the optimization."""
-        off = self.cell(mix, False)
-        on = self.cell(mix, True)
-        return off.total_forces - on.total_forces, off.messages - on.messages
-
-    @property
-    def always_correct(self) -> bool:
-        return all(cell.correct for cell in self.cells)
-
-
-def _run(mix_name: str, optimized: bool, n_transactions: int, seed: int) -> ReadOnlyCell:
-    mix = MIXES[mix_name]
+def measure(cell: Cell, seed: int) -> dict:
+    """The cell's mix with the optimization off or on, every site checked."""
+    mix = MIXES[cell["mix"]]
+    n_transactions = cell["n_transactions"]
     mdbs = build_mdbs(
-        mix, coordinator="dynamic", seed=seed, read_only_optimization=optimized
+        mix, coordinator="dynamic", seed=seed, read_only_optimization=cell["optimized"]
     )
     sites = sorted(mix.site_protocols())
     # Every transaction updates its first participant and only reads at
@@ -86,56 +69,41 @@ def _run(mix_name: str, optimized: bool, n_transactions: int, seed: int) -> Read
     mdbs.finalize()
     reports = mdbs.check()
     counts = message_counts(mdbs.sim.trace)
-    return ReadOnlyCell(
-        mix=mix_name,
-        optimized=optimized,
-        read_fraction=(len(sites) - 1) / len(sites),
-        total_forces=sum(site.log.force_count for site in mdbs.sites.values()),
-        messages=counts.total,
-        acks=counts.of("ACK"),
-        read_votes=counts.of("VOTE_READ"),
-        correct=reports.all_hold,
-    )
+    return {
+        "read_fraction": (len(sites) - 1) / len(sites),
+        "total_forces": sum(site.log.force_count for site in mdbs.sites.values()),
+        "messages": counts.total,
+        "acks": counts.of("ACK"),
+        "read_votes": counts.of("VOTE_READ"),
+        "correct": reports.all_hold,
+        "steps": mdbs.sim.steps_executed,
+    }
 
 
-def run_read_only_experiment(
-    mixes: tuple[str, ...] = ("all-PrN", "all-PrA", "all-PrC", "PrN+PrA+PrC"),
-    n_transactions: int = 10,
-    seed: int = 23,
-) -> ReadOnlyResult:
-    """Measure each mix with the optimization off and on."""
-    result = ReadOnlyResult()
-    for mix_name in mixes:
-        for optimized in (False, True):
-            result.cells.append(_run(mix_name, optimized, n_transactions, seed))
-    return result
+def savings(result: ExperimentResult, mix: str) -> tuple[int, int]:
+    """(forces saved, messages saved) by the optimization."""
+    off = result.point(mix, False)
+    on = result.point(mix, True)
+    return off.total_forces - on.total_forces, off.messages - on.messages
 
 
-def render_read_only(result: ReadOnlyResult) -> str:
-    rows = [
-        [
-            cell.mix,
-            "on" if cell.optimized else "off",
-            f"{cell.read_fraction:.0%}",
-            cell.total_forces,
-            cell.messages,
-            cell.acks,
-            cell.read_votes,
-            "yes" if cell.correct else "NO",
-        ]
-        for cell in result.cells
-    ]
-    return render_table(
-        [
-            "mix",
-            "R/O opt",
-            "readers",
-            "total forces",
-            "messages",
-            "acks",
-            "READ votes",
-            "correct",
-        ],
-        rows,
-        title="C4 — read-only optimization: costs with the READ vote off/on",
-    )
+READ_ONLY = Experiment(
+    name="readonly",
+    artifact="C4",
+    title="read-only optimization: costs with the READ vote off/on",
+    seed=23,
+    grid=grid,
+    key=("mix", "optimized"),
+    measure=measure,
+    columns=(
+        Column("mix", "mix"),
+        Column("R/O opt", "optimized", lambda on: "on" if on else "off"),
+        Column("readers", "read_fraction", "{:.0%}".format),
+        Column("total forces", "total_forces"),
+        Column("messages", "messages"),
+        Column("acks", "acks"),
+        Column("READ votes", "read_votes"),
+        Column("correct", "correct", yes_no),
+    ),
+    claims=(Claim("always_correct", lambda r: all(row.correct for row in r.rows)),),
+)

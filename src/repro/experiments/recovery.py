@@ -17,13 +17,13 @@ One scenario per §4.2 log-shape case:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.analysis.report import render_table
+from repro.experiments.table import Cell, Claim, Column, Experiment, yes_no
 from repro.mdbs.recovery import measure_recovery
-from repro.mdbs.system import MDBS
 from repro.mdbs.transaction import GlobalTransaction, WriteOp
+from repro.protocols.recovery import summarize_coordinator_log
 from repro.sim.tracing import TraceEvent
 from repro.workloads.generator import COORDINATOR_ID, build_mdbs
 from repro.workloads.mixes import MIXES
@@ -36,29 +36,8 @@ class RecoveryScenario:
     name: str
     mix: str
     coordinator: str
-    outcome: str
     crash_predicate: Callable[[TraceEvent], bool]
     expected_log_shape: str
-
-
-@dataclass
-class RecoveryOutcome:
-    scenario: str
-    log_shape: str
-    reinitiated: int
-    inquiries: int
-    presumed_responses: int
-    messages: int
-    converged: bool
-
-
-@dataclass
-class RecoveryExperimentResult:
-    outcomes: list[RecoveryOutcome] = field(default_factory=list)
-
-    @property
-    def all_converged(self) -> bool:
-        return bool(self.outcomes) and all(o.converged for o in self.outcomes)
 
 
 def _crash_after_decide(event: TraceEvent) -> bool:
@@ -76,7 +55,6 @@ SCENARIOS: list[RecoveryScenario] = [
         name="PrN: commit decided, crash before acks",
         mix="all-PrN",
         coordinator="PrN",
-        outcome="commit",
         crash_predicate=_crash_after_decide,
         expected_log_shape="commit",
     ),
@@ -84,7 +62,6 @@ SCENARIOS: list[RecoveryScenario] = [
         name="PrA: commit decided, crash before acks",
         mix="all-PrA",
         coordinator="PrA",
-        outcome="commit",
         crash_predicate=_crash_after_decide,
         expected_log_shape="commit",
     ),
@@ -92,7 +69,6 @@ SCENARIOS: list[RecoveryScenario] = [
         name="PrC: crash right after initiation (abort presumed)",
         mix="all-PrC",
         coordinator="PrC",
-        outcome="commit",  # never reached; crash precedes the decision
         crash_predicate=_crash_after_initiation,
         expected_log_shape="init",
     ),
@@ -100,7 +76,6 @@ SCENARIOS: list[RecoveryScenario] = [
         name="PrAny: crash right after initiation (abort re-sent)",
         mix="PrA+PrC",
         coordinator="dynamic",
-        outcome="commit",
         crash_predicate=_crash_after_initiation,
         expected_log_shape="init+protocols",
     ),
@@ -108,14 +83,19 @@ SCENARIOS: list[RecoveryScenario] = [
         name="PrAny: commit decided, crash before acks",
         mix="PrA+PrC",
         coordinator="dynamic",
-        outcome="commit",
         crash_predicate=_crash_after_decide,
         expected_log_shape="init+protocols+commit",
     ),
 ]
 
 
-def _run_scenario(scenario: RecoveryScenario, seed: int) -> RecoveryOutcome:
+def grid() -> list[Cell]:
+    return [{"scenario": scenario.name, "case": scenario} for scenario in SCENARIOS]
+
+
+def measure(cell: Cell, seed: int) -> dict:
+    """Crash the coordinator at the case's point, then recover it."""
+    scenario: RecoveryScenario = cell["case"]
     mix = MIXES[scenario.mix]
     mdbs = build_mdbs(mix, coordinator=scenario.coordinator, seed=seed)
     participants = sorted(mix.site_protocols())
@@ -123,7 +103,6 @@ def _run_scenario(scenario: RecoveryScenario, seed: int) -> RecoveryOutcome:
         txn_id="t-rec",
         coordinator=COORDINATOR_ID,
         writes={site: [WriteOp(f"k@{site}", 1)] for site in participants},
-        coordinator_abort=scenario.outcome == "abort",
     )
     mdbs.failures.crash_when(
         COORDINATOR_ID, scenario.crash_predicate, down_for=None
@@ -132,56 +111,44 @@ def _run_scenario(scenario: RecoveryScenario, seed: int) -> RecoveryOutcome:
     mdbs.run(until=120)
 
     # Capture the coordinator's log shape as recovery will see it.
-    from repro.protocols.recovery import summarize_coordinator_log
-
     summaries = summarize_coordinator_log(mdbs.site(COORDINATOR_ID).log)
     log_shape = summaries[0].shape if summaries else "none"
 
     costs = measure_recovery(mdbs, run_until=600)
     mdbs.finalize()
     reports = mdbs.check()
-    return RecoveryOutcome(
-        scenario=scenario.name,
-        log_shape=log_shape,
-        reinitiated=costs.reinitiated_decisions,
-        inquiries=costs.inquiries,
-        presumed_responses=costs.presumed_responses,
-        messages=costs.messages_sent,
-        converged=reports.all_hold,
-    )
+    return {
+        "log_shape": log_shape,
+        "reinitiated": costs.reinitiated_decisions,
+        "inquiries": costs.inquiries,
+        "presumed_responses": costs.presumed_responses,
+        "messages": costs.messages_sent,
+        "converged": reports.all_hold,
+        "steps": mdbs.sim.steps_executed,
+    }
 
 
-def recovery_experiment(seed: int = 13) -> RecoveryExperimentResult:
-    """Run every §4.2 recovery scenario."""
-    result = RecoveryExperimentResult()
-    for scenario in SCENARIOS:
-        result.outcomes.append(_run_scenario(scenario, seed))
-    return result
-
-
-def render_recovery(result: RecoveryExperimentResult) -> str:
-    rows = [
-        [
-            o.scenario,
-            o.log_shape,
-            o.reinitiated,
-            o.inquiries,
-            o.presumed_responses,
-            o.messages,
-            "yes" if o.converged else "NO",
-        ]
-        for o in result.outcomes
-    ]
-    return render_table(
-        [
-            "scenario",
-            "log shape at restart",
-            "re-initiated",
-            "inquiries",
-            "presumed replies",
-            "messages",
-            "converged",
-        ],
-        rows,
-        title="R1 — §4.2 coordinator recovery",
-    )
+RECOVERY = Experiment(
+    name="recovery",
+    artifact="R1",
+    title="§4.2 coordinator recovery",
+    seed=7,
+    grid=grid,
+    key=("scenario",),
+    measure=measure,
+    columns=(
+        Column("scenario", "scenario"),
+        Column("log shape at restart", "log_shape"),
+        Column("re-initiated", "reinitiated"),
+        Column("inquiries", "inquiries"),
+        Column("presumed replies", "presumed_responses"),
+        Column("messages", "messages"),
+        Column("converged", "converged", yes_no),
+    ),
+    claims=(
+        Claim(
+            "all_converged",
+            lambda r: bool(r.rows) and all(row.converged for row in r.rows),
+        ),
+    ),
+)

@@ -15,48 +15,29 @@ coincide by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.analysis.metrics import message_counts
-from repro.analysis.report import render_table
+from repro.experiments.table import Cell, Column, Experiment, ExperimentResult
 from repro.mdbs.transaction import simple_transaction
 from repro.workloads.generator import COORDINATOR_ID, build_mdbs
 from repro.workloads.mixes import MIXES
 
 
-@dataclass
-class SelectionPoint:
-    mix: str
-    selector: str
-    coordinator_forces: int
-    acks: int
-    messages: int
-    protocols_used: dict[str, int] = field(default_factory=dict)
+def grid(
+    mixes: tuple[str, ...] = ("all-PrN", "all-PrA", "all-PrC", "PrA+PrC", "PrN+PrC"),
+    n_transactions: int = 12,
+) -> list[Cell]:
+    return [
+        {"mix": mix, "selector": selector, "n_transactions": n_transactions}
+        for mix in mixes
+        for selector in ("dynamic", "PrAny")
+    ]
 
 
-@dataclass
-class SelectionResult:
-    points: list[SelectionPoint] = field(default_factory=list)
-
-    def point(self, mix: str, selector: str) -> SelectionPoint:
-        for p in self.points:
-            if p.mix == mix and p.selector == selector:
-                return p
-        raise KeyError((mix, selector))
-
-    def savings(self, mix: str) -> tuple[int, int]:
-        """(forces saved, acks saved) by dynamic over always-PrAny."""
-        dynamic = self.point(mix, "dynamic")
-        fixed = self.point(mix, "PrAny")
-        return (
-            fixed.coordinator_forces - dynamic.coordinator_forces,
-            fixed.acks - dynamic.acks,
-        )
-
-
-def _run(mix_name: str, selector: str, n_transactions: int, seed: int) -> SelectionPoint:
-    mix = MIXES[mix_name]
-    mdbs = build_mdbs(mix, coordinator=selector, seed=seed)
+def measure(cell: Cell, seed: int) -> dict:
+    """The cell's mix under its selector, one aborting transaction in four."""
+    mix = MIXES[cell["mix"]]
+    n_transactions = cell["n_transactions"]
+    mdbs = build_mdbs(mix, coordinator=cell["selector"], seed=seed)
     sites = sorted(mix.site_protocols())
     for i in range(n_transactions):
         mdbs.submit(
@@ -74,43 +55,43 @@ def _run(mix_name: str, selector: str, n_transactions: int, seed: int) -> Select
         protocol = event.details.get("protocol", "?")
         used[protocol] = used.get(protocol, 0) + 1
     counts = message_counts(mdbs.sim.trace)
-    return SelectionPoint(
-        mix=mix_name,
-        selector=selector,
-        coordinator_forces=mdbs.site(COORDINATOR_ID).log.force_count,
-        acks=counts.of("ACK"),
-        messages=counts.total,
-        protocols_used=used,
+    return {
+        "protocols_used": used,
+        "coordinator_forces": mdbs.site(COORDINATOR_ID).log.force_count,
+        "acks": counts.of("ACK"),
+        "messages": counts.total,
+        "steps": mdbs.sim.steps_executed,
+    }
+
+
+def savings(result: ExperimentResult, mix: str) -> tuple[int, int]:
+    """(forces saved, acks saved) by dynamic over always-PrAny."""
+    dynamic = result.point(mix, "dynamic")
+    fixed = result.point(mix, "PrAny")
+    return (
+        fixed.coordinator_forces - dynamic.coordinator_forces,
+        fixed.acks - dynamic.acks,
     )
 
 
-def selection_ablation(
-    mixes: tuple[str, ...] = ("all-PrN", "all-PrA", "all-PrC", "PrA+PrC", "PrN+PrC"),
-    n_transactions: int = 12,
-    seed: int = 17,
-) -> SelectionResult:
-    """Dynamic selection vs always-PrAny over each mix."""
-    result = SelectionResult()
-    for mix_name in mixes:
-        for selector in ("dynamic", "PrAny"):
-            result.points.append(_run(mix_name, selector, n_transactions, seed))
-    return result
-
-
-def render_selection(result: SelectionResult) -> str:
-    rows = [
-        [
-            p.mix,
-            p.selector,
-            ", ".join(f"{k}:{v}" for k, v in sorted(p.protocols_used.items())),
-            p.coordinator_forces,
-            p.acks,
-            p.messages,
-        ]
-        for p in result.points
-    ]
-    return render_table(
-        ["mix", "selector", "protocols used", "coord forces", "acks", "messages"],
-        rows,
-        title="C3 — §4.1 dynamic selection vs always-PrAny",
-    )
+SELECTION = Experiment(
+    name="selection",
+    artifact="C3",
+    title="§4.1 dynamic selection vs always-PrAny",
+    seed=17,
+    grid=grid,
+    key=("mix", "selector"),
+    measure=measure,
+    columns=(
+        Column("mix", "mix"),
+        Column("selector", "selector"),
+        Column(
+            "protocols used",
+            "protocols_used",
+            lambda used: ", ".join(f"{k}:{v}" for k, v in sorted(used.items())),
+        ),
+        Column("coord forces", "coordinator_forces"),
+        Column("acks", "acks"),
+        Column("messages", "messages"),
+    ),
+)

@@ -22,61 +22,20 @@ schedule under the PrAny coordinator and observe none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.report import render_table
-from repro.mdbs.system import MDBS, RunReports
+from repro.experiments.table import (
+    Cell,
+    Claim,
+    Column,
+    Experiment,
+    ExperimentResult,
+    verdict,
+)
+from repro.mdbs.system import MDBS
 from repro.mdbs.transaction import GlobalTransaction, WriteOp
 
 _COORD = "tm"
 _PRA_SITE = "alpha_pra"
 _PRC_SITE = "beta_prc"
-
-
-@dataclass
-class ScenarioOutcome:
-    """Result of one (proof part, coordinator policy) run."""
-
-    part: str
-    coordinator_policy: str
-    atomicity_violations: int
-    safe_state_violations: int
-    outcomes: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def violated(self) -> bool:
-        return self.atomicity_violations > 0
-
-
-@dataclass
-class Theorem1Result:
-    """All proof parts under U2PC and under PrAny."""
-
-    scenarios: list[ScenarioOutcome] = field(default_factory=list)
-
-    @property
-    def u2pc_all_violate(self) -> bool:
-        """Every U2PC proof part showed the predicted violation."""
-        u2pc = [s for s in self.scenarios if s.coordinator_policy.startswith("U2PC")]
-        return bool(u2pc) and all(s.violated for s in u2pc)
-
-    @property
-    def prany_never_violates(self) -> bool:
-        """PrAny survived every adversarial schedule."""
-        prany = [s for s in self.scenarios if s.coordinator_policy == "dynamic"]
-        return bool(prany) and not any(s.violated for s in prany)
-
-    @property
-    def theorem_demonstrated(self) -> bool:
-        return self.u2pc_all_violate and self.prany_never_violates
-
-
-def _build(coordinator_policy: str, seed: int) -> MDBS:
-    mdbs = MDBS(seed=seed)
-    mdbs.add_site(_PRA_SITE, protocol="PrA")
-    mdbs.add_site(_PRC_SITE, protocol="PrC")
-    mdbs.add_site(_COORD, protocol="PrN", coordinator=coordinator_policy)
-    return mdbs
 
 
 def _commit_case_schedule(mdbs: MDBS) -> GlobalTransaction:
@@ -123,57 +82,79 @@ _PARTS = {
 }
 
 
-def _run_one(
-    part: str, coordinator_policy: str, schedule, seed: int
-) -> ScenarioOutcome:
-    mdbs = _build(coordinator_policy, seed)
-    mdbs.submit(schedule(mdbs))
+def grid() -> list[Cell]:
+    """Every proof part under its U2PC coordinator, then under PrAny."""
+    return [
+        {"part": part, "coordinator_policy": policy, "schedule": schedule}
+        for part, (u2pc, schedule) in _PARTS.items()
+        for policy in (u2pc, "dynamic")
+    ]
+
+
+def measure(cell: Cell, seed: int) -> dict:
+    """The part's adversarial schedule under the cell's coordinator."""
+    mdbs = MDBS(seed=seed)
+    mdbs.add_site(_PRA_SITE, protocol="PrA")
+    mdbs.add_site(_PRC_SITE, protocol="PrC")
+    mdbs.add_site(_COORD, protocol="PrN", coordinator=cell["coordinator_policy"])
+    mdbs.submit(cell["schedule"](mdbs))
     mdbs.run(until=500)
     mdbs.finalize()
-    reports: RunReports = mdbs.check()
+    reports = mdbs.check()
     outcomes = {
         site: outcome.value
         for site, outcome in mdbs.history().enforcements("t1").items()
     }
-    return ScenarioOutcome(
-        part=part,
-        coordinator_policy=coordinator_policy,
-        atomicity_violations=len(reports.atomicity.violations),
-        safe_state_violations=len(reports.safe_state.violations),
-        outcomes=outcomes,
-    )
+    return {
+        "atomicity_violations": len(reports.atomicity.violations),
+        "safe_state_violations": len(reports.safe_state.violations),
+        "outcomes": outcomes,
+        "steps": mdbs.sim.steps_executed,
+    }
 
 
-def run_theorem1(seed: int = 7) -> Theorem1Result:
-    """Run all three proof parts under U2PC, then under PrAny."""
-    result = Theorem1Result()
-    for part, (policy, schedule) in _PARTS.items():
-        result.scenarios.append(_run_one(part, policy, schedule, seed))
-        result.scenarios.append(_run_one(part, "dynamic", schedule, seed))
-    return result
-
-
-def render_theorem1(result: Theorem1Result) -> str:
-    rows = [
-        [
-            s.part,
-            s.coordinator_policy,
-            s.atomicity_violations,
-            s.safe_state_violations,
-            ", ".join(f"{k}={v}" for k, v in sorted(s.outcomes.items())),
-        ]
-        for s in result.scenarios
+def _runs(result: ExperimentResult, u2pc: bool) -> list:
+    return [
+        row
+        for row in result.rows
+        if row.coordinator_policy.startswith("U2PC") == u2pc
     ]
-    table = render_table(
-        [
-            "proof part",
-            "coordinator",
-            "atomicity viol.",
-            "safe-state viol.",
+
+
+THEOREM1 = Experiment(
+    name="theorem1",
+    artifact="T1",
+    title="Theorem 1: U2PC breaks atomicity; PrAny does not",
+    seed=7,
+    grid=grid,
+    key=("part", "coordinator_policy"),
+    measure=measure,
+    columns=(
+        Column("proof part", "part"),
+        Column("coordinator", "coordinator_policy"),
+        Column("atomicity viol.", "atomicity_violations"),
+        Column("safe-state viol.", "safe_state_violations"),
+        Column(
             "enforced outcomes",
-        ],
-        rows,
-        title="T1 — Theorem 1: U2PC breaks atomicity; PrAny does not",
-    )
-    verdict = "DEMONSTRATED" if result.theorem_demonstrated else "NOT demonstrated"
-    return f"{table}\n\nTheorem 1 {verdict}"
+            "outcomes",
+            lambda outcomes: ", ".join(
+                f"{k}={v}" for k, v in sorted(outcomes.items())
+            ),
+        ),
+    ),
+    claims=(
+        # Every U2PC proof part showed the predicted violation.
+        Claim(
+            "u2pc_all_violate",
+            lambda r: bool(_runs(r, True))
+            and all(row.atomicity_violations > 0 for row in _runs(r, True)),
+        ),
+        # PrAny survived every adversarial schedule.
+        Claim(
+            "prany_never_violates",
+            lambda r: bool(_runs(r, False))
+            and not any(row.atomicity_violations > 0 for row in _runs(r, False)),
+        ),
+    ),
+    sections=lambda r: [verdict("Theorem 1", r)],
+)

@@ -19,78 +19,40 @@ been flushed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.report import render_series, render_table
+from repro.analysis.report import render_series
+from repro.experiments.table import (
+    Cell,
+    Claim,
+    Column,
+    Experiment,
+    ExperimentResult,
+    verdict,
+    yes_no,
+)
 from repro.mdbs.system import MDBS
 from repro.mdbs.transaction import simple_transaction
 
 _COORD = "tm"
 
 
-@dataclass
-class RetentionPoint:
-    """Retention measured after processing ``n_transactions``."""
-
-    coordinator_policy: str
-    n_transactions: int
-    retained_entries: int
-    uncollected_log_txns: int
-    atomic: bool
-    operationally_correct: bool
-
-
-@dataclass
-class Theorem2Result:
-    points: list[RetentionPoint] = field(default_factory=list)
-
-    def series(self, coordinator_policy: str) -> list[tuple[int, int]]:
-        return [
-            (p.n_transactions, p.retained_entries)
-            for p in self.points
-            if p.coordinator_policy == coordinator_policy
-        ]
-
-    @property
-    def c2pc_growth_is_linear(self) -> bool:
-        """C2PC retains every terminated mixed transaction."""
-        series = [
-            p
-            for p in self.points
-            if p.coordinator_policy.startswith("C2PC")
-        ]
-        return bool(series) and all(
-            p.retained_entries == p.n_transactions for p in series
-        )
-
-    @property
-    def prany_retains_nothing(self) -> bool:
-        series = [p for p in self.points if p.coordinator_policy == "dynamic"]
-        return bool(series) and all(p.retained_entries == 0 for p in series)
-
-    @property
-    def c2pc_still_atomic(self) -> bool:
-        """C2PC is functionally correct — only operationally broken."""
-        return all(
-            p.atomic
-            for p in self.points
-            if p.coordinator_policy.startswith("C2PC")
-        )
-
-    @property
-    def theorem_demonstrated(self) -> bool:
-        return (
-            self.c2pc_growth_is_linear
-            and self.prany_retains_nothing
-            and self.c2pc_still_atomic
-        )
+def grid(
+    counts: tuple[int, ...] = (4, 8, 16, 32), c2pc_native: str = "PrN"
+) -> list[Cell]:
+    """Transaction counts under the C2PC and the PrAny coordinator."""
+    return [
+        {"coordinator_policy": policy, "n_transactions": n}
+        for policy in (f"C2PC({c2pc_native})", "dynamic")
+        for n in counts
+    ]
 
 
-def _measure(coordinator_policy: str, n_transactions: int, seed: int) -> RetentionPoint:
+def measure(cell: Cell, seed: int) -> dict:
+    """Retention at the coordinator once ``n_transactions`` quiesced."""
+    n_transactions = cell["n_transactions"]
     mdbs = MDBS(seed=seed)
     mdbs.add_site("alpha_pra", protocol="PrA")
     mdbs.add_site("beta_prc", protocol="PrC")
-    mdbs.add_site(_COORD, protocol="PrN", coordinator=coordinator_policy)
+    mdbs.add_site(_COORD, protocol="PrN", coordinator=cell["coordinator_policy"])
     for i in range(n_transactions):
         mdbs.submit(
             simple_transaction(
@@ -106,60 +68,73 @@ def _measure(coordinator_policy: str, n_transactions: int, seed: int) -> Retenti
     reports = mdbs.check()
     tm = mdbs.site(_COORD)
     assert tm.coordinator is not None
-    return RetentionPoint(
-        coordinator_policy=coordinator_policy,
-        n_transactions=n_transactions,
-        retained_entries=len(tm.coordinator.table),
-        uncollected_log_txns=len(tm.uncollected_log_transactions()),
-        atomic=reports.atomicity.holds,
-        operationally_correct=reports.operational.holds,
-    )
+    return {
+        "retained_entries": len(tm.coordinator.table),
+        "uncollected_log_txns": len(tm.uncollected_log_transactions()),
+        "atomic": reports.atomicity.holds,
+        "operationally_correct": reports.operational.holds,
+        "steps": mdbs.sim.steps_executed,
+    }
 
 
-def run_theorem2(
-    counts: tuple[int, ...] = (4, 8, 16, 32),
-    c2pc_native: str = "PrN",
-    seed: int = 3,
-) -> Theorem2Result:
-    """Sweep transaction counts under C2PC and PrAny coordinators."""
-    result = Theorem2Result()
-    for policy in (f"C2PC({c2pc_native})", "dynamic"):
-        for n in counts:
-            result.points.append(_measure(policy, n, seed))
-    return result
-
-
-def render_theorem2(result: Theorem2Result) -> str:
-    rows = [
-        [
-            p.coordinator_policy,
-            p.n_transactions,
-            p.retained_entries,
-            p.uncollected_log_txns,
-            "yes" if p.atomic else "NO",
-            "yes" if p.operationally_correct else "NO",
-        ]
-        for p in result.points
+def series(result: ExperimentResult, coordinator_policy: str) -> list[tuple[int, int]]:
+    return [
+        (row.n_transactions, row.retained_entries)
+        for row in result.rows
+        if row.coordinator_policy == coordinator_policy
     ]
-    table = render_table(
-        [
-            "coordinator",
-            "txns processed",
-            "retained entries",
-            "uncollected log txns",
-            "atomic",
-            "operational",
-        ],
-        rows,
-        title="T2 — Theorem 2: C2PC must remember terminated txns forever",
-    )
-    charts = []
-    for policy in sorted({p.coordinator_policy for p in result.points}):
-        charts.append(
-            render_series(
-                f"retained entries vs txns ({policy})",
-                result.series(policy),
-            )
-        )
-    verdict = "DEMONSTRATED" if result.theorem_demonstrated else "NOT demonstrated"
-    return "\n\n".join([table, *charts, f"Theorem 2 {verdict}"])
+
+
+def _runs(result: ExperimentResult, c2pc: bool) -> list:
+    return [
+        row
+        for row in result.rows
+        if row.coordinator_policy.startswith("C2PC") == c2pc
+    ]
+
+
+def _sections(result: ExperimentResult) -> list[str]:
+    charts = [
+        render_series(f"retained entries vs txns ({policy})", series(result, policy))
+        for policy in sorted({row.coordinator_policy for row in result.rows})
+    ]
+    return [*charts, verdict("Theorem 2", result)]
+
+
+THEOREM2 = Experiment(
+    name="theorem2",
+    artifact="T2",
+    title="Theorem 2: C2PC must remember terminated txns forever",
+    seed=7,
+    grid=grid,
+    key=("coordinator_policy", "n_transactions"),
+    measure=measure,
+    columns=(
+        Column("coordinator", "coordinator_policy"),
+        Column("txns processed", "n_transactions"),
+        Column("retained entries", "retained_entries"),
+        Column("uncollected log txns", "uncollected_log_txns"),
+        Column("atomic", "atomic", yes_no),
+        Column("operational", "operationally_correct", yes_no),
+    ),
+    claims=(
+        # C2PC retains every terminated mixed transaction.
+        Claim(
+            "c2pc_growth_is_linear",
+            lambda r: bool(_runs(r, True))
+            and all(
+                row.retained_entries == row.n_transactions for row in _runs(r, True)
+            ),
+        ),
+        Claim(
+            "prany_retains_nothing",
+            lambda r: bool(_runs(r, False))
+            and all(row.retained_entries == 0 for row in _runs(r, False)),
+        ),
+        # C2PC is functionally correct — only operationally broken.
+        Claim(
+            "c2pc_still_atomic", lambda r: all(row.atomic for row in _runs(r, True))
+        ),
+    ),
+    sections=_sections,
+)

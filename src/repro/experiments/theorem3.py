@@ -19,16 +19,13 @@ retained once the system quiesces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from repro.analysis.report import render_table
+from repro.experiments.table import Cell, Claim, Experiment, ExperimentResult, verdict
 from repro.mdbs.system import MDBS
 from repro.mdbs.transaction import GlobalTransaction, WriteOp
 from repro.net.failures import CrashSchedule
 from repro.sim.rng import RandomStreams
 from repro.workloads.failure_schedules import (
-    CrashPoint,
     coordinator_crash_points,
     participant_crash_points,
 )
@@ -41,76 +38,100 @@ from repro.workloads.generator import (
 from repro.workloads.mixes import MIXES, ProtocolMix
 
 
-@dataclass
-class StressCase:
-    """One stress run and its verdict."""
-
-    label: str
-    atomic: bool
-    safe: bool
-    operational: bool
-    stuck_in_doubt: int
-
-    @property
-    def passed(self) -> bool:
-        return self.atomic and self.safe and self.operational and not self.stuck_in_doubt
-
-
-@dataclass
-class Theorem3Result:
-    cases: list[StressCase] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return len(self.cases)
-
-    @property
-    def failures(self) -> list[StressCase]:
-        return [c for c in self.cases if not c.passed]
-
-    @property
-    def theorem_demonstrated(self) -> bool:
-        return self.runs > 0 and not self.failures
-
-
-def _single_txn_run(
-    mix: ProtocolMix,
-    outcome: str,
-    crash_point: Optional[CrashPoint],
-    crash_site: Optional[str],
-    seed: int,
-) -> StressCase:
-    mdbs = build_mdbs(mix, coordinator="dynamic", seed=seed)
-    participants = sorted(mix.site_protocols())
-    txn = GlobalTransaction(
-        txn_id="t-stress",
-        coordinator=COORDINATOR_ID,
-        writes={site: [WriteOp(f"k@{site}", 1)] for site in participants},
-        coordinator_abort=outcome == "abort",
-    )
-    label_parts = [mix.name, outcome]
-    if crash_point is not None and crash_site is not None:
-        mdbs.failures.crash_when(
-            crash_site,
-            crash_point.make_predicate(crash_site, txn.txn_id),
-            down_for=60.0,
-            label=crash_point.name,
+def grid(
+    mixes: tuple[str, ...] = (
+        "PrA+PrC",
+        "PrN+PrA+PrC",
+        "all-PrN",
+        "all-PrA",
+        "all-PrC",
+        # Extension protocols (DESIGN.md §6) under the same stress.
+        "IYV+PrC",
+        "CL+PrA+PrC",
+        "all-IYV",
+        "all-CL",
+    ),
+    random_seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
+) -> list[Cell]:
+    """Both stress phases; see the module docstring."""
+    cells: list[Cell] = []
+    catalogue = coordinator_crash_points() + participant_crash_points()
+    for mix_name in mixes:
+        name = MIXES[mix_name].name
+        participants = sorted(MIXES[mix_name].site_protocols())
+        for outcome in ("commit", "abort"):
+            # Baseline without any failure.
+            cells.append(
+                {
+                    "label": f"{name} / {outcome}",
+                    "mix": mix_name,
+                    "outcome": outcome,
+                }
+            )
+            for point in catalogue:
+                if point.role == "coordinator":
+                    victims = [COORDINATOR_ID]
+                else:
+                    victims = participants
+                cells.extend(
+                    {
+                        "label": f"{name} / {outcome} / {point.name}@{victim}",
+                        "mix": mix_name,
+                        "outcome": outcome,
+                        "crash_point": point,
+                        "victim": victim,
+                    }
+                    for victim in victims
+                )
+    for mix_name in mixes[:3]:
+        cells.extend(
+            {
+                "label": f"random / {MIXES[mix_name].name} / seed={rand_seed}",
+                "mix": mix_name,
+                "random_seed": rand_seed,
+            }
+            for rand_seed in random_seeds
         )
-        label_parts.append(f"{crash_point.name}@{crash_site}")
-    mdbs.submit(txn)
-    mdbs.run(until=800)
-    mdbs.finalize()
+    return cells
+
+
+def measure(cell: Cell, seed: int) -> dict:
+    """One stress run: a randomized workload, or one transaction with
+    the cell's crash (if any) injected."""
+    mix = MIXES[cell["mix"]]
+    if "random_seed" in cell:
+        mdbs = _randomized_run(mix, cell["random_seed"])
+    else:
+        mdbs = build_mdbs(mix, coordinator="dynamic", seed=seed)
+        participants = sorted(mix.site_protocols())
+        txn = GlobalTransaction(
+            txn_id="t-stress",
+            coordinator=COORDINATOR_ID,
+            writes={site: [WriteOp(f"k@{site}", 1)] for site in participants},
+            coordinator_abort=cell["outcome"] == "abort",
+        )
+        if "crash_point" in cell:
+            mdbs.failures.crash_when(
+                cell["victim"],
+                cell["crash_point"].make_predicate(cell["victim"], txn.txn_id),
+                down_for=60.0,
+                label=cell["crash_point"].name,
+            )
+        mdbs.submit(txn)
+        mdbs.run(until=800)
+        mdbs.finalize()
     reports = mdbs.check()
-    return StressCase(
-        label=" / ".join(label_parts),
-        atomic=reports.atomicity.holds,
-        safe=reports.safe_state.holds,
-        operational=reports.operational.holds,
-        stuck_in_doubt=len(reports.atomicity.stuck_in_doubt),
-    )
+    return {
+        "atomic": reports.atomicity.holds,
+        "safe": reports.safe_state.holds,
+        "operational": reports.operational.holds,
+        "stuck_in_doubt": len(reports.atomicity.stuck_in_doubt),
+        "steps": mdbs.sim.steps_executed,
+    }
 
 
-def _randomized_run(mix: ProtocolMix, seed: int) -> StressCase:
+def _randomized_run(mix: ProtocolMix, seed: int) -> MDBS:
+    """A 10-transaction workload with two random timed outages."""
     spec = WorkloadSpec(
         n_transactions=10,
         abort_fraction=0.3,
@@ -135,69 +156,26 @@ def _randomized_run(mix: ProtocolMix, seed: int) -> StressCase:
     mdbs, _ = run_workload(
         mix, "dynamic", spec, drain=1_000.0, prepare=schedule_outages
     )
-    reports = mdbs.check()
-    return StressCase(
-        label=f"random / {mix.name} / seed={seed}",
-        atomic=reports.atomicity.holds,
-        safe=reports.safe_state.holds,
-        operational=reports.operational.holds,
-        stuck_in_doubt=len(reports.atomicity.stuck_in_doubt),
-    )
+    return mdbs
 
 
-def run_theorem3(
-    mixes: tuple[str, ...] = (
-        "PrA+PrC",
-        "PrN+PrA+PrC",
-        "all-PrN",
-        "all-PrA",
-        "all-PrC",
-        # Extension protocols (DESIGN.md §6) under the same stress.
-        "IYV+PrC",
-        "CL+PrA+PrC",
-        "all-IYV",
-        "all-CL",
-    ),
-    random_seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
-    seed: int = 11,
-) -> Theorem3Result:
-    """Run both stress phases; see the module docstring."""
-    result = Theorem3Result()
-    catalogue = coordinator_crash_points() + participant_crash_points()
-    for mix_name in mixes:
-        mix = MIXES[mix_name]
-        participants = sorted(mix.site_protocols())
-        for outcome in ("commit", "abort"):
-            # Baseline without any failure.
-            result.cases.append(_single_txn_run(mix, outcome, None, None, seed))
-            for point in catalogue:
-                if point.role == "coordinator":
-                    victims = [COORDINATOR_ID]
-                else:
-                    victims = participants
-                for victim in victims:
-                    result.cases.append(
-                        _single_txn_run(mix, outcome, point, victim, seed)
-                    )
-    for mix_name in mixes[:3]:
-        for rand_seed in random_seeds:
-            result.cases.append(_randomized_run(MIXES[mix_name], rand_seed))
-    return result
+def failures(result: ExperimentResult) -> list:
+    """The runs that broke a property or left a transaction in doubt."""
+    return [
+        row
+        for row in result.rows
+        if not (row.atomic and row.safe and row.operational and not row.stuck_in_doubt)
+    ]
 
 
-def render_theorem3(result: Theorem3Result) -> str:
-    header = (
-        f"T3 — Theorem 3: PrAny operational correctness under "
-        f"{result.runs} adversarial runs"
-    )
-    lines = [header, "=" * len(header)]
-    lines.append(
-        f"runs: {result.runs}; failures: {len(result.failures)}"
-    )
-    if result.failures:
+def _report(result: ExperimentResult) -> list[str]:
+    runs, failed = len(result.rows), failures(result)
+    header = f"{result.experiment.heading} under {runs} adversarial runs"
+    lines = [header, "=" * len(header), f"runs: {runs}; failures: {len(failed)}"]
+    if failed:
         rows = [
             [c.label, c.atomic, c.safe, c.operational, c.stuck_in_doubt]
-            for c in result.failures
+            for c in failed
         ]
         lines.append(
             render_table(
@@ -206,6 +184,22 @@ def render_theorem3(result: Theorem3Result) -> str:
                 title="FAILING CASES",
             )
         )
-    verdict = "DEMONSTRATED" if result.theorem_demonstrated else "NOT demonstrated"
-    lines.append(f"Theorem 3 {verdict}")
-    return "\n".join(lines)
+    lines.append(verdict("Theorem 3", result))
+    return ["\n".join(lines)]
+
+
+#: Hundreds of runs: the table shows only the failing ones, under a
+#: heading that counts them all.
+THEOREM3 = Experiment(
+    name="theorem3",
+    artifact="T3",
+    title="Theorem 3: PrAny operational correctness",
+    seed=7,
+    grid=grid,
+    key=("label",),
+    measure=measure,
+    claims=(
+        Claim("no_failures", lambda r: bool(r.rows) and not failures(r)),
+    ),
+    sections=_report,
+)

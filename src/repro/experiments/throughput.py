@@ -19,52 +19,36 @@ between, tracking its mixed membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.analysis.metrics import message_counts
-from repro.analysis.report import render_table
-from repro.core.events import EventKind
+from repro.experiments.table import (
+    Cell,
+    Claim,
+    Column,
+    Experiment,
+    ExperimentResult,
+    yes_no,
+)
 from repro.workloads.generator import COORDINATOR_ID, WorkloadSpec, run_workload
 from repro.workloads.mixes import MIXES
 
 
-@dataclass
-class ThroughputPoint:
-    config: str
-    coordinator: str
-    n_transactions: int
-    abort_fraction: float
-    makespan: float
-    mean_residency: float
-    peak_table: int
-    messages_per_txn: float
-    events_simulated: int
-    correct: bool
-
-
-@dataclass
-class ThroughputResult:
-    points: list[ThroughputPoint] = field(default_factory=list)
-
-    def point(self, config: str) -> ThroughputPoint:
-        for p in self.points:
-            if p.config == config:
-                return p
-        raise KeyError(config)
-
-    @property
-    def all_correct(self) -> bool:
-        return all(p.correct for p in self.points)
-
-    @property
-    def prc_residency_lowest_on_commits(self) -> bool:
-        """All-commit workloads: PrC's ack-free path wins residency."""
-        try:
-            prc = self.point("all-PrC")
-            prn = self.point("all-PrN")
-        except KeyError:
-            return False
-        return prc.mean_residency < prn.mean_residency
+def grid(n_transactions: int = 200, abort_fraction: float = 0.0) -> list[Cell]:
+    """The same-size workload through each configuration."""
+    return [
+        {
+            "config": mix,
+            "coordinator": coordinator,
+            "n_transactions": n_transactions,
+            "abort_fraction": abort_fraction,
+        }
+        for mix, coordinator in (
+            ("all-PrN", "PrN"),
+            ("all-PrA", "PrA"),
+            ("all-PrC", "PrC"),
+            ("PrA+PrC", "dynamic"),
+            ("PrN+PrA+PrC", "dynamic"),
+        )
+    ]
 
 
 def _residencies(mdbs, txn_ids) -> list[float]:
@@ -80,24 +64,18 @@ def _residencies(mdbs, txn_ids) -> list[float]:
     return spans
 
 
-def measure_throughput(
-    mix_name: str,
-    coordinator: str = "dynamic",
-    n_transactions: int = 200,
-    abort_fraction: float = 0.0,
-    seed: int = 29,
-) -> ThroughputPoint:
+def measure(cell: Cell, seed: int) -> dict:
     """Stream a workload through one configuration and measure it."""
-    mix = MIXES[mix_name]
+    mix = MIXES[cell["config"]]
     spec = WorkloadSpec(
-        n_transactions=n_transactions,
-        abort_fraction=abort_fraction,
+        n_transactions=cell["n_transactions"],
+        abort_fraction=cell["abort_fraction"],
         participants_min=len(mix),
         participants_max=len(mix),
         inter_arrival=8.0,
         seed=seed,
     )
-    mdbs, transactions = run_workload(mix, coordinator, spec, drain=1_000.0)
+    mdbs, transactions = run_workload(mix, cell["coordinator"], spec, drain=1_000.0)
     reports = mdbs.check()
     residencies = _residencies(mdbs, [t.txn_id for t in transactions])
     history = mdbs.history()
@@ -113,69 +91,43 @@ def measure_throughput(
         (e.time for txn in decided for e in history.forget_events(txn)),
         default=0.0,
     )
-    return ThroughputPoint(
-        config=mix_name,
-        coordinator=coordinator,
-        n_transactions=n_transactions,
-        abort_fraction=abort_fraction,
-        makespan=last_forget,
-        mean_residency=sum(residencies) / len(residencies) if residencies else 0.0,
-        peak_table=tm.coordinator.table.peak_size,
-        messages_per_txn=counts.total / max(1, len(decided)),
-        events_simulated=mdbs.sim.steps_executed,
-        correct=reports.all_hold,
-    )
+    return {
+        "makespan": last_forget,
+        "mean_residency": sum(residencies) / len(residencies) if residencies else 0.0,
+        "peak_table": tm.coordinator.table.peak_size,
+        "messages_per_txn": counts.total / max(1, len(decided)),
+        "correct": reports.all_hold,
+        "steps": mdbs.sim.steps_executed,
+    }
 
 
-def run_throughput_experiment(
-    n_transactions: int = 200,
-    abort_fraction: float = 0.0,
-    seed: int = 29,
-) -> ThroughputResult:
-    """Stream the same-size workload through each configuration."""
-    result = ThroughputResult()
-    for mix_name, coordinator in (
-        ("all-PrN", "PrN"),
-        ("all-PrA", "PrA"),
-        ("all-PrC", "PrC"),
-        ("PrA+PrC", "dynamic"),
-        ("PrN+PrA+PrC", "dynamic"),
-    ):
-        result.points.append(
-            measure_throughput(
-                mix_name, coordinator, n_transactions, abort_fraction, seed
-            )
-        )
-    return result
+def _prc_residency_lowest_on_commits(result: ExperimentResult) -> bool:
+    """All-commit workloads: PrC's ack-free path wins residency."""
+    prc, prn = result.point("all-PrC"), result.point("all-PrN")
+    return prc.mean_residency < prn.mean_residency
 
 
-def render_throughput(result: ThroughputResult) -> str:
-    rows = [
-        [
-            p.config,
-            p.n_transactions,
-            f"{p.abort_fraction:.0%}",
-            f"{p.makespan:.0f}",
-            f"{p.mean_residency:.2f}",
-            p.peak_table,
-            f"{p.messages_per_txn:.1f}",
-            p.events_simulated,
-            "yes" if p.correct else "NO",
-        ]
-        for p in result.points
-    ]
-    return render_table(
-        [
-            "configuration",
-            "txns",
-            "aborts",
-            "makespan",
-            "mean residency",
-            "peak table",
-            "msgs/txn",
-            "events",
-            "correct",
-        ],
-        rows,
-        title="C6 — streaming throughput and coordinator residency",
-    )
+THROUGHPUT = Experiment(
+    name="throughput",
+    artifact="C6",
+    title="streaming throughput and coordinator residency",
+    seed=7,
+    grid=grid,
+    key=("config",),
+    measure=measure,
+    columns=(
+        Column("configuration", "config"),
+        Column("txns", "n_transactions"),
+        Column("aborts", "abort_fraction", "{:.0%}".format),
+        Column("makespan", "makespan", "{:.0f}".format),
+        Column("mean residency", "mean_residency", "{:.2f}".format),
+        Column("peak table", "peak_table"),
+        Column("msgs/txn", "messages_per_txn", "{:.1f}".format),
+        Column("events", "steps"),
+        Column("correct", "correct", yes_no),
+    ),
+    claims=(
+        Claim("all_correct", lambda r: all(row.correct for row in r.rows)),
+        Claim("prc_residency_lowest_on_commits", _prc_residency_lowest_on_commits),
+    ),
+)

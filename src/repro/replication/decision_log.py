@@ -58,11 +58,6 @@ class ReplicatedDecisionLog:
         self._engine = engine
 
     @property
-    def defers_forces(self) -> bool:
-        """Coordinator records are stable at quorum, not at force."""
-        return True
-
-    @property
     def decides_at_stability(self) -> bool:
         """A coordinator decision is a proposal until a quorum accepts
         it, and may come back flipped."""

@@ -120,20 +120,6 @@ class Simulator:
         """
         action()
 
-    def step(self) -> bool:
-        """Fire the next pending event.
-
-        Returns:
-            True if an event fired, False if the queue was empty.
-        """
-        event = self.queue.pop()
-        if event is None:
-            return False
-        self.clock.advance_to(event.time)
-        self._steps_executed += 1
-        event.action()
-        return True
-
     def run(
         self,
         until: Optional[float] = None,

@@ -180,11 +180,6 @@ class TraceRecorder:
             None if categories is None else frozenset(map(_intern, categories))
         )
 
-    @property
-    def category_filter(self) -> Optional[frozenset[str]]:
-        """The enabled categories, or ``None`` when unfiltered."""
-        return self._enabled_categories
-
     def record(
         self,
         time: float,

@@ -339,12 +339,6 @@ class FileStableLog(StableLog):
         return self._path
 
     @property
-    def defers_forces(self) -> bool:
-        """Completions run after the fsync at the end of the tick (at
-        once under the simulator, whose ticks end at once)."""
-        return True
-
-    @property
     def codec(self) -> str:
         return self._codec
 

@@ -59,20 +59,6 @@ class StableLog:
         return self._open
 
     @property
-    def defers_forces(self) -> bool:
-        """Whether :meth:`force_append_async` may complete later.
-
-        The base log forces synchronously, so completion callbacks run
-        before ``force_append_async`` returns. A deferring log runs
-        them once the record is stable by its own definition: the
-        :class:`~repro.storage.file_log.FileStableLog` after the one
-        fsync of the current event-loop tick, the
-        :class:`~repro.replication.decision_log.ReplicatedDecisionLog`
-        once a quorum holds a coordinator record.
-        """
-        return False
-
-    @property
     def decides_at_stability(self) -> bool:
         """Whether a coordinator's decision exists only once its forced
         record is stable.
@@ -154,10 +140,14 @@ class StableLog:
         The base log performs the force synchronously, so ``on_stable``
         (when given) runs before this method returns and the call is
         behaviourally identical to :meth:`force_append`. A deferring
-        log (:attr:`defers_forces`) instead runs ``on_stable`` later,
-        once the record is stable by its own definition: callers must
-        not act on the record's durability (send a vote, a decision,
-        an ack) before the callback fires. Completions of one log run
+        log instead runs ``on_stable`` later, once the record is stable
+        by its own definition (the
+        :class:`~repro.storage.file_log.FileStableLog` after the one
+        fsync of the current event-loop tick, the
+        :class:`~repro.replication.decision_log.ReplicatedDecisionLog`
+        once a quorum holds a coordinator record): callers must not act
+        on the record's durability (send a vote, a decision, an ack)
+        before the callback fires. Completions of one log run
         in the order their forces were requested.
         """
         self.append(record)

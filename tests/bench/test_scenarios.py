@@ -14,6 +14,7 @@ import pytest
 from repro.bench import BENCH_SEED, SCENARIOS, get_scenarios
 from repro.cli import main
 from repro.errors import ReproError
+from repro.experiments import EXPERIMENTS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -101,7 +102,13 @@ class TestRegistry:
         assert loaded.strip() == "[]"
 
     def test_every_seed_is_pinned(self):
-        assert all(s.seed == BENCH_SEED for s in SCENARIOS.values())
+        # An experiment row runs at its experiment's own seed, the one
+        # `repro <name>` prints; every other row at BENCH_SEED.
+        seeds = {f"experiment-{row.name}": row.seed for row in EXPERIMENTS}
+        assert all(
+            s.seed == seeds.get(s.name, BENCH_SEED) for s in SCENARIOS.values()
+        )
+        assert seeds.keys() <= SCENARIOS.keys()
 
 
 class TestRowsUnchanged:

@@ -2,26 +2,26 @@
 
 import pytest
 
-from repro.experiments.coordinator_log import render_cl, run_cl_experiment
+from repro.experiments.coordinator_log import CL
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_cl_experiment(n_transactions=5)
+    return CL.run(seed=37, n_transactions=5)
 
 
 class TestCLExperiment:
     def test_all_correct(self, result):
-        assert result.all_correct
+        assert result.claim("all_correct")
 
     def test_cl_participants_force_nothing(self, result):
-        assert result.cl_participants_force_nothing
+        assert result.claim("cl_participants_force_nothing")
 
     def test_log_volume_moved(self, result):
-        assert result.cl_moves_log_volume_to_coordinator
+        assert result.claim("cl_moves_log_volume_to_coordinator")
 
     def test_recovery_pulls_redo(self, result):
-        assert result.cl_recovery_pulls_redo
+        assert result.claim("cl_recovery_pulls_redo")
 
     def test_prn_baseline_forces(self, result):
         # PrN: prepared + decision force per participant per txn.
@@ -29,4 +29,4 @@ class TestCLExperiment:
         assert prn.participant_forces == 4 * prn.n_transactions
 
     def test_render(self, result):
-        assert "C7" in render_cl(result)
+        assert "C7" in result.render()

@@ -4,64 +4,64 @@ import math
 
 import pytest
 
-from repro.experiments.costs import cost_table, run_cost_experiment
-from repro.experiments.latency import latency_sweep, render_latency
-from repro.experiments.selection import render_selection, selection_ablation
+from repro.experiments.costs import COSTS
+from repro.experiments.latency import LATENCY
+from repro.experiments.selection import SELECTION, savings
 
 
 @pytest.fixture(scope="module")
 def costs():
-    return run_cost_experiment()
+    return COSTS.run()
 
 
 @pytest.fixture(scope="module")
 def latencies():
-    return latency_sweep(participant_counts=(2, 4))
+    return LATENCY.run(participant_counts=(2, 4))
 
 
 @pytest.fixture(scope="module")
 def ablation():
-    return selection_ablation(n_transactions=8)
+    return SELECTION.run(n_transactions=8)
 
 
 class TestCostShapes:
     """The classic trade-offs the paper's argument rests on."""
 
     def test_prc_commit_cheapest_for_participants(self, costs):
-        assert costs.prc_commit_cheaper_for_participants_than_pra
+        assert costs.claim("prc_commit_cheaper_for_participants_than_pra")
 
     def test_pra_abort_free_at_coordinator(self, costs):
-        assert costs.pra_abort_is_free_at_coordinator
+        assert costs.claim("pra_abort_is_free_at_coordinator")
 
     def test_prn_never_strictly_cheapest(self, costs):
-        assert costs.prn_never_strictly_cheapest
+        assert costs.claim("prn_never_strictly_cheapest")
 
     def test_prn_uniform_across_outcomes(self, costs):
-        commit = costs.cell("all-PrN", "commit")
-        abort = costs.cell("all-PrN", "abort")
+        commit = costs.point("all-PrN", "commit")
+        abort = costs.point("all-PrN", "abort")
         assert commit.coordinator_forced == abort.coordinator_forced
         assert commit.acks == abort.acks
 
     def test_prc_commit_has_no_acks(self, costs):
-        assert costs.cell("all-PrC", "commit").acks == 0
+        assert costs.point("all-PrC", "commit").acks == 0
 
     def test_pra_abort_has_no_acks(self, costs):
-        assert costs.cell("all-PrA", "abort").acks == 0
+        assert costs.point("all-PrA", "abort").acks == 0
 
     def test_prany_pays_initiation_force(self, costs):
-        prany = costs.cell("PrAny (PrA+PrC)", "commit")
-        pra = costs.cell("all-PrA", "commit")
+        prany = costs.point("PrAny (PrA+PrC)", "commit")
+        pra = costs.point("all-PrA", "commit")
         assert prany.coordinator_forced == pra.coordinator_forced + 1
 
     def test_prany_commit_acks_only_pra_half(self, costs):
         # 2 participants: 1 PrA + 1 PrC; only the PrA one acks commits.
-        assert costs.cell("PrAny (PrA+PrC)", "commit").acks == 1
+        assert costs.point("PrAny (PrA+PrC)", "commit").acks == 1
 
     def test_prany_abort_acks_only_prc_half(self, costs):
-        assert costs.cell("PrAny (PrA+PrC)", "abort").acks == 1
+        assert costs.point("PrAny (PrA+PrC)", "abort").acks == 1
 
     def test_table_renders_every_cell(self, costs):
-        text = cost_table(costs)
+        text = costs.render()
         assert "all-PrN" in text and "PrAny (3-way)" in text
 
 
@@ -84,31 +84,31 @@ class TestLatencyShapes:
         assert four.forget_latency > two.forget_latency
 
     def test_all_points_finite(self, latencies):
-        for point in latencies.points:
+        for point in latencies.rows:
             assert math.isfinite(point.decision_latency)
             assert math.isfinite(point.release_latency)
             assert math.isfinite(point.forget_latency)
 
     def test_render(self, latencies):
-        assert "C2" in render_latency(latencies)
+        assert "C2" in latencies.render()
 
 
 class TestSelectionAblation:
     def test_dynamic_saves_forces_on_homogeneous_prn(self, ablation):
-        forces_saved, __ = ablation.savings("all-PrN")
+        forces_saved, __ = savings(ablation, "all-PrN")
         assert forces_saved > 0
 
     def test_dynamic_saves_forces_on_homogeneous_pra(self, ablation):
-        forces_saved, __ = ablation.savings("all-PrA")
+        forces_saved, __ = savings(ablation, "all-PrA")
         assert forces_saved > 0
 
     def test_dynamic_ties_on_homogeneous_prc(self, ablation):
-        forces_saved, acks_saved = ablation.savings("all-PrC")
+        forces_saved, acks_saved = savings(ablation, "all-PrC")
         assert forces_saved == 0 and acks_saved == 0
 
     def test_mixed_workloads_identical_under_both(self, ablation):
         for mix in ("PrA+PrC", "PrN+PrC"):
-            forces_saved, acks_saved = ablation.savings(mix)
+            forces_saved, acks_saved = savings(ablation, mix)
             assert forces_saved == 0 and acks_saved == 0
 
     def test_dynamic_selects_base_protocols_when_homogeneous(self, ablation):
@@ -120,4 +120,4 @@ class TestSelectionAblation:
         assert point.protocols_used == {"PrAny": 8}
 
     def test_render(self, ablation):
-        assert "C3" in render_selection(ablation)
+        assert "C3" in ablation.render()

@@ -2,26 +2,26 @@
 
 import pytest
 
-from repro.experiments.iyv import render_iyv, run_iyv_experiment
+from repro.experiments.iyv import IYV
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_iyv_experiment(update_counts=(1, 4))
+    return IYV.run(update_counts=(1, 4))
 
 
 class TestIYVExperiment:
     def test_all_runs_correct(self, result):
-        assert result.all_correct
+        assert result.claim("all_correct")
 
     def test_iyv_decides_earlier(self, result):
-        assert result.iyv_always_decides_earlier
+        assert result.claim("iyv_always_decides_earlier")
 
     def test_iyv_uses_fewer_messages(self, result):
-        assert result.iyv_always_uses_fewer_messages
+        assert result.claim("iyv_always_uses_fewer_messages")
 
     def test_force_growth_shapes(self, result):
-        assert result.pra_forces_grow_slower
+        assert result.claim("pra_forces_grow_slower")
 
     def test_iyv_message_savings_is_two_rounds(self, result):
         # 3 participants: PrA = prepare + vote + decision + ack = 4×3;
@@ -30,4 +30,4 @@ class TestIYVExperiment:
         assert result.point("IYV", 1).messages == 6
 
     def test_render(self, result):
-        assert "C5" in render_iyv(result)
+        assert "C5" in result.render()

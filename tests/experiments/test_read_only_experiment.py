@@ -2,34 +2,31 @@
 
 import pytest
 
-from repro.experiments.read_only import (
-    render_read_only,
-    run_read_only_experiment,
-)
+from repro.experiments.read_only import READ_ONLY, savings
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_read_only_experiment(n_transactions=6)
+    return READ_ONLY.run(n_transactions=6)
 
 
 class TestReadOnlyExperiment:
     def test_every_cell_correct(self, result):
-        assert result.always_correct
+        assert result.claim("always_correct")
 
     def test_saves_forces_on_every_mix(self, result):
         for mix in ("all-PrN", "all-PrA", "all-PrC", "PrN+PrA+PrC"):
-            forces_saved, messages_saved = result.savings(mix)
+            forces_saved, messages_saved = savings(result, mix)
             assert forces_saved > 0, mix
             assert messages_saved > 0, mix
 
     def test_read_votes_only_when_enabled(self, result):
         for mix in ("all-PrN", "all-PrA"):
-            assert result.cell(mix, False).read_votes == 0
-            assert result.cell(mix, True).read_votes > 0
+            assert result.point(mix, False).read_votes == 0
+            assert result.point(mix, True).read_votes > 0
 
     def test_prn_saves_acks(self, result):
-        assert result.cell("all-PrN", True).acks < result.cell("all-PrN", False).acks
+        assert result.point("all-PrN", True).acks < result.point("all-PrN", False).acks
 
     def test_render(self, result):
-        assert "C4" in render_read_only(result)
+        assert "C4" in result.render()

@@ -2,45 +2,38 @@
 
 import pytest
 
-from repro.experiments.throughput import (
-    measure_throughput,
-    render_throughput,
-    run_throughput_experiment,
-)
+from repro.experiments.throughput import THROUGHPUT
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_throughput_experiment(n_transactions=60)
+    return THROUGHPUT.run(seed=29, n_transactions=60)
 
 
 class TestThroughput:
     def test_all_configurations_correct(self, result):
-        assert result.all_correct
+        assert result.claim("all_correct")
 
     def test_prc_residency_lowest_on_commits(self, result):
-        assert result.prc_residency_lowest_on_commits
+        assert result.claim("prc_residency_lowest_on_commits")
 
     def test_prc_uses_fewest_messages(self, result):
         prc = result.point("all-PrC")
         assert prc.messages_per_txn == min(
-            p.messages_per_txn for p in result.points
+            p.messages_per_txn for p in result.rows
         )
 
     def test_abort_workload_flips_the_winner(self):
-        pra = measure_throughput(
-            "all-PrA", "PrA", n_transactions=40, abort_fraction=1.0
-        )
-        prc = measure_throughput(
-            "all-PrC", "PrC", n_transactions=40, abort_fraction=1.0
-        )
+        aborts = THROUGHPUT.run(seed=29, n_transactions=40, abort_fraction=1.0)
+        pra = aborts.point("all-PrA")
+        prc = aborts.point("all-PrC")
         assert pra.correct and prc.correct
         assert pra.mean_residency < prc.mean_residency
 
     def test_events_scale_with_workload(self):
-        small = measure_throughput("all-PrN", "PrN", n_transactions=20)
-        large = measure_throughput("all-PrN", "PrN", n_transactions=80)
-        assert large.events_simulated > 3 * small.events_simulated
+        small = THROUGHPUT.run(seed=29, n_transactions=20).point("all-PrN")
+        large = THROUGHPUT.run(seed=29, n_transactions=80).point("all-PrN")
+        assert large.steps > 3 * small.steps
 
     def test_render(self, result):
-        assert "C6" in render_throughput(result)
+        assert "C6" in result.render()

@@ -52,10 +52,6 @@ class HeldForceLog(StableLog):
         super().__init__(sim, site_id)
         self._held: list[Callable[[], None]] = []
 
-    @property
-    def defers_forces(self) -> bool:
-        return True
-
     def force_append_async(
         self, record: LogRecord, on_stable: Optional[Callable[[], None]] = None
     ) -> LogRecord:

@@ -142,9 +142,6 @@ class TestForceAppendAsync:
         order.append("returned")
         assert order == ["cb", "returned"]
 
-    def test_base_log_defers_forces_is_false(self, log):
-        assert log.defers_forces is False
-
     def test_behaves_like_force_append(self, log):
         log.force_append_async(rec("t1"))
         assert log.stable_record_count == 1

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _cmd_experiment, build_parser, main
+from repro.experiments import EXPERIMENTS
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +80,57 @@ class TestCLI:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestExperimentRegistration:
+    """The experiment table is the one registration: `repro list`, the
+    subcommands and `repro all` all come from it."""
+
+    def test_list_and_parser_name_the_table(self, capsys):
+        spelled = {row.name.replace("theorem", "theorem "): row for row in EXPERIMENTS}
+        code, out = run_cli(capsys, "list")
+        assert code == 0
+        listed = [
+            line for line in out.splitlines()
+            if any(f" {row.artifact}: " in line for row in EXPERIMENTS)
+        ]
+        assert listed == [
+            f"  {name:<18} {row.artifact}: {row.title}"
+            for name, row in spelled.items()
+        ]
+        parser = build_parser()
+        sub = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        number = next(
+            action for action in sub.choices["theorem"]._actions
+            if action.dest == "number"
+        )
+        commands = {
+            name for name, command in sub.choices.items()
+            if command.get_default("handler") is _cmd_experiment
+        }
+        assert commands - {"theorem"} | {
+            f"theorem{n}" for n in number.choices
+        } == {row.name for row in EXPERIMENTS}
+
+    def test_all_prints_every_row_once_in_table_order(self, capsys):
+        code, out = run_cli(capsys, "all")
+        assert code == 0
+        for row in EXPERIMENTS:
+            assert out.count(row.heading) == 1, row.name
+        positions = [out.index(row.heading) for row in EXPERIMENTS]
+        assert positions == sorted(positions)
+
+    def test_seed_reaches_every_experiment(self, capsys):
+        # Without --seed a row runs at its own seed (C2: 9); with one,
+        # at that seed.
+        __, own = run_cli(capsys, "latency")
+        __, nine = run_cli(capsys, "--seed", "9", "latency")
+        __, three = run_cli(capsys, "--seed", "3", "latency")
+        assert own == nine
+        assert three != own
 
 
 class TestLiveCLI:
