@@ -210,7 +210,14 @@ class ClusterDriver:
 
     async def _sweep(self) -> tuple[int, bool]:
         """One flush+GC round over the live sites: transactions
-        collected, and whether messages are still queued anywhere."""
+        collected, and whether messages are queued anywhere.
+
+        The backlog is read in the same loop tick as the sweep, with no
+        await in between, so every message the sweep sent (a CL
+        participant's ``announce_checkpoint``, say) is still in a peer
+        link's pending list or the local self-delivery count: a False
+        reading means the sweep sent nothing that is still on its way.
+        """
         raise NotImplementedError
 
     async def _network_busy(self) -> bool:
@@ -218,26 +225,32 @@ class ClusterDriver:
         raise NotImplementedError
 
     async def _finalize_rounds(self, max_rounds: int) -> None:
-        """The ``finalize()`` loop (mirrors ``MDBS.finalize``).
+        """The ``finalize()`` loop, with ``MDBS.finalize``'s stop rule.
 
-        Event-driven: each round lets in-flight coordination messages
-        drain (bounded by 10 virtual units) instead of sleeping the
-        bound out, and the loop exits as soon as a round collects
-        nothing with the network idle — an already-quiet cluster
-        finalizes promptly in a single round.
+        Each round sweeps, then drains the network (bounded by 10
+        virtual units) only when the sweep left messages queued: the
+        simulator runs 10 units after every sweep, but a sweep that
+        queued nothing has nothing in flight to let land, so the next
+        sweep follows at once. The loop stops after the first sweep
+        past round 0 that collects nothing, as ``MDBS.finalize`` does,
+        and already after round 0 when that sweep neither collects nor
+        queues anything: an already-quiet cluster finalizes in one
+        sweep.
         """
-        for _ in range(max_rounds):
+        for round_index in range(max_rounds):
             collected, busy = await self._sweep()
-            if collected == 0 and not busy:
+            if busy:
+                await self._drain_network(bound_units=10.0)
+            if collected == 0 and (round_index > 0 or not busy):
                 return
-            await self._drain_network(bound_units=10.0)
 
     async def _drain_network(self, bound_units: float) -> None:
         """Wait (event-driven, bounded) for in-flight messages to land.
 
-        Backlog only counts queued frames, not bytes mid-socket, so
-        after the backlog empties one extra virtual unit of grace lets
-        a just-written frame reach its peer before we conclude quiet.
+        Called only after a sweep that queued messages. The backlog
+        counts queued frames, not bytes mid-socket, so after it empties
+        one extra virtual unit of grace lets a just-written frame reach
+        its peer before we conclude quiet.
         """
         assert self.sim is not None and self._activity is not None
         deadline = self.sim.now + bound_units
@@ -504,7 +517,10 @@ class LiveCluster(ClusterDriver):
         return self.quiescent()
 
     async def finalize(self, max_rounds: int = 5) -> None:
-        """Flush and GC to a stable residue (mirrors ``MDBS.finalize``)."""
+        """Flush and GC to a stable residue, stopping where
+        ``MDBS.finalize`` stops: after the first sweep past the first
+        that collects nothing. The network is drained only after a
+        sweep that left messages queued (see :meth:`_finalize_rounds`)."""
         await self._finalize_rounds(max_rounds)
 
     async def _sweep(self) -> tuple[int, bool]:

@@ -661,11 +661,20 @@ class ProcessCluster(ClusterDriver):
         return [reply for reply in replies if reply is not None]
 
     async def finalize(self, max_rounds: int = 5) -> None:
-        """Flush+GC every live child to a stable residue (mirrors
-        ``LiveCluster.finalize`` across the process boundary)."""
+        """Flush+GC every live child to a stable residue, with
+        ``LiveCluster.finalize``'s rule across the process boundary:
+        drain only after a sweep that left messages queued in some
+        child, stop after the first sweep past the first that collects
+        nothing (``MDBS.finalize``'s rule)."""
         await self._finalize_rounds(max_rounds)
 
     async def _sweep(self) -> tuple[int, bool]:
+        """One ``flush_gc`` round trip to every live child: the sum of
+        their collected counts, and whether any child's reply reported
+        a backlog. Each child sweeps and reads its transport's backlog
+        in one loop tick before it replies, so a message its sweep sent
+        is still counted there: the reading is as exact as
+        ``LiveCluster``'s."""
         replies = await self._ask_live("flush_gc")
         return (
             sum(reply["collected"] for reply in replies),

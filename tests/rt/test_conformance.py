@@ -38,7 +38,10 @@ CONFORMANCE_SEED = 1303
 #: seconds; the sim twin is instant.
 N_TRANSACTIONS = 10
 
-PROTOCOLS = ("PrN", "PrA", "PrC", "PrAny")
+#: All six protocols of the paper. CL is the one mix whose GC sweeps
+#: send messages (``announce_checkpoint``), so its cases are the ones
+#: that take ``finalize()``'s network drain.
+PROTOCOLS = ("PrN", "PrA", "PrC", "PrAny", "IYV", "CL")
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

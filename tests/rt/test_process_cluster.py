@@ -61,7 +61,7 @@ def _cluster(tmp_path, **kw):
     return ProcessCluster(mix, str(tmp_path), **kw)
 
 
-@pytest.mark.parametrize("protocol", ("PrN", "PrAny"))
+@pytest.mark.parametrize("protocol", ("PrN", "PrAny", "CL"))
 def test_multiprocess_run_matches_simulator(protocol, tmp_path):
     """The conformance claim across a real process boundary: same
     workload, same seed, one OS process per site, fsync on — identical

@@ -5,9 +5,10 @@ inside a fenced code block in README.md, EXPERIMENTS.md and the
 operator docs (docs/LIVE.md, docs/DEPLOYMENT.md, docs/BENCHMARKS.md)
 is checked against the real CLI — the subcommand must exist
 (``--help`` exits 0) and every long flag the doc shows must appear in
-that subcommand's help text. Console transcripts (``$ python -m repro
-...``) count too. A small set of commands additionally runs end to end
-in smoke form.
+the help text of the parser that owns it: the top-level ``repro``
+parser for the flags before the subcommand, the subcommand's for the
+rest. Console transcripts (``$ python -m repro ...``) count too. A
+small set of commands additionally runs end to end in smoke form.
 """
 
 import subprocess
@@ -94,7 +95,8 @@ def test_fenced_command_parses(doc, command):
     tokens = command.split()
     assert tokens[:3] == ["python", "-m", "repro"]
     rest = tokens[3:]
-    # Global options (--seed N) come before the subcommand; skip them.
+    # Global options (--seed N) come before the subcommand and belong to
+    # the top-level parser; the rest belong to the subcommand's.
     index = 0
     while index < len(rest) and rest[index].startswith("-"):
         index += 2
@@ -105,11 +107,17 @@ def test_fenced_command_parses(doc, command):
         f"{doc} documents `repro {subcommand}` but it fails --help: "
         f"{result.stderr}"
     )
-    for flag in (t.split("=")[0] for t in rest if t.startswith("--")):
-        assert flag in result.stdout, (
-            f"{doc} shows {flag} for `repro {subcommand}`, "
-            f"but its --help does not mention it"
-        )
+    owners = [(f"repro {subcommand}", result.stdout, rest[index + 1 :])]
+    if index:
+        top = run_repro("--help")
+        assert top.returncode == 0, top.stderr
+        owners.append(("repro", top.stdout, rest[:index]))
+    for owner, help_text, tokens in owners:
+        for flag in (t.split("=")[0] for t in tokens if t.startswith("--")):
+            assert flag in help_text, (
+                f"{doc} shows {flag} for `{owner}`, "
+                f"but its --help does not mention it"
+            )
 
 
 def table_flags(doc: Path, command_heading: str) -> set[str]:
